@@ -7,7 +7,7 @@
 //	experiments -fig 10         # one figure
 //	experiments -scale full     # the 128-core machine (slow)
 //	experiments -j 1            # serial fallback (default: all CPUs)
-//	experiments -cache-dir runs          # persist results + warmup checkpoints
+//	experiments -cache-dir runs          # persist per-run results
 //	experiments -cache-dir runs -resume  # continue an interrupted sweep
 //	experiments -fig 1 -cpuprofile cpu.pb.gz   # profile the hot path
 //
@@ -20,8 +20,7 @@
 //	experiments -http localhost:6060             # live dashboard + expvar "sweep" + pprof
 //
 // Observability is pure observation — every figure and stored result is
-// bit-identical with it on or off — but instrumented runs skip warmup
-// checkpoints, so sweeps are slower.
+// bit-identical with it on or off.
 //
 // Each simulation is independent, so the suite runs them on a worker
 // pool of -j goroutines. Output is bit-identical at any -j: figures are
@@ -98,7 +97,7 @@ func main() {
 		quiet      = flag.Bool("q", false, "suppress per-run progress")
 		csvOut     = flag.Bool("csv", false, "emit CSV instead of aligned tables")
 		jobs       = flag.Int("j", runtime.NumCPU(), "max simulations run concurrently (1 = serial); in -serve mode, max outstanding work units")
-		cacheDir   = flag.String("cache-dir", "", "persist per-run results and warmup checkpoints in this directory")
+		cacheDir   = flag.String("cache-dir", "", "persist per-run results in this directory")
 		resume     = flag.Bool("resume", false, "serve results already present in -cache-dir instead of re-simulating")
 		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile to this file (go tool pprof)")
 		memprofile = flag.String("memprofile", "", "write an allocation profile to this file on exit")
@@ -114,8 +113,7 @@ func main() {
 		storeGC    = flag.Duration("store-gc", 0, "prune -cache-dir entries older than this age and exit (e.g. 720h)")
 		storeGCDry = flag.Bool("store-gc-dry-run", false, "with -store-gc: report what would be pruned without deleting")
 		storeScrub = flag.Bool("store-scrub", false, "verify every -cache-dir entry against its digest sidecar (quarantining corrupt ones) and exit")
-		storeMax   = flag.Int64("store-max-blob", 0, "per-entry byte cap on the -serve blob store's PUT bodies; oversized uploads get 413 (0 = 1 GiB default)")
-		journalDir = flag.String("journal-dir", "", "with -serve: write-ahead journal directory; restarting on the same directory resumes the sweep crash-safely")
+		journalDir = flag.String("journal-dir", "", "with -serve: write-ahead journal directory; restarting on the same directory resumes the sweep crash-safely (default: a temporary directory)")
 		soak       = flag.Int("soak", 0, "run a fault-injection soak over this many seeds per scheme instead of figures")
 		soakApp    = flag.String("soak-app", "", "pin -soak to one workload (default: rotate barnes + the five families)")
 		traceFile  = flag.String("trace-file", "", "replay a trace file (tracegen -write) through one scheme instead of figures")
@@ -256,8 +254,7 @@ func main() {
 			fmt.Fprintln(os.Stderr, "experiments: note: dispatched runs execute on workers; -obs-dir records no per-run artifacts in -serve mode")
 		}
 		svc, err = tinydir.AttachSweepServiceCfg(suite, suite.Store, http.DefaultServeMux, tinydir.SweepServiceConfig{
-			JournalDir:   *journalDir,
-			MaxBlobBytes: *storeMax,
+			JournalDir: *journalDir,
 		})
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "experiments:", err)

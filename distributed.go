@@ -82,63 +82,64 @@ func decodeUnit(payload []byte) (Options, error) {
 
 // SweepService is a Suite wired to serve its runs to a worker fleet.
 type SweepService struct {
-	Coord *sweepd.Coordinator
-	store *RunStore
-	suite *Suite
+	Coord   *sweepd.Coordinator
+	store   *RunStore
+	suite   *Suite
+	tempDir string // journal directory Close removes ("" = caller-owned)
 }
 
-// SweepServiceConfig tunes AttachSweepServiceCfg beyond the defaults.
+// SweepServiceConfig tunes AttachSweepServiceCfg.
 type SweepServiceConfig struct {
-	// JournalDir, when set, makes the coordinator crash-safe: every unit
-	// lifecycle transition is journaled there (internal/sweepd's WAL),
-	// and a coordinator restarted on the same directory recovers its
-	// exact queue/lease/done state under a bumped fencing epoch.
+	// JournalDir is where the coordinator journals every unit lifecycle
+	// transition (internal/sweepd's WAL); a coordinator restarted on the
+	// same directory recovers its exact queue/lease/done state under a
+	// bumped fencing epoch. Empty means a fresh temporary directory that
+	// Close removes: the sweep is journaled all the same, it just cannot
+	// be resumed by a later process.
 	JournalDir string
-	// MaxBlobBytes caps one blob-store entry's PUT body (0 = the
-	// protocol's 1 GiB default). Oversized uploads are refused with 413.
-	MaxBlobBytes int64
 }
 
-// AttachSweepService turns a suite into a sweep coordinator: it mounts
-// the work-unit API under /sweepd/ and the shared blob store under
-// /store/ on mux, and installs a Suite.Dispatch that enqueues every
-// planned run as a work unit and blocks until a worker completes it.
-// The store must be the coordinator's durable (directory) store — it
-// is both the dedup cache workers share over HTTP and the merge target
-// for returned results.
-func AttachSweepService(s *Suite, store *RunStore, mux *http.ServeMux) *SweepService {
-	svc, err := AttachSweepServiceCfg(s, store, mux, SweepServiceConfig{})
-	if err != nil {
-		// Unreachable without a journal dir; keep the legacy signature.
-		panic(err)
-	}
-	return svc
-}
-
-// AttachSweepServiceCfg is AttachSweepService with a config: a journal
-// directory for crash-safe coordination and a blob-store PUT body cap.
-// With JournalDir set the coordinator is recovered from (or initialized
-// in) that directory — restarting the process on the same directory
-// resumes the sweep where it died, fencing the previous incarnation's
-// stale traffic by epoch.
+// AttachSweepServiceCfg turns a suite into a sweep coordinator: it
+// mounts the work-unit API under /sweepd/ and the shared blob store
+// under /store/ on mux, and installs a Suite.Dispatch that enqueues
+// every planned run as a work unit and blocks until a worker completes
+// it. The store must be the coordinator's durable (directory) store —
+// it is both the dedup cache workers share over HTTP and the merge
+// target for returned results. The coordinator is recovered from (or
+// initialized in) cfg.JournalDir, so restarting the process on the same
+// directory resumes the sweep where it died, fencing the previous
+// incarnation's stale traffic by epoch.
 func AttachSweepServiceCfg(s *Suite, store *RunStore, mux *http.ServeMux, cfg SweepServiceConfig) (*SweepService, error) {
-	coord := sweepd.New()
-	if cfg.JournalDir != "" {
+	dir, tempDir := cfg.JournalDir, ""
+	if dir == "" {
 		var err error
-		if coord, err = sweepd.RecoverCoordinator(cfg.JournalDir); err != nil {
+		if dir, err = os.MkdirTemp("", "tinydir-journal-"); err != nil {
 			return nil, fmt.Errorf("tinydir: sweep journal: %w", err)
 		}
+		tempDir = dir
 	}
-	svc := &SweepService{Coord: coord, store: store, suite: s}
+	coord, err := sweepd.RecoverCoordinator(dir)
+	if err != nil {
+		if tempDir != "" {
+			os.RemoveAll(tempDir)
+		}
+		return nil, fmt.Errorf("tinydir: sweep journal: %w", err)
+	}
+	svc := &SweepService{Coord: coord, store: store, suite: s, tempDir: tempDir}
 	mux.Handle("/sweepd/", http.StripPrefix("/sweepd", svc.Coord.Handler()))
-	mux.Handle("/store/", http.StripPrefix("/store", runstore.NewServerLimit(store.Backend(), cfg.MaxBlobBytes)))
+	mux.Handle("/store/", http.StripPrefix("/store", runstore.NewServer(store.Backend())))
 	s.Dispatch = svc.dispatch
 	return svc, nil
 }
 
 // Close shuts the coordinator down (pending dispatches unblock; workers'
-// next claim reports the sweep over).
-func (svc *SweepService) Close() { svc.Coord.Close() }
+// next claim reports the sweep over) and removes a temporary journal.
+func (svc *SweepService) Close() {
+	svc.Coord.Close()
+	if svc.tempDir != "" {
+		os.RemoveAll(svc.tempDir)
+	}
+}
 
 // dispatch is the Suite.Dispatch implementation: dedup against the
 // store, enqueue, wait, merge through the collision guard.
@@ -202,8 +203,8 @@ type WorkerConfig struct {
 // RunSweepWorker joins a coordinator's fleet and executes claimed units
 // until the sweep completes (returns nil), ctx is cancelled, or the
 // coordinator stays unreachable. Each unit runs through the standard
-// runWithStore path — warmup checkpoints, panic quarantine and
-// wall-clock deadlines all behave exactly as in a local sweep — against
+// runWithStore path — panic quarantine and wall-clock deadlines behave
+// exactly as in a local sweep — against
 // the coordinator's store mounted over HTTP, with resume semantics (an
 // already-stored result is served, not re-simulated: exact dedup is the
 // point of the shared store).

@@ -34,7 +34,10 @@ func TestDistributedSweepByteIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	mux := http.NewServeMux()
-	svc := AttachSweepService(coord, store, mux)
+	svc, err := AttachSweepServiceCfg(coord, store, mux, SweepServiceConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	svc.Coord.LeaseTTL = 200 * time.Millisecond // let the blackhole's lease lapse fast
 	srv := httptest.NewServer(mux)
 	defer srv.Close()
@@ -133,8 +136,12 @@ func TestDistributedSweepByteIdentical(t *testing.T) {
 		t.Log("blackhole claimer raced out of units (fleet drained first); requeue covered by sweepd tests")
 	}
 
-	// Shutting the sweep down sends workers home (nil error: sweep over).
+	// Shutting the sweep down sends workers home (nil error: sweep over)
+	// and removes the temporary journal the empty config asked for.
 	svc.Close()
+	if _, err := os.Stat(svc.tempDir); svc.tempDir == "" || !os.IsNotExist(err) {
+		t.Errorf("temporary journal %q not removed on Close (stat err %v)", svc.tempDir, err)
+	}
 	for i := 0; i < 2; i++ {
 		select {
 		case err := <-workerErr:

@@ -104,19 +104,16 @@ type Suite struct {
 	// Workers bounds concurrent simulations during prefetch; <= 1 runs
 	// strictly serially. NewSuite defaults it to runtime.NumCPU().
 	Workers int
-	// Store, when set, persists every run's result and warmup checkpoint
-	// on disk (see RunStore); with Resume also set, results already in
-	// the store are served without simulating, making an interrupted
-	// sweep resumable.
+	// Store, when set, persists every run's result on disk (see
+	// RunStore); with Resume also set, results already in the store are
+	// served without simulating, making an interrupted sweep resumable.
 	Store  *RunStore
 	Resume bool
 	// Obs, when enabled, attaches a fresh observability recorder to every
 	// simulated run; with ObsDir also set, each instrumented run's
 	// artifacts (epoch CSV, latency histogram text, Chrome trace JSON) are
 	// written there. Store-served results produce no artifacts — nothing
-	// was simulated. Recording never changes results (see Options.Obs),
-	// but instrumented runs bypass warmup checkpoints, so sweeps are
-	// slower with Obs on.
+	// was simulated. Recording never changes results (see Options.Obs).
 	Obs    ObsConfig
 	ObsDir string
 	// RunTimeout bounds each simulation's wall clock (0 = none). A run
@@ -127,7 +124,7 @@ type Suite struct {
 	// Dispatch, when set, replaces local simulation: every run the suite
 	// would execute goes through it instead of the in-process
 	// runWithStore path. The distributed sweep service plugs in here —
-	// AttachSweepService installs a Dispatch that enqueues the run as a
+	// AttachSweepServiceCfg installs a Dispatch that enqueues the run as a
 	// work unit and blocks until a fleet worker returns its Result. An
 	// error from Dispatch is recorded like a quarantined run. The
 	// figure-assembly passes are untouched, so output stays byte-

@@ -34,12 +34,10 @@ type request struct {
 	blk     uint64
 	arrive  sim.Time
 	isWrite bool
-	// Completion is delivered either through the pooled handler path
-	// (h != nil) or the legacy closure path.
-	h    sim.Handler
-	op   int
-	arg  int64
-	done func()
+	// Completion is delivered as h.OnEvent(op, blk, arg); writes have no h.
+	h   sim.Handler
+	op  int
+	arg int64
 }
 
 type bank struct {
@@ -115,15 +113,9 @@ func (m *Memory) OnEvent(op int, addr uint64, arg int64) {
 	m.kick(ch)
 }
 
-// Read schedules a block read; done runs when the data has left the DRAM
-// (the caller adds network latency back to the requester).
-func (m *Memory) Read(blk uint64, done func()) {
-	m.stats.Reads++
-	m.enqueue(request{blk: blk, arrive: m.eng.Now(), done: done})
-}
-
 // ReadEvent schedules a block read whose completion is delivered as a pooled
-// event h.OnEvent(op, blk, arg) — no closure allocation per access.
+// event h.OnEvent(op, blk, arg) once the data has left the DRAM (the caller
+// adds network latency back to the requester).
 func (m *Memory) ReadEvent(blk uint64, h sim.Handler, op int, arg int64) {
 	m.stats.Reads++
 	m.enqueue(request{blk: blk, arrive: m.eng.Now(), h: h, op: op, arg: arg})
@@ -220,8 +212,6 @@ func (m *Memory) kick(ch int) {
 	}
 	if r.h != nil {
 		m.eng.ScheduleAt(finish, r.h, r.op, r.blk, r.arg)
-	} else if r.done != nil {
-		m.eng.At(finish, r.done)
 	}
 	if len(c.pending) > 0 {
 		c.kicked = true

@@ -14,7 +14,7 @@ type BankState struct {
 
 // RequestState is one queued request in serializable form. Completion
 // handlers are kept as interface values; internal/system maps them to
-// stable ids. Legacy closure completions (Read) cannot be serialized.
+// stable ids.
 type RequestState struct {
 	Blk     uint64
 	Arrive  sim.Time
@@ -39,10 +39,8 @@ type State struct {
 }
 
 // SaveState captures bank rows/timings, bus occupancy, pending request
-// queues, and statistics. It fails if any pending request completes through
-// the legacy closure path, which is unreachable from the simulated system
-// (it uses ReadEvent exclusively).
-func (m *Memory) SaveState() (State, error) {
+// queues, and statistics.
+func (m *Memory) SaveState() State {
 	st := State{Channels: make([]ChannelState, len(m.channels)), Stats: m.stats}
 	for ci := range m.channels {
 		c := &m.channels[ci]
@@ -54,13 +52,10 @@ func (m *Memory) SaveState() (State, error) {
 		cs.Kicked = c.kicked
 		cs.Pending = make([]RequestState, len(c.pending))
 		for i, r := range c.pending {
-			if r.done != nil {
-				return State{}, fmt.Errorf("dram: pending closure completion on channel %d is not serializable", ci)
-			}
 			cs.Pending[i] = RequestState{Blk: r.blk, Arrive: r.arrive, IsWrite: r.isWrite, H: r.h, Op: r.op, Arg: r.arg}
 		}
 	}
-	return st, nil
+	return st
 }
 
 // RestoreState overwrites the memory system's state.

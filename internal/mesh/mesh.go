@@ -86,8 +86,7 @@ type Mesh struct {
 
 	// Faults, when non-nil, perturbs SendEvent deliveries: delay jitter
 	// for any message, plus drop/duplication for messages the Droppable
-	// classifier marks as protocol-recoverable. The legacy closure path
-	// (Send) is never faulted — it only carries test traffic.
+	// classifier marks as protocol-recoverable.
 	Faults *fault.Injector
 	// Droppable reports whether losing a message to (h, op) is
 	// survivable by the protocol (requests, NACKs, evict traffic).
@@ -152,31 +151,10 @@ func (m *Mesh) Latency(a, b int) sim.Time {
 	return sim.Time(m.Dist(a, b) * HopCycles)
 }
 
-// Send delivers fn at dst after the network latency from src, accounting
-// bytes of class traffic. It returns the delivery time.
-func (m *Mesh) Send(src, dst int, bytes int, class TrafficClass, fn func()) sim.Time {
-	d := m.Dist(src, dst)
-	m.traffic[class] += uint64(bytes * d)
-	m.msgs[class]++
-	depart := m.eng.Now()
-	if m.modelContention {
-		occ := sim.Time((bytes + m.linkBytesPerCycle - 1) / m.linkBytesPerCycle)
-		if m.portFree[src] > depart {
-			depart = m.portFree[src]
-		}
-		m.portFree[src] = depart + occ
-	}
-	at := depart + sim.Time(d*HopCycles)
-	if m.Obs != nil {
-		m.Obs.Add(obs.CatMesh, class.String(), src, uint64(depart), uint64(d*HopCycles), 0)
-	}
-	m.eng.At(at, fn)
-	return at
-}
-
-// SendEvent is the allocation-free variant of Send: the delivery is a pooled
-// engine event invoking h.OnEvent(op, addr, arg) instead of a captured
-// closure. Timing and traffic accounting are identical to Send.
+// SendEvent delivers h.OnEvent(op, addr, arg) at dst after the network
+// latency from src, accounting bytes of class traffic. It returns the
+// delivery time. The delivery is a pooled engine event, so sending
+// allocates nothing.
 func (m *Mesh) SendEvent(src, dst int, bytes int, class TrafficClass, h sim.Handler, op int, addr uint64, arg int64) sim.Time {
 	d := m.Dist(src, dst)
 	m.traffic[class] += uint64(bytes * d)

@@ -7,15 +7,28 @@ import (
 	"tinydir/internal/sim"
 )
 
+// arrivals implements sim.Handler, recording each delivery's op and
+// arrival time.
+type arrivals struct {
+	eng   *sim.Engine
+	ops   []int
+	times []sim.Time
+}
+
+func (a *arrivals) OnEvent(op int, addr uint64, arg int64) {
+	a.ops = append(a.ops, op)
+	a.times = append(a.times, a.eng.Now())
+}
+
 func TestDist(t *testing.T) {
 	var e sim.Engine
 	m := New(&e, Config{Width: 4, Height: 2})
 	cases := []struct{ a, b, want int }{
-		{0, 0, 1},  // local delivery still crosses the NI
-		{0, 1, 1},  // neighbors
-		{0, 3, 3},  // across a row
-		{0, 7, 4},  // corner to corner: dx=3, dy=1
-		{3, 4, 4},  // (3,0) -> (0,1)
+		{0, 0, 1}, // local delivery still crosses the NI
+		{0, 1, 1}, // neighbors
+		{0, 3, 3}, // across a row
+		{0, 7, 4}, // corner to corner: dx=3, dy=1
+		{3, 4, 4}, // (3,0) -> (0,1)
 		{5, 5, 1},
 	}
 	for _, c := range cases {
@@ -47,15 +60,15 @@ func TestDistSymmetryProperty(t *testing.T) {
 func TestSendDeliversAndAccounts(t *testing.T) {
 	var e sim.Engine
 	m := New(&e, Config{Width: 4, Height: 4})
-	fired := false
-	at := m.Send(0, 15, DataBytes, Processor, func() { fired = true })
+	a := &arrivals{eng: &e}
+	at := m.SendEvent(0, 15, DataBytes, Processor, a, 7, 0, 0)
 	wantLat := sim.Time(m.Dist(0, 15) * HopCycles)
 	if at != wantLat {
 		t.Fatalf("delivery at %d, want %d", at, wantLat)
 	}
 	e.Run(0)
-	if !fired {
-		t.Fatal("message not delivered")
+	if len(a.ops) != 1 || a.ops[0] != 7 || a.times[0] != at {
+		t.Fatalf("deliveries %v at %v, want op 7 at %d", a.ops, a.times, at)
 	}
 	if m.TrafficBytes(Processor) != uint64(DataBytes*m.Dist(0, 15)) {
 		t.Fatalf("traffic %d", m.TrafficBytes(Processor))
@@ -68,10 +81,11 @@ func TestSendDeliversAndAccounts(t *testing.T) {
 func TestContentionSerializes(t *testing.T) {
 	var e sim.Engine
 	m := New(&e, Config{Width: 2, Height: 1, LinkBytesPerCycle: 8, ModelContention: true})
-	var t1, t2 sim.Time
-	m.Send(0, 1, 72, Processor, func() { t1 = e.Now() }) // occupancy 9 cycles
-	m.Send(0, 1, 72, Processor, func() { t2 = e.Now() })
+	a := &arrivals{eng: &e}
+	m.SendEvent(0, 1, 72, Processor, a, 1, 0, 0) // occupancy 9 cycles
+	m.SendEvent(0, 1, 72, Processor, a, 2, 0, 0)
 	e.Run(0)
+	t1, t2 := a.times[0], a.times[1]
 	if t2 <= t1 {
 		t.Fatalf("second message not delayed: t1=%d t2=%d", t1, t2)
 	}
@@ -83,11 +97,11 @@ func TestContentionSerializes(t *testing.T) {
 func TestNoContentionByDefault(t *testing.T) {
 	var e sim.Engine
 	m := New(&e, Config{Width: 2, Height: 1})
-	var t1, t2 sim.Time
-	m.Send(0, 1, 72, Processor, func() { t1 = e.Now() })
-	m.Send(0, 1, 72, Processor, func() { t2 = e.Now() })
+	a := &arrivals{eng: &e}
+	m.SendEvent(0, 1, 72, Processor, a, 1, 0, 0)
+	m.SendEvent(0, 1, 72, Processor, a, 2, 0, 0)
 	e.Run(0)
-	if t1 != t2 {
+	if a.times[0] != a.times[1] {
 		t.Fatalf("unexpected serialization without contention model")
 	}
 }

@@ -10,8 +10,11 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"net"
+	"net/http"
 	"net/http/httptest"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -71,20 +74,21 @@ func conformance(t *testing.T, b Backend) {
 		t.Fatalf("delete of missing entry errored: %v", err)
 	}
 
-	// Roundtrip, both kinds independent.
+	// Roundtrip, two kinds independent.
+	const otherKind = "blobs"
 	data := []byte(`{"x":1}` + "\n")
-	snap := []byte("snapshot bytes")
+	blob := []byte("opaque bytes")
 	if err := b.Put(KindResults, key, data, false); err != nil {
 		t.Fatal(err)
 	}
-	if err := b.Put(KindCheckpoints, key, snap, false); err != nil {
+	if err := b.Put(otherKind, key, blob, false); err != nil {
 		t.Fatal(err)
 	}
 	if got, ok, err := b.Get(KindResults, key); err != nil || !ok || !bytes.Equal(got, data) {
 		t.Fatalf("results roundtrip: %q ok=%v err=%v", got, ok, err)
 	}
-	if got, ok, err := b.Get(KindCheckpoints, key); err != nil || !ok || !bytes.Equal(got, snap) {
-		t.Fatalf("checkpoints roundtrip: %q ok=%v err=%v", got, ok, err)
+	if got, ok, err := b.Get(otherKind, key); err != nil || !ok || !bytes.Equal(got, blob) {
+		t.Fatalf("%s roundtrip: %q ok=%v err=%v", otherKind, got, ok, err)
 	}
 
 	// Idempotent identical Put.
@@ -132,7 +136,7 @@ func conformance(t *testing.T, b Backend) {
 	if infos[0].Key != "aa11" || infos[1].Key != key {
 		t.Fatalf("Keys not sorted: %v", infos)
 	}
-	if cks, _ := b.Keys(KindCheckpoints); len(cks) != 1 {
+	if cks, _ := b.Keys(otherKind); len(cks) != 1 {
 		t.Fatalf("kinds not independent in Keys: %v", cks)
 	}
 
@@ -146,7 +150,7 @@ func conformance(t *testing.T, b Backend) {
 	if err := b.Delete(KindResults, "aa11"); err != nil {
 		t.Fatalf("repeat Delete errored: %v", err)
 	}
-	if _, ok, _ := b.Get(KindCheckpoints, key); !ok {
+	if _, ok, _ := b.Get(otherKind, key); !ok {
 		t.Fatal("Delete leaked across kinds")
 	}
 
@@ -345,5 +349,46 @@ func TestHTTPServerRejectsTraversal(t *testing.T) {
 		if resp.StatusCode != 200 {
 			t.Errorf("GET %s = %d, want 200", path, resp.StatusCode)
 		}
+	}
+}
+
+// TestHTTPClientReusesConnectionOnMiss: a miss (404) or a refused
+// listing must not cost a new TCP connection. The client drains those
+// bodies so their keep-alive connection returns to the pool; N misses
+// against one server therefore dial exactly once.
+func TestHTTPClientReusesConnectionOnMiss(t *testing.T) {
+	d, err := NewDir(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	inner := NewServer(d)
+	srv := httptest.NewUnstartedServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/denied" {
+			http.Error(w, "listing denied", http.StatusForbidden)
+			return
+		}
+		inner.ServeHTTP(w, r)
+	}))
+	var dials atomic.Int64
+	srv.Config.ConnState = func(_ net.Conn, st http.ConnState) {
+		if st == http.StateNew {
+			dials.Add(1)
+		}
+	}
+	srv.Start()
+	defer srv.Close()
+	c := NewClient(srv.URL)
+
+	const n = 20
+	for i := 0; i < n; i++ {
+		if _, ok, err := c.Get(KindResults, fmt.Sprintf("missing%02d", i)); ok || err != nil {
+			t.Fatalf("miss %d: ok=%v err=%v", i, ok, err)
+		}
+		if _, err := c.Keys("denied"); err == nil {
+			t.Fatalf("refused listing %d returned no error", i)
+		}
+	}
+	if got := dials.Load(); got != 1 {
+		t.Fatalf("%d misses and %d refused listings opened %d connections, want 1", n, n, got)
 	}
 }

@@ -41,10 +41,14 @@ import (
 const (
 	replaceHeader = "X-Runstore-Replace"
 	digestHeader  = "X-Runstore-Digest"
-	// maxBlobBytes bounds one entry (results are KBs, checkpoints MBs;
-	// 1 GiB is a generous ceiling that still stops a hostile client
-	// from ballooning the server's memory). NewServerLimit lowers it.
-	maxBlobBytes = 1 << 30
+	// maxBlobBytes bounds one entry. Results are KBs; 16 MiB (the sweep
+	// protocol's own request cap) is a generous ceiling that still stops
+	// a hostile client from ballooning the server's memory.
+	maxBlobBytes = 16 << 20
+	// maxDrainBytes bounds how much of an unwanted response body (a 404
+	// page, an error message) is read off the wire so its keep-alive
+	// connection goes back to the pool instead of being torn down.
+	maxDrainBytes = 4096
 
 	// clientAttempts bounds retries of one blob operation. Every verb is
 	// idempotent (PUT's collision refusal is stable), so replaying a
@@ -63,8 +67,8 @@ type Client struct {
 
 // NewClient creates a client for the blob server at base (e.g.
 // "http://coordinator:6060/store"). The transport has no global
-// timeout — checkpoint bodies can be large — but dials and TLS
-// handshakes use http.DefaultTransport's usual limits.
+// timeout, but dials and TLS handshakes use http.DefaultTransport's
+// usual limits.
 func NewClient(base string) *Client {
 	return &Client{base: strings.TrimRight(base, "/"), hc: &http.Client{}}
 }
@@ -81,6 +85,13 @@ func (c *Client) url(kind, key string) string {
 var errTransient = errors.New("runstore: transient")
 
 func transient(err error) error { return fmt.Errorf("%w: %w", errTransient, err) }
+
+// drainClose discards what is left of an unwanted response body (up to
+// maxDrainBytes) before closing it, so the client reuses the connection.
+func drainClose(body io.ReadCloser) {
+	io.Copy(io.Discard, io.LimitReader(body, maxDrainBytes))
+	body.Close()
+}
 
 // retry replays op while it fails transiently, with a short linear
 // backoff, and returns the last error.
@@ -110,7 +121,7 @@ func (c *Client) Get(kind, key string) ([]byte, bool, error) {
 		if err != nil {
 			return transient(err)
 		}
-		defer resp.Body.Close()
+		defer drainClose(resp.Body)
 		switch resp.StatusCode {
 		case http.StatusOK:
 			b, err := io.ReadAll(io.LimitReader(resp.Body, maxBlobBytes))
@@ -156,8 +167,8 @@ func (c *Client) Put(kind, key string, data []byte, replace bool) error {
 		if err != nil {
 			return transient(err)
 		}
-		defer resp.Body.Close()
-		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
+		defer drainClose(resp.Body)
+		msg, _ := io.ReadAll(io.LimitReader(resp.Body, maxDrainBytes))
 		switch {
 		case resp.StatusCode == http.StatusNoContent || resp.StatusCode == http.StatusOK:
 			return nil
@@ -187,7 +198,7 @@ func (c *Client) Stat(kind, key string) (Info, bool, error) {
 		if err != nil {
 			return transient(err)
 		}
-		defer resp.Body.Close()
+		defer drainClose(resp.Body)
 		switch resp.StatusCode {
 		case http.StatusOK:
 			info = Info{Key: key, Size: resp.ContentLength}
@@ -222,7 +233,7 @@ func (c *Client) Keys(kind string) ([]Info, error) {
 		if err != nil {
 			return transient(err)
 		}
-		defer resp.Body.Close()
+		defer drainClose(resp.Body)
 		if resp.StatusCode >= 500 {
 			return transient(fmt.Errorf("LIST %s: %s", kind, resp.Status))
 		}
@@ -254,8 +265,7 @@ func (c *Client) Delete(kind, key string) error {
 		if err != nil {
 			return transient(err)
 		}
-		defer resp.Body.Close()
-		io.Copy(io.Discard, io.LimitReader(resp.Body, 4096))
+		defer drainClose(resp.Body)
 		switch resp.StatusCode {
 		case http.StatusNoContent, http.StatusOK, http.StatusNotFound:
 			return nil
@@ -269,26 +279,16 @@ func (c *Client) Delete(kind, key string) error {
 
 // server serves the blob protocol over an inner Backend.
 type server struct {
-	b        Backend
-	maxBytes int64
+	b Backend
 }
 
-// NewServer returns an http.Handler exposing b over the blob protocol
-// with the default 1 GiB per-entry cap. Mount it under a prefix with
-// http.StripPrefix; paths are /{kind}/{key} relative to that prefix.
-func NewServer(b Backend) http.Handler { return NewServerLimit(b, maxBlobBytes) }
-
-// NewServerLimit is NewServer with an explicit per-entry byte cap: a
-// PUT whose body exceeds it is refused with 413 before the backend sees
-// it (http.MaxBytesReader, so the connection is also throttled shut
-// instead of draining an arbitrarily large upload). maxBytes <= 0 means
-// the default cap.
-func NewServerLimit(b Backend, maxBytes int64) http.Handler {
-	if maxBytes <= 0 {
-		maxBytes = maxBlobBytes
-	}
-	return &server{b: b, maxBytes: maxBytes}
-}
+// NewServer returns an http.Handler exposing b over the blob protocol.
+// A PUT whose body exceeds the maxBlobBytes per-entry cap is refused
+// with 413 before the backend sees it (http.MaxBytesReader, so the
+// connection is also throttled shut instead of draining an arbitrarily
+// large upload). Mount it under a prefix with http.StripPrefix; paths
+// are /{kind}/{key} relative to that prefix.
+func NewServer(b Backend) http.Handler { return &server{b: b} }
 
 func (s *server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	kind, key, ok := splitBlobPath(r.URL.Path)
@@ -378,7 +378,7 @@ func (s *server) get(w http.ResponseWriter, r *http.Request, kind, key string) {
 }
 
 func (s *server) put(w http.ResponseWriter, r *http.Request, kind, key string) {
-	data, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.maxBytes))
+	data, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBlobBytes))
 	if err != nil {
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {

@@ -138,12 +138,12 @@ func TestVerifiedScrub(t *testing.T) {
 	if err := inner.Put(KindResults, "rot4", []byte("flipped!"), true); err != nil {
 		t.Fatal(err)
 	}
-	// A checkpoint too, proving kinds are scrubbed independently.
-	if err := v.Put(KindCheckpoints, "cp5", []byte("snap"), false); err != nil {
+	// A second kind too, proving kinds are scrubbed independently.
+	if err := v.Put("blobs", "cp5", []byte("blob"), false); err != nil {
 		t.Fatal(err)
 	}
 
-	st, err := v.Scrub(KindResults, KindCheckpoints)
+	st, err := v.Scrub(KindResults, "blobs")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,9 +154,9 @@ func TestVerifiedScrub(t *testing.T) {
 	if rs.Bytes <= 0 {
 		t.Fatalf("results scrub bytes: %d", rs.Bytes)
 	}
-	cs := st.Kinds[KindCheckpoints]
+	cs := st.Kinds["blobs"]
 	if cs.Scanned != 1 || cs.OK != 1 {
-		t.Fatalf("checkpoints scrub stats: %+v", cs)
+		t.Fatalf("blobs scrub stats: %+v", cs)
 	}
 	if c := v.Counters(); c.ScrubScanned != 5 || c.ScrubQuarantined != 1 {
 		t.Fatalf("scrub counters: %+v", c)
@@ -197,14 +197,14 @@ func TestHTTPPutBodyCap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := httptest.NewServer(NewServerLimit(inner, 1024))
+	srv := httptest.NewServer(NewServer(inner))
 	defer srv.Close()
 	c := NewClient(srv.URL)
 
-	if err := c.Put(KindResults, "fits01", bytes.Repeat([]byte("a"), 1024), false); err != nil {
+	if err := c.Put(KindResults, "fits01", make([]byte, maxBlobBytes), false); err != nil {
 		t.Fatalf("at-cap Put refused: %v", err)
 	}
-	err = c.Put(KindResults, "huge02", bytes.Repeat([]byte("b"), 1025), false)
+	err = c.Put(KindResults, "huge02", make([]byte, maxBlobBytes+1), false)
 	if err == nil || !strings.Contains(err.Error(), "413") {
 		t.Fatalf("over-cap Put not refused with 413: %v", err)
 	}

@@ -7,8 +7,8 @@ import (
 
 // LRU is an in-memory, size-bounded read-through/write-through tier in
 // front of any Backend. Many workers sharing one HTTP store each keep a
-// hot working set (the 2x baseline every figure needs, warmup
-// checkpoints they restore repeatedly) local instead of refetching it.
+// hot working set (the 2x baseline results every figure needs) local
+// instead of refetching it.
 //
 // Only positive entries are cached — a miss always consults the inner
 // backend, so results landing there from other writers become visible

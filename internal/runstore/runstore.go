@@ -1,7 +1,7 @@
 // Package runstore is the blob layer under the content-addressed run
-// store: artifacts (simulation results, warmup checkpoints) addressed by
-// a (kind, key) pair, where the key is the sha256 content hash computed
-// by the tinydir layer and the kind is one of the artifact families.
+// store: artifacts (simulation results) addressed by a (kind, key) pair,
+// where the key is the sha256 content hash computed by the tinydir layer
+// and the kind names the artifact family.
 //
 // A Backend stores opaque bytes; it knows nothing about JSON results or
 // snapshot framing. What it does guarantee, uniformly across every
@@ -34,13 +34,15 @@ import (
 	"time"
 )
 
-// The artifact kinds the tinydir store uses. Backends accept any
-// path-safe kind name; these two are the ones with a fixed on-disk
-// extension (compatibility with pre-Backend store directories).
-const (
-	KindResults     = "results"
-	KindCheckpoints = "checkpoints"
-)
+// KindResults is the one artifact kind the tinydir store writes, and the
+// one kind with a fixed on-disk extension. Backends accept any path-safe
+// kind name.
+const KindResults = "results"
+
+// KindCheckpoints names the kind the store once used for warmup
+// snapshots. Nothing in the store reads or writes it any more; it stays
+// only because the benchmark harness (bench/) still refers to it.
+const KindCheckpoints = "checkpoints"
 
 // ErrDiffers reports a refused Put: the key already holds different
 // bytes and the writer did not ask to replace them. Callers match it
@@ -105,14 +107,11 @@ func checkNames(kind, key string) error {
 	return nil
 }
 
-// ext preserves the original store's on-disk layout: results/<key>.json
-// and checkpoints/<key>.snap. Other kinds use a neutral extension.
+// ext preserves the original store's on-disk layout: results/<key>.json.
+// Other kinds use a neutral extension.
 func ext(kind string) string {
-	switch kind {
-	case KindResults:
+	if kind == KindResults {
 		return ".json"
-	case KindCheckpoints:
-		return ".snap"
 	}
 	return ".dat"
 }

@@ -10,18 +10,16 @@ import "math/bits"
 // Time is an absolute simulation time in core cycles.
 type Time uint64
 
-// Handler receives pooled events scheduled with ScheduleAt/ScheduleAfter.
+// Handler receives events scheduled with ScheduleAt/ScheduleAfter.
 // Long-lived components (cores, banks, memory) implement it once; op selects
 // the action, addr carries the block address, and arg packs any small message
 // fields. Because the component pointer already satisfies the interface, no
-// allocation happens per event — unlike a captured closure.
+// allocation happens per event.
 type Handler interface {
 	OnEvent(op int, addr uint64, arg int64)
 }
 
-// event is one pending callback. Exactly one of h/fn is set: h+op+addr+arg is
-// the pooled fast path, fn the legacy closure path (kept for tests, tools and
-// cold edges where a closure is clearer than an op code).
+// event is one pending delivery of h.OnEvent(op, addr, arg).
 type event struct {
 	at   Time
 	seq  uint64
@@ -29,7 +27,6 @@ type event struct {
 	op   int
 	addr uint64
 	arg  int64
-	fn   func()
 }
 
 // before reports queue ordering: (time, sequence). Sequence numbers are
@@ -164,8 +161,7 @@ func (e *Engine) pushOver(ev event) {
 }
 
 // popOver removes and returns the minimum overflow event. The vacated tail
-// slot is zeroed so the retired event's handler and closure references are
-// GC-able instead of pinned by the backing array.
+// slot is zeroed so the retired event's handler reference is GC-able instead of pinned by the backing array.
 func (e *Engine) popOver() event {
 	q := e.over
 	min := q[0]
@@ -216,20 +212,10 @@ func (e *Engine) checkTime(t Time) {
 	}
 }
 
-// At schedules fn to run at absolute time t. Scheduling in the past is a
-// programming error and panics, because it would silently corrupt timing.
-func (e *Engine) At(t Time, fn func()) {
-	e.checkTime(t)
-	e.seq++
-	e.push(event{at: t, seq: e.seq, fn: fn})
-}
-
-// After schedules fn to run d cycles from now.
-func (e *Engine) After(d Time, fn func()) { e.At(e.now+d, fn) }
-
 // ScheduleAt schedules h.OnEvent(op, addr, arg) at absolute time t without
 // allocating: the event is a struct in a bucket's backing array and h is a
-// pre-existing component pointer.
+// pre-existing component pointer. Scheduling in the past is a programming
+// error and panics, because it would silently corrupt timing.
 func (e *Engine) ScheduleAt(t Time, h Handler, op int, addr uint64, arg int64) {
 	e.checkTime(t)
 	e.seq++
@@ -275,11 +261,7 @@ func (e *Engine) Step() bool {
 	}
 	e.now = ev.at
 	e.nexec++
-	if ev.h != nil {
-		ev.h.OnEvent(ev.op, ev.addr, ev.arg)
-	} else {
-		ev.fn()
-	}
+	ev.h.OnEvent(ev.op, ev.addr, ev.arg)
 	if e.watch != nil {
 		e.watch(e.now, e.nexec)
 	}

@@ -2,27 +2,54 @@ package sim
 
 import (
 	"math/rand"
+	"reflect"
 	"sort"
 	"testing"
 	"testing/quick"
 )
 
+// recorder implements Handler: it logs every delivery, then runs the
+// optional hook (nested scheduling, halting) with the delivered op.
+type recorder struct {
+	ops   []int
+	addrs []uint64
+	args  []int64
+	times []Time
+	eng   *Engine
+	hook  func(op int)
+}
+
+func (r *recorder) OnEvent(op int, addr uint64, arg int64) {
+	r.ops = append(r.ops, op)
+	r.addrs = append(r.addrs, addr)
+	r.args = append(r.args, arg)
+	r.times = append(r.times, r.eng.Now())
+	if r.hook != nil {
+		r.hook(op)
+	}
+}
+
+// expectPanic fails t unless fn panics.
+func expectPanic(t *testing.T, what string, fn func()) {
+	t.Helper()
+	defer func() {
+		if recover() == nil {
+			t.Errorf("%s did not panic", what)
+		}
+	}()
+	fn()
+}
+
 func TestEngineOrdering(t *testing.T) {
 	var e Engine
-	var got []int
-	e.At(10, func() { got = append(got, 1) })
-	e.At(5, func() { got = append(got, 0) })
-	e.At(10, func() { got = append(got, 2) }) // same time: FIFO by schedule order
-	e.At(20, func() { got = append(got, 3) })
+	r := &recorder{eng: &e}
+	e.ScheduleAt(10, r, 1, 0, 0)
+	e.ScheduleAt(5, r, 0, 0, 0)
+	e.ScheduleAt(10, r, 2, 0, 0) // same time: FIFO by schedule order
+	e.ScheduleAt(20, r, 3, 0, 0)
 	e.Run(0)
-	want := []int{0, 1, 2, 3}
-	if len(got) != len(want) {
-		t.Fatalf("executed %d events, want %d", len(got), len(want))
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("order %v, want %v", got, want)
-		}
+	if !reflect.DeepEqual(r.ops, []int{0, 1, 2, 3}) {
+		t.Fatalf("order %v, want [0 1 2 3]", r.ops)
 	}
 	if e.Now() != 20 {
 		t.Fatalf("final time %d, want 20", e.Now())
@@ -31,44 +58,45 @@ func TestEngineOrdering(t *testing.T) {
 
 func TestEngineNestedScheduling(t *testing.T) {
 	var e Engine
-	var times []Time
-	e.At(1, func() {
-		times = append(times, e.Now())
-		e.After(4, func() { times = append(times, e.Now()) })
-	})
+	r := &recorder{eng: &e}
+	r.hook = func(op int) {
+		if op == 1 {
+			e.ScheduleAfter(4, r, 2, 0, 0)
+		}
+	}
+	e.ScheduleAt(1, r, 1, 0, 0)
 	e.Run(0)
-	if len(times) != 2 || times[0] != 1 || times[1] != 5 {
-		t.Fatalf("times = %v, want [1 5]", times)
+	if !reflect.DeepEqual(r.times, []Time{1, 5}) {
+		t.Fatalf("times = %v, want [1 5]", r.times)
 	}
 }
 
 func TestEnginePastPanics(t *testing.T) {
 	var e Engine
-	e.At(10, func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("scheduling in the past did not panic")
-			}
-		}()
-		e.At(5, func() {})
-	})
+	r := &recorder{eng: &e}
+	r.hook = func(op int) {
+		if op == 1 {
+			expectPanic(t, "ScheduleAt in the past", func() { e.ScheduleAt(5, r, 2, 0, 0) })
+		}
+	}
+	e.ScheduleAt(10, r, 1, 0, 0)
 	e.Run(0)
 }
 
 func TestEngineHalt(t *testing.T) {
 	var e Engine
-	n := 0
+	r := &recorder{eng: &e}
+	r.hook = func(int) {
+		if len(r.ops) == 3 {
+			e.Halt()
+		}
+	}
 	for i := 0; i < 10; i++ {
-		e.At(Time(i), func() {
-			n++
-			if n == 3 {
-				e.Halt()
-			}
-		})
+		e.ScheduleAt(Time(i), r, i, 0, 0)
 	}
 	e.Run(0)
-	if n != 3 {
-		t.Fatalf("ran %d events after halt, want 3", n)
+	if len(r.ops) != 3 {
+		t.Fatalf("ran %d events after halt, want 3", len(r.ops))
 	}
 	if e.Run(0) != 7 {
 		t.Fatalf("resume did not run remaining events")
@@ -77,8 +105,9 @@ func TestEngineHalt(t *testing.T) {
 
 func TestEngineLimit(t *testing.T) {
 	var e Engine
+	r := &recorder{eng: &e}
 	for i := 0; i < 10; i++ {
-		e.At(Time(i), func() {})
+		e.ScheduleAt(Time(i), r, 0, 0, 0)
 	}
 	if got := e.Run(4); got != 4 {
 		t.Fatalf("Run(4) executed %d", got)
@@ -93,26 +122,26 @@ func TestEngineLimit(t *testing.T) {
 func TestEngineTimeMonotonicProperty(t *testing.T) {
 	f := func(delays []uint16) bool {
 		var e Engine
-		var fired []Time
+		r := &recorder{eng: &e}
 		for _, d := range delays {
-			at := Time(d)
-			e.At(at, func() { fired = append(fired, at) })
+			e.ScheduleAt(Time(d), r, 0, uint64(d), 0)
 		}
 		e.Run(0)
-		if len(fired) != len(delays) {
+		if len(r.times) != len(delays) {
 			return false
 		}
-		if !sort.SliceIsSorted(fired, func(i, j int) bool { return fired[i] < fired[j] }) {
+		if !sort.SliceIsSorted(r.times, func(i, j int) bool { return r.times[i] < r.times[j] }) {
 			return false
 		}
-		// Multiset equality with the input delays.
+		// Multiset equality with the input delays, and each event fired
+		// at the time it asked for.
 		want := make([]Time, len(delays))
 		for i, d := range delays {
 			want[i] = Time(d)
 		}
 		sort.Slice(want, func(i, j int) bool { return want[i] < want[j] })
 		for i := range want {
-			if fired[i] != want[i] {
+			if r.times[i] != want[i] || Time(r.addrs[i]) != r.times[i] {
 				return false
 			}
 		}
@@ -127,48 +156,27 @@ func TestEngineDeterminism(t *testing.T) {
 	run := func(seed int64) []Time {
 		rng := rand.New(rand.NewSource(seed))
 		var e Engine
-		var fired []Time
-		var add func(depth int)
-		add = func(depth int) {
-			if depth > 3 {
-				return
+		r := &recorder{eng: &e}
+		// op is the nesting depth: each delivery below depth 3 schedules
+		// one more event a random distance ahead.
+		r.hook = func(depth int) {
+			if depth < 3 {
+				e.ScheduleAfter(Time(rng.Intn(50)), r, depth+1, 0, 0)
 			}
-			e.After(Time(rng.Intn(50)), func() {
-				fired = append(fired, e.Now())
-				add(depth + 1)
-			})
 		}
 		for i := 0; i < 20; i++ {
-			add(0)
+			e.ScheduleAfter(Time(rng.Intn(50)), r, 0, 0, 0)
 		}
 		e.Run(0)
-		return fired
+		return r.times
 	}
 	a, b := run(42), run(42)
-	if len(a) != len(b) {
-		t.Fatal("nondeterministic event count")
+	if len(a) != 80 {
+		t.Fatalf("executed %d events, want 80", len(a))
 	}
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("nondeterministic at %d: %d vs %d", i, a[i], b[i])
-		}
+	if !reflect.DeepEqual(a, b) {
+		t.Fatalf("nondeterministic schedule:\n%v\n%v", a, b)
 	}
-}
-
-// recorder implements Handler and logs every delivery.
-type recorder struct {
-	ops   []int
-	addrs []uint64
-	args  []int64
-	times []Time
-	eng   *Engine
-}
-
-func (r *recorder) OnEvent(op int, addr uint64, arg int64) {
-	r.ops = append(r.ops, op)
-	r.addrs = append(r.addrs, addr)
-	r.args = append(r.args, arg)
-	r.times = append(r.times, r.eng.Now())
 }
 
 func TestEngineHandlerPath(t *testing.T) {
@@ -176,61 +184,39 @@ func TestEngineHandlerPath(t *testing.T) {
 	r := &recorder{eng: &e}
 	e.ScheduleAt(10, r, 1, 0xAA, -7)
 	e.ScheduleAt(5, r, 2, 0xBB, 3)
-	// Closure and handler events interleave in one (time, seq) order: by t=7
-	// exactly the t=3 and t=5 handler events have been delivered.
-	e.At(7, func() {
-		if len(r.ops) != 2 {
-			t.Errorf("closure at t=7 saw %d handler deliveries, want 2", len(r.ops))
-		}
-	})
 	e.ScheduleAfter(3, r, 3, 0, 0) // t=3, scheduled last but earliest
 	e.Run(0)
 	wantOps := []int{3, 2, 1}
 	wantTimes := []Time{3, 5, 10}
-	if len(r.ops) != 3 {
-		t.Fatalf("delivered %d handler events, want 3", len(r.ops))
-	}
-	for i := range wantOps {
-		if r.ops[i] != wantOps[i] || r.times[i] != wantTimes[i] {
-			t.Fatalf("delivery %d = op %d at %d, want op %d at %d",
-				i, r.ops[i], r.times[i], wantOps[i], wantTimes[i])
-		}
+	if !reflect.DeepEqual(r.ops, wantOps) || !reflect.DeepEqual(r.times, wantTimes) {
+		t.Fatalf("deliveries = ops %v at %v, want ops %v at %v", r.ops, r.times, wantOps, wantTimes)
 	}
 	if r.addrs[2] != 0xAA || r.args[2] != -7 {
 		t.Fatalf("payload = (%#x, %d), want (0xaa, -7)", r.addrs[2], r.args[2])
 	}
-	if e.Executed() != 4 {
-		t.Fatalf("executed %d events, want 4", e.Executed())
+	if e.Executed() != 3 {
+		t.Fatalf("executed %d events, want 3", e.Executed())
 	}
 }
 
 func TestEngineHandlerPastPanics(t *testing.T) {
 	var e Engine
 	r := &recorder{eng: &e}
-	e.At(10, func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("ScheduleAt in the past did not panic")
-			}
-		}()
-		e.ScheduleAt(5, r, 0, 0, 0)
-	})
+	e.ScheduleAt(10, r, 0, 0, 0)
 	e.Run(0)
+	expectPanic(t, "ScheduleAt in the past after Run", func() { e.ScheduleAt(5, r, 0, 0, 0) })
 }
 
 // TestQueueReleasesReferences pins drained-slot zeroing: after Run drains,
-// neither tier's backing arrays may keep retired events' handler and closure
-// pointers alive. Ring buckets and the overflow heap both persist at their
-// high-water capacity, so a non-zeroed slot would pin a closure's captured
+// neither tier's backing arrays may keep retired events' handler pointers
+// alive. Ring buckets and the overflow heap both persist at their
+// high-water capacity, so a non-zeroed slot would pin a handler's object
 // graph until the next push overwrote it (or forever).
 func TestQueueReleasesReferences(t *testing.T) {
 	var e Engine
 	for i := 0; i < 100; i++ {
-		big := make([]byte, 1024)
-		e.At(Time(i), func() { _ = big })                  // ring tier
-		e.ScheduleAt(Time(i), &recorder{eng: &e}, 0, 0, 0) // ring tier, pooled
-		far := make([]byte, 1024)
-		e.At(Time(i)+2*ringHorizon, func() { _ = far }) // overflow tier
+		e.ScheduleAt(Time(i), &recorder{eng: &e}, 0, 0, 0)               // ring tier
+		e.ScheduleAt(Time(i)+2*ringHorizon, &recorder{eng: &e}, 0, 0, 0) // overflow tier
 	}
 	e.Run(0)
 	if e.Pending() {
@@ -239,13 +225,13 @@ func TestQueueReleasesReferences(t *testing.T) {
 	for s := range e.ring {
 		b := e.ring[s].ev
 		for i, ev := range b[:cap(b)] {
-			if ev.fn != nil || ev.h != nil {
+			if ev.h != nil {
 				t.Fatalf("ring slot %d/%d retains references after drain: %+v", s, i, ev)
 			}
 		}
 	}
 	for i, ev := range e.over[:cap(e.over)] {
-		if ev.fn != nil || ev.h != nil {
+		if ev.h != nil {
 			t.Fatalf("overflow slot %d retains references after drain: %+v", i, ev)
 		}
 	}
@@ -381,15 +367,7 @@ func TestCalendarVsHeapDifferential(t *testing.T) {
 	}
 }
 
-func BenchmarkEngine(b *testing.B) {
-	var e Engine
-	for i := 0; i < b.N; i++ {
-		e.After(Time(i%64), func() {})
-		e.Step()
-	}
-}
-
-// BenchmarkEngineHandler is the pooled fast path: no closure, no boxing.
+// BenchmarkEngineHandler is the pooled event path: no allocation, no boxing.
 func BenchmarkEngineHandler(b *testing.B) {
 	var e Engine
 	r := &recorder{eng: &e}

@@ -1,9 +1,6 @@
 package sim
 
-import (
-	"fmt"
-	"sort"
-)
+import "sort"
 
 // EventState is one pending event in serializable form. The Handler is kept
 // as an interface value: the caller (internal/system) owns the mapping
@@ -21,30 +18,19 @@ type EventState struct {
 // counter, executed-event count, and the pending queue sorted by (time, seq)
 // — the execution order, independent of how events are distributed between
 // the calendar ring and the overflow heap, so saved bytes are deterministic.
-// Closure events (At/After) cannot be serialized and make SaveState fail;
-// the simulated system schedules exclusively through the pooled
-// handler path, so this only trips on legacy test/tool schedules.
-func (e *Engine) SaveState() (now Time, seq, nexec uint64, events []EventState, err error) {
+func (e *Engine) SaveState() (now Time, seq, nexec uint64, events []EventState) {
 	events = make([]EventState, 0, e.ringN+len(e.over))
-	add := func(ev *event) error {
-		if ev.fn != nil {
-			return fmt.Errorf("sim: pending closure event (seq %d at t=%d) is not serializable", ev.seq, ev.at)
-		}
+	add := func(ev *event) {
 		events = append(events, EventState{At: ev.at, Seq: ev.seq, Op: ev.op, Addr: ev.addr, Arg: ev.arg, H: ev.h})
-		return nil
 	}
 	for i := range e.ring {
 		b := &e.ring[i]
 		for j := b.head; j < len(b.ev); j++ {
-			if err := add(&b.ev[j]); err != nil {
-				return 0, 0, 0, nil, err
-			}
+			add(&b.ev[j])
 		}
 	}
 	for i := range e.over {
-		if err := add(&e.over[i]); err != nil {
-			return 0, 0, 0, nil, err
-		}
+		add(&e.over[i])
 	}
 	sort.Slice(events, func(i, j int) bool {
 		if events[i].At != events[j].At {
@@ -52,7 +38,7 @@ func (e *Engine) SaveState() (now Time, seq, nexec uint64, events []EventState, 
 		}
 		return events[i].Seq < events[j].Seq
 	})
-	return e.now, e.seq, e.nexec, events, nil
+	return e.now, e.seq, e.nexec, events
 }
 
 // RestoreState overwrites the engine with a previously saved state. Events

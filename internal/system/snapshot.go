@@ -112,10 +112,7 @@ func (s *System) Save(out io.Writer) error {
 	w := snapshot.NewWriter(snapshot.FormatVersion, s.StateDigest())
 
 	w.Section(secEngine)
-	now, seq, nexec, events, err := s.eng.SaveState()
-	if err != nil {
-		return err
-	}
+	now, seq, nexec, events := s.eng.SaveState()
 	w.U64(uint64(now))
 	w.U64(seq)
 	w.U64(nexec)
@@ -151,10 +148,7 @@ func (s *System) Save(out io.Writer) error {
 	}
 
 	w.Section(secDram)
-	dst, err := s.mem.SaveState()
-	if err != nil {
-		return err
-	}
+	dst := s.mem.SaveState()
 	w.Int(len(dst.Channels))
 	for _, ch := range dst.Channels {
 		for _, bk := range ch.Banks {

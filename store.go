@@ -3,15 +3,13 @@ package tinydir
 // Persistent content-addressed run store. Each simulation is addressed by a
 // key derived from everything that determines its outcome: the normalized
 // Options (application profile, scheme, scale, event budget) plus the store
-// and snapshot format versions, so a code change that alters either layout
-// invalidates old artifacts instead of mixing with them.
+// format version, so a code change that alters the result layout
+// invalidates old entries instead of mixing with them.
 //
-// The store holds two artifact kinds (see internal/runstore for the blob
+// The store holds one artifact kind (see internal/runstore for the blob
 // layer; the default directory backend keeps the original layout):
 //
 //	results/<key>.json      — the finished Result (resumable sweeps)
-//	checkpoints/<key>.snap  — a machine snapshot taken at the fixed warmup
-//	                          boundary (fast-forward on re-runs)
 //
 // Writes are atomic (temp file + rename, or the HTTP protocol's buffered
 // PUT) so a killed sweep never leaves a truncated artifact behind, and
@@ -34,7 +32,6 @@ import (
 
 	"tinydir/internal/fault"
 	"tinydir/internal/runstore"
-	"tinydir/internal/snapshot"
 	"tinydir/internal/system"
 	"tinydir/internal/trace"
 )
@@ -46,10 +43,14 @@ import (
 // v3: keys carry the trace-file digest; Profile gained the workload-family
 // fields (which feed the app=%+v key line) and Metrics.Tracker gained the
 // trace.* counters.
-const storeFormatVersion = 3
+// v4: the store holds results only. Keys no longer carry the snapshot
+// format version, which only mattered for the warmup checkpoints that
+// used to sit beside each result; directories written by v3 are simply
+// abandoned.
+const storeFormatVersion = 4
 
-// RunStore is a backend-backed cache of simulation results and warmup
-// checkpoints. The zero value is not usable; construct with NewRunStore
+// RunStore is a backend-backed cache of simulation results. The zero
+// value is not usable; construct with NewRunStore
 // (local directory) or NewRunStoreWithBackend (any blob backend).
 // Methods are safe for concurrent use by independent runs (distinct keys);
 // concurrent writers of the same key settle on one winner (the backend's
@@ -82,7 +83,7 @@ func verifyBackend(b runstore.Backend) *runstore.Verified {
 
 // NewRunStoreWithBackend wraps an arbitrary blob backend — an LRU tier,
 // the HTTP client of a coordinator's shared store, or any composition of
-// them — in the run store's result/checkpoint semantics.
+// them — in the run store's result semantics.
 func NewRunStoreWithBackend(b runstore.Backend) *RunStore {
 	return &RunStore{b: b}
 }
@@ -127,11 +128,11 @@ func normalizeOptions(o Options) Options {
 }
 
 // Key returns the content address of o's simulation: a hex sha256 over the
-// normalized options and the artifact format versions.
+// normalized options and the store format version.
 func (s *RunStore) Key(o Options) string {
 	o = normalizeOptions(o)
 	h := sha256.New()
-	fmt.Fprintf(h, "store=%d snap=%d\n", storeFormatVersion, snapshot.FormatVersion)
+	fmt.Fprintf(h, "store=%d\n", storeFormatVersion)
 	fmt.Fprintf(h, "app=%+v\n", o.App)
 	fmt.Fprintf(h, "scheme kind=%d ratio=%g gnru=%v spill=%v window=%d genlen=%d format=%q\n",
 		o.Scheme.Kind, o.Scheme.Ratio, o.Scheme.GNRU, o.Scheme.Spill,
@@ -205,24 +206,6 @@ func (s *RunStore) PutResult(key string, r Result) error {
 	return s.b.Put(runstore.KindResults, key, data, true)
 }
 
-// readCheckpoint returns the warmup snapshot for key, if present. A missing
-// or unreadable checkpoint is simply a cold start.
-func (s *RunStore) readCheckpoint(key string) ([]byte, bool) {
-	b, ok, err := s.b.Get(runstore.KindCheckpoints, key)
-	if err != nil || !ok || len(b) == 0 {
-		return nil, false
-	}
-	return b, true
-}
-
-// writeCheckpoint stores a warmup snapshot for key. Checkpoints are a pure
-// optimization, so failures are returned for the caller to ignore, and
-// a differing existing checkpoint is replaced rather than refused (the
-// boundary event count can change across store format migrations).
-func (s *RunStore) writeCheckpoint(key string, data []byte) error {
-	return s.b.Put(runstore.KindCheckpoints, key, data, true)
-}
-
 // GCKindStats is one artifact kind's share of a GC pass.
 type GCKindStats struct {
 	Scanned     int
@@ -232,48 +215,42 @@ type GCKindStats struct {
 }
 
 // GCStats reports what a GC pass found (and, unless it was a dry run,
-// pruned). The top-level counts cover the primary artifact kinds
-// (results, checkpoints) — digest sidecars ride along with their entry
-// and quarantined debris is bookkeeping, not cached work — while Kinds
-// breaks every walked kind out individually (experiments -store-gc
-// -store-gc-dry-run prints this table).
+// pruned). The top-level counts cover results only — digest sidecars
+// ride along with their entry and quarantined debris is bookkeeping,
+// not cached work — while Kinds breaks every walked kind out
+// individually (experiments -store-gc -store-gc-dry-run prints this
+// table).
 type GCStats struct {
-	Scanned     int   // primary entries examined
-	Pruned      int   // primary entries older than the cutoff
+	Scanned     int   // results examined
+	Pruned      int   // results older than the cutoff
 	PrunedBytes int64 // their total size
 	Kept        int
 	Kinds       map[string]GCKindStats // every walked kind, sidecars included
 }
 
-// gcKinds are the kinds a GC pass walks: the primary artifact kinds
-// first (so an entry's digest sidecar is already gone — the integrity
-// layer deletes it with the entry — before the sidecar kinds are
-// walked), then the integrity layer's derived kinds, which age out by
-// their own modification times (covering orphans).
-var gcKinds = []struct {
-	kind    string
-	primary bool
-}{
-	{runstore.KindResults, true},
-	{runstore.KindCheckpoints, true},
-	{runstore.DigestKind(runstore.KindResults), false},
-	{runstore.DigestKind(runstore.KindCheckpoints), false},
-	{runstore.QuarantineKind(runstore.KindResults), false},
-	{runstore.QuarantineKind(runstore.KindCheckpoints), false},
+// gcKinds are the kinds a GC pass walks: results first (so an entry's
+// digest sidecar is already gone — the integrity layer deletes it with
+// the entry — before the sidecar kinds are walked), then the integrity
+// layer's derived kinds, which age out by their own modification times
+// (covering orphans).
+var gcKinds = []string{
+	runstore.KindResults,
+	runstore.DigestKind(runstore.KindResults),
+	runstore.QuarantineKind(runstore.KindResults),
 }
 
-// GC prunes results, checkpoints and the integrity layer's sidecar
-// kinds whose modification time is older than age. With dryRun set it
-// only reports what would go. Long-lived shared stores call this
+// GC prunes results and the integrity layer's sidecar kinds whose
+// modification time is older than age. With dryRun set it only reports
+// what would go. Long-lived shared stores call this
 // periodically (experiments -store-gc) so a fleet's accumulated sweep
-// history does not grow without bound; any pruned entry is simply
-// re-simulated (results) or re-warmed (checkpoints) on next use.
+// history does not grow without bound; any pruned result is simply
+// re-simulated on next use.
 func (s *RunStore) GC(age time.Duration, dryRun bool) (GCStats, error) {
 	st := GCStats{Kinds: map[string]GCKindStats{}}
 	cutoff := time.Now().Add(-age)
-	for _, k := range gcKinds {
+	for _, kind := range gcKinds {
 		ks := GCKindStats{}
-		infos, err := s.b.Keys(k.kind)
+		infos, err := s.b.Keys(kind)
 		if err != nil {
 			return st, err
 		}
@@ -288,14 +265,14 @@ func (s *RunStore) GC(age time.Duration, dryRun bool) (GCStats, error) {
 			if dryRun {
 				continue
 			}
-			if err := s.b.Delete(k.kind, info.Key); err != nil {
+			if err := s.b.Delete(kind, info.Key); err != nil {
 				return st, err
 			}
 		}
 		if ks.Scanned > 0 {
-			st.Kinds[k.kind] = ks
+			st.Kinds[kind] = ks
 		}
-		if k.primary {
+		if kind == runstore.KindResults {
 			st.Scanned += ks.Scanned
 			st.Pruned += ks.Pruned
 			st.PrunedBytes += ks.PrunedBytes
@@ -305,7 +282,7 @@ func (s *RunStore) GC(age time.Duration, dryRun bool) (GCStats, error) {
 	return st, nil
 }
 
-// Scrub walks every result and checkpoint through the integrity layer's
+// Scrub walks every result through the integrity layer's
 // verify-or-quarantine decision (experiments -store-scrub). On a store
 // whose backend already carries the Verified wrapper this uses it (the
 // scrub counters land on its runstore_scrub_* series); on a bare
@@ -316,30 +293,14 @@ func (s *RunStore) Scrub() (runstore.ScrubStats, error) {
 	if v == nil {
 		v = verifyBackend(s.b)
 	}
-	return v.Scrub(runstore.KindResults, runstore.KindCheckpoints)
+	return v.Scrub(runstore.KindResults)
 }
 
-// warmupEvents is the fixed event count at which a run's warmup checkpoint
-// is taken. It must be a deterministic function of the configuration alone
-// (never of wall-clock or run order) so that cold and warm runs replay the
-// identical event sequence. The value approximates the cache/directory
-// warmup phase; overshooting is harmless — a checkpoint taken after the
-// queue drains restores to the finished machine.
-func warmupEvents(o Options) uint64 {
-	k := 2 * uint64(o.Scale.Cores) * uint64(o.Scale.Refs)
-	if k > o.MaxEvents {
-		k = o.MaxEvents
-	}
-	return k
-}
-
-// RunWithStore executes one configuration like Run, routing artifacts
+// RunWithStore executes one configuration like Run, routing its result
 // through store (which may be nil, reducing to Run). With resume set, a
-// stored result for the same key is returned without simulating. On a cold
-// run the machine state is checkpointed at the warmup boundary; later runs
-// of the identical configuration restore from that checkpoint and simulate
-// only the remaining events, producing bit-identical results (the replay
-// tests and PutResult's byte-compare both enforce this).
+// stored result for the same key is returned without simulating; every
+// simulated result is written back, where PutResult's byte-compare
+// doubles as a determinism check.
 func RunWithStore(o Options, store *RunStore, resume bool) Result {
 	r, _ := runWithStore(o, store, resume)
 	return r
@@ -347,6 +308,8 @@ func RunWithStore(o Options, store *RunStore, resume bool) Result {
 
 // runWithStore additionally reports whether it simulated (false when a
 // stored result was served verbatim), so callers can count real work.
+// Every caller takes this one path: plain and store-backed runs,
+// instrumented runs and fleet workers alike.
 func runWithStore(o Options, store *RunStore, resume bool) (Result, bool) {
 	o = normalizeOptions(o)
 	var key string
@@ -359,69 +322,32 @@ func runWithStore(o Options, store *RunStore, resume bool) (Result, bool) {
 		}
 	}
 
-	build := func() *system.System {
-		cfg := o.Scale.machine()
-		cfg.NewTracker = o.Scheme.newTracker(cfg)
-		cfg.Recorder = o.Obs
-		if o.FaultRate > 0 {
-			cfg.Faults = fault.Uniform(o.FaultSeed, o.FaultRate)
-		}
-		if o.Trace != nil {
-			cfg.TraceStats = o.Trace.Stats
-			return system.New(cfg, o.Trace.Traces)
-		}
+	start := time.Now()
+	cfg := o.Scale.machine()
+	cfg.NewTracker = o.Scheme.newTracker(cfg)
+	cfg.Recorder = o.Obs
+	if o.FaultRate > 0 {
+		cfg.Faults = fault.Uniform(o.FaultSeed, o.FaultRate)
+	}
+	var sys *system.System
+	if o.Trace != nil {
+		cfg.TraceStats = o.Trace.Stats
+		sys = system.New(cfg, o.Trace.Traces)
+	} else {
 		gen := trace.NewGen(o.App, cfg.Cores)
 		traces := gen.Traces(o.Scale.Refs)
 		cfg.TraceStats = gen.Stats()
-		return system.New(cfg, traces)
+		sys = system.New(cfg, traces)
 	}
-
-	start := time.Now()
-	var m Metrics
-	switch {
-	case store == nil || o.Obs != nil:
-		// Instrumented runs never restore from (or leave) warmup
-		// checkpoints: observability state is not serialized, and a
-		// restored run would miss the warmup phase's epochs, latencies and
-		// spans. The Result still flows through the store below, and
-		// PutResult's byte-compare doubles as a check that recording left
-		// the metrics untouched.
-		sys := build()
-		sys.Start()
-		m = completeBounded(sys, o, start)
-	default:
-		m = runCheckpointed(build, o, store, key, start)
-	}
-	res := Result{App: o.App.Name, Scheme: o.Scheme.String(), Cores: o.Scale.machine().Cores, Metrics: m}
+	sys.Start()
+	m := completeBounded(sys, o, start)
+	res := Result{App: o.App.Name, Scheme: o.Scheme.String(), Cores: cfg.Cores, Metrics: m}
 	if store != nil {
 		if err := store.PutResult(key, res); err != nil {
 			panic(err)
 		}
 	}
 	return res, true
-}
-
-// runCheckpointed is the store-backed simulation path: restore from the
-// warmup checkpoint when one exists, otherwise run cold and leave one
-// behind.
-func runCheckpointed(build func() *system.System, o Options, store *RunStore, key string, start time.Time) Metrics {
-	if data, ok := store.readCheckpoint(key); ok {
-		sys := build()
-		if err := sys.Restore(bytes.NewReader(data)); err == nil {
-			return completeBounded(sys, o, start)
-		}
-		// Stale or corrupt checkpoint (e.g. the simulator changed under
-		// an old store dir): fall through to a cold run on an untouched
-		// machine and refresh it.
-	}
-	sys := build()
-	sys.Start()
-	sys.RunEvents(warmupEvents(o))
-	var buf bytes.Buffer
-	if err := sys.Save(&buf); err == nil {
-		store.writeCheckpoint(key, buf.Bytes()) // best-effort: a failure just means a cold start next time
-	}
-	return completeBounded(sys, o, start)
 }
 
 // RunTimeoutError is the panic value of a run that blew its wall-clock
@@ -442,7 +368,7 @@ func (e *RunTimeoutError) Error() string {
 // that a wedged simulation is caught within a fraction of a second.
 const deadlineChunk = 1 << 16
 
-// completeBounded finishes a started (or restored) system, enforcing o's
+// completeBounded finishes a started system, enforcing o's
 // wall-clock Timeout by checking the clock every deadlineChunk events. The
 // unbounded path is exactly Complete — one engine call, no added work in
 // the hot loop.

@@ -1,6 +1,7 @@
 package tinydir
 
 import (
+	"bytes"
 	"fmt"
 	"net/http/httptest"
 	"os"
@@ -23,10 +24,9 @@ func testStore(t *testing.T) (*RunStore, string) {
 	return s, dir
 }
 
-// resultFile and checkpointFile reproduce the Dir backend's on-disk
-// layout, which the tests tamper with directly to simulate crashes.
-func resultFile(dir, key string) string     { return filepath.Join(dir, "results", key+".json") }
-func checkpointFile(dir, key string) string { return filepath.Join(dir, "checkpoints", key+".snap") }
+// resultFile reproduces the Dir backend's on-disk layout, which the
+// tests tamper with directly to simulate crashes.
+func resultFile(dir, key string) string { return filepath.Join(dir, "results", key+".json") }
 
 var storeTestOpts = Options{
 	App:    App("barnes"),
@@ -34,31 +34,79 @@ var storeTestOpts = Options{
 	Scale:  Scale{Name: "store", Cores: 16, Refs: 300},
 }
 
-// TestRunStoreColdWarmIdentical: a cold store-backed run, a warm run that
-// restores from the checkpoint it left behind, and a plain Run must all
-// agree exactly.
-func TestRunStoreColdWarmIdentical(t *testing.T) {
-	store, dir := testStore(t)
+// TestRunStoreStacks: a store-backed run equals Run on both backend
+// stacks the system uses — the local Verified(Dir) and a fleet worker's
+// Verified(LRU(Client)) against a Dir served over HTTP — and leaves
+// nothing behind but the result and its digest sidecar. A resumed run
+// is served without simulating, and the collision guard holds on both
+// stacks (across the wire, the server's 409 surfaces as the same loud
+// refusal). An instrumented run through a store returns the same Result
+// as Run.
+func TestRunStoreStacks(t *testing.T) {
 	plain := Run(storeTestOpts)
+	cases := []struct {
+		name  string
+		stack func(t *testing.T, root string) *RunStore
+		obs   bool
+	}{
+		{"verified-dir", func(t *testing.T, root string) *RunStore {
+			s, err := NewRunStore(root)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return s
+		}, false},
+		{"verified-lru-http", func(t *testing.T, root string) *RunStore {
+			remote, err := runstore.NewDir(root)
+			if err != nil {
+				t.Fatal(err)
+			}
+			srv := httptest.NewServer(runstore.NewServer(remote))
+			t.Cleanup(srv.Close)
+			return NewRunStoreWithBackend(verifyBackend(runstore.NewLRU(runstore.NewClient(srv.URL), 1<<20)))
+		}, false},
+		{"verified-dir-obs", func(t *testing.T, root string) *RunStore {
+			s, err := NewRunStore(root)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return s
+		}, true},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			root := t.TempDir()
+			store := tc.stack(t, root)
+			o := storeTestOpts
+			if tc.obs {
+				o.Obs = NewObsRecorder(ObsConfig{EpochInterval: 1000, Latency: true, TraceSpans: 500})
+			}
+			got, simulated := runWithStore(o, store, false)
+			if !simulated || !reflect.DeepEqual(got, plain) {
+				t.Fatalf("store-backed run (simulated=%v) diverged from Run:\ngot  %+v\nwant %+v", simulated, got, plain)
+			}
+			ents, err := os.ReadDir(root)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var kinds []string
+			for _, e := range ents {
+				kinds = append(kinds, e.Name())
+			}
+			if want := []string{runstore.KindResults, runstore.DigestKind(runstore.KindResults)}; !reflect.DeepEqual(kinds, want) {
+				t.Fatalf("backend holds kinds %v, want only %v", kinds, want)
+			}
 
-	cold := RunWithStore(storeTestOpts, store, false)
-	if !reflect.DeepEqual(cold, plain) {
-		t.Fatalf("cold store-backed run diverged from Run:\ngot  %+v\nwant %+v", cold, plain)
-	}
-	ck := checkpointFile(dir, store.Key(storeTestOpts))
-	if _, err := os.Stat(ck); err != nil {
-		t.Fatalf("cold run left no warmup checkpoint: %v", err)
-	}
-
-	// Drop the result so the warm run must actually simulate, fast-forwarded
-	// from the checkpoint. PutResult then byte-compares against nothing, but
-	// DeepEqual against the plain run is the real oracle.
-	if err := os.Remove(resultFile(dir, store.Key(storeTestOpts))); err != nil {
-		t.Fatal(err)
-	}
-	warm := RunWithStore(storeTestOpts, store, false)
-	if !reflect.DeepEqual(warm, plain) {
-		t.Fatalf("warm (checkpoint-restored) run diverged from Run:\ngot  %+v\nwant %+v", warm, plain)
+			served, simulated := runWithStore(storeTestOpts, store, true)
+			if simulated || !reflect.DeepEqual(served, plain) {
+				t.Fatalf("resume (simulated=%v) did not serve the stored result: %+v", simulated, served)
+			}
+			b := plain
+			b.Metrics.Cycles++
+			if err := store.PutResult(store.Key(storeTestOpts), b); err == nil || !strings.Contains(err.Error(), "refusing to overwrite") {
+				t.Fatalf("differing rewrite not refused loudly: %v", err)
+			}
+		})
 	}
 }
 
@@ -211,68 +259,33 @@ func TestRunStoreTruncatedResultIsMiss(t *testing.T) {
 	}
 }
 
-// TestRunStoreSurvivesCorruptCheckpoint: a truncated or garbage checkpoint
-// must silently degrade to a cold run, not fail it.
-func TestRunStoreSurvivesCorruptCheckpoint(t *testing.T) {
-	store, dir := testStore(t)
-	key := store.Key(storeTestOpts)
-	if err := os.MkdirAll(filepath.Join(dir, "checkpoints"), 0o755); err != nil {
-		t.Fatal(err)
+// TestSuiteStoreSweepIdentical: a small figure sweep through a store —
+// cold, then resumed from the stored results — renders byte-identical
+// CSV to a storeless sweep, and the resumed sweep simulates nothing.
+func TestSuiteStoreSweepIdentical(t *testing.T) {
+	scale := Scale{Name: "storesweep", Cores: 16, Refs: 300}
+	render := func(store *RunStore, resume bool) ([]byte, int) {
+		s := NewSuite(scale)
+		s.Workers = 2
+		s.Store = store
+		s.Resume = resume
+		var buf bytes.Buffer
+		if err := s.Fig1().WriteCSV(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes(), s.Runs()
 	}
-	if err := os.WriteFile(checkpointFile(dir, key), []byte("not a snapshot"), 0o644); err != nil {
-		t.Fatal(err)
+	want, _ := render(nil, false)
+	store, _ := testStore(t)
+	if got, _ := render(store, false); !bytes.Equal(got, want) {
+		t.Error("cold store-backed sweep CSV differs from storeless sweep")
 	}
-	got := RunWithStore(storeTestOpts, store, false)
-	want := Run(storeTestOpts)
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("run with corrupt checkpoint diverged:\ngot  %+v\nwant %+v", got, want)
+	got, runs := render(store, true)
+	if !bytes.Equal(got, want) {
+		t.Error("resumed sweep CSV differs from storeless sweep")
 	}
-	// And the cold run refreshed the checkpoint with a valid one.
-	if fi, err := os.Stat(checkpointFile(dir, key)); err != nil || fi.Size() < 100 {
-		t.Errorf("checkpoint not refreshed after corruption (err=%v)", err)
-	}
-}
-
-// TestRunStoreOverHTTPBackend: the full store contract — cold run with
-// checkpoint, resume hit, collision guard — holds when the backend is the
-// HTTP blob client talking to a remote Dir, exactly as a fleet worker
-// mounts the coordinator's store.
-func TestRunStoreOverHTTPBackend(t *testing.T) {
-	remote, err := runstore.NewDir(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := httptest.NewServer(runstore.NewServer(remote))
-	defer srv.Close()
-	store := NewRunStoreWithBackend(runstore.NewLRU(runstore.NewClient(srv.URL), 1<<20))
-
-	plain := Run(storeTestOpts)
-	cold := RunWithStore(storeTestOpts, store, false)
-	if !reflect.DeepEqual(cold, plain) {
-		t.Fatalf("cold HTTP-backed run diverged from Run:\ngot  %+v\nwant %+v", cold, plain)
-	}
-	key := store.Key(storeTestOpts)
-	if _, ok, _ := store.GetResult(key); !ok {
-		t.Fatal("cold run's result not visible through the HTTP backend")
-	}
-	if _, ok, err := remote.Get(runstore.KindCheckpoints, key); err != nil || !ok {
-		t.Fatalf("cold run left no checkpoint on the remote store (ok=%v err=%v)", ok, err)
-	}
-
-	// A second client (another worker) resumes from the shared store
-	// without simulating: the served result is byte-exact.
-	other := NewRunStoreWithBackend(runstore.NewClient(srv.URL))
-	warm := RunWithStore(storeTestOpts, other, true)
-	if !reflect.DeepEqual(warm, plain) {
-		t.Fatalf("resume through a second HTTP client diverged:\ngot  %+v\nwant %+v", warm, plain)
-	}
-
-	// The collision guard crosses the wire: 409 surfaces as the same loud
-	// refusal a local store produces.
-	b := plain
-	b.Metrics.Cycles++
-	if err := other.PutResult(key, b); err == nil || !strings.Contains(err.Error(), "refusing to overwrite") {
-		t.Fatalf("HTTP-backed differing rewrite not refused loudly: %v", err)
+	if runs != 0 {
+		t.Errorf("resumed sweep simulated %d runs, want 0", runs)
 	}
 }
 

@@ -42,7 +42,7 @@ func RegisterSweepMetrics(reg *telemetry.Registry, mon *Reporter) {
 // EnableTelemetry wraps the store's backend with per-op latency, byte
 // and error series labeled backend=kind ("dir" on a coordinator, "http"
 // or "lru" on a worker). Call before the backend is shared (e.g. before
-// AttachSweepService mounts it over HTTP) so every consumer sees the
+// AttachSweepServiceCfg mounts it over HTTP) so every consumer sees the
 // instrumented view. A nil reg leaves the store untouched.
 func (s *RunStore) EnableTelemetry(reg *telemetry.Registry, kind string) {
 	s.b = runstore.NewMetrics(reg).Instrument(s.b, kind)

@@ -349,10 +349,8 @@ type Options struct {
 	MaxEvents uint64
 	// Obs, when non-nil, attaches the time-resolved observability layer to
 	// this run. Recording is pure observation — metrics and event order are
-	// bit-identical with or without it — but instrumented runs bypass the
-	// store's warmup checkpoints (observability state is deliberately not
-	// serialized, and latency histograms must span the whole run). Obs does
-	// not contribute to the store key for the same reason.
+	// bit-identical with or without it — so Obs does not contribute to the
+	// store key.
 	Obs *ObsRecorder
 	// FaultRate > 0 arms the deterministic fault-injection layer (see
 	// internal/fault and DESIGN.md §10) at a uniform rate: mesh delay
