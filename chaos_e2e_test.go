@@ -25,6 +25,7 @@ import (
 
 	"tinydir/internal/fault"
 	"tinydir/internal/runstore"
+	"tinydir/internal/telemetry"
 )
 
 // chaosProxy fronts the coordinator for the whole worker protocol —
@@ -156,14 +157,18 @@ func runChaosE2E(t *testing.T, seed uint64, want []byte) {
 	ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
 	defer cancel()
 	workerErr := make(chan error, 2)
-	for _, name := range []string{"chaos-w1", "chaos-w2"} {
-		go func(name string) {
+	// Workers check the seals of what they read, so their own integrity
+	// counters are where wire damage would show up as a quarantine.
+	workerRegs := []*telemetry.Registry{telemetry.NewRegistry(), telemetry.NewRegistry()}
+	for i, name := range []string{"chaos-w1", "chaos-w2"} {
+		go func(name string, reg *telemetry.Registry) {
 			workerErr <- RunSweepWorker(ctx, WorkerConfig{
 				Coordinator: psrv.URL, // every protocol + store byte rides the proxy
 				Name:        name,
 				CacheBytes:  1 << 20,
+				Registry:    reg,
 			})
-		}(name)
+		}(name, workerRegs[i])
 	}
 
 	var fig Figure
@@ -194,6 +199,21 @@ func runChaosE2E(t *testing.T, seed uint64, want []byte) {
 		t.Fatal("coordinator store is not integrity-wrapped")
 	} else if c := v.Counters(); c.Quarantined != 0 {
 		t.Fatalf("seed %d: store quarantined %d entries under wire chaos", seed, c.Quarantined)
+	}
+	for i, reg := range workerRegs {
+		seen := false
+		for _, s := range reg.Snapshot() {
+			if s.Name != "runstore_integrity_quarantines_total" {
+				continue
+			}
+			seen = true
+			if s.Value != 0 {
+				t.Fatalf("seed %d: worker %d quarantined %v entries under wire chaos", seed, i+1, s.Value)
+			}
+		}
+		if !seen {
+			t.Fatalf("worker %d exports no integrity counters", i+1)
+		}
 	}
 	if atomic.LoadUint64(&proxy.injected) == 0 {
 		t.Fatalf("seed %d: proxy injected no faults; chaos schedule is dead", seed)

@@ -17,7 +17,7 @@
 //	experiments -fig 1 -obs-dir obs              # epoch CSV + latency histograms per run
 //	experiments -fig 1 -obs-dir obs -obs-epochs 1000 -obs-trace 200000
 //	experiments -watchdog 2000000                # dump stalled machine state to stderr
-//	experiments -http localhost:6060             # live dashboard + expvar "sweep" + pprof
+//	experiments -http localhost:6060             # live dashboard + /metrics + pprof
 //
 // Observability is pure observation — every figure and stored result is
 // bit-identical with it on or off.
@@ -36,7 +36,7 @@
 //	experiments -worker http://localhost:6060                    # each worker
 //	experiments -store-gc 720h -cache-dir runs                   # prune stale entries
 //	experiments -store-gc 720h -store-gc-dry-run -cache-dir runs # preview, per-kind breakdown
-//	experiments -store-scrub -cache-dir runs                     # verify digests, quarantine rot
+//	experiments -store-scrub -cache-dir runs                     # verify seals, quarantine rot
 //
 // Figure output from a distributed sweep is byte-identical to a local
 // run: workers dedup through the same content-addressed store and the
@@ -70,7 +70,7 @@ package main
 
 import (
 	"context"
-	_ "expvar" // -http serves /debug/vars; "sweep" is published via the telemetry registry
+	_ "expvar" // -http serves /debug/vars (runtime memstats)
 	"flag"
 	"fmt"
 	"io"
@@ -105,14 +105,14 @@ func main() {
 		obsEpochs  = flag.Uint64("obs-epochs", 0, "epoch sampling interval in cycles (0 = off; -obs-dir alone defaults it)")
 		obsTrace   = flag.Int("obs-trace", 0, "max Chrome trace-event spans recorded per run (0 = off; needs -obs-dir)")
 		watchdog   = flag.Uint64("watchdog", 0, "dump machine state when no core retires for this many cycles (0 = off)")
-		httpAddr   = flag.String("http", "", "serve the live sweep dashboard (plus expvar + pprof) on this address")
+		httpAddr   = flag.String("http", "", "serve the live sweep dashboard (plus /metrics, expvar and pprof) on this address")
 		serveMode  = flag.Bool("serve", false, "coordinate a distributed sweep: serve planned runs as work units to -worker processes (needs -http and -cache-dir)")
 		workerURL  = flag.String("worker", "", "join the fleet of the coordinator at this base URL (e.g. http://host:6060) instead of planning figures")
 		workerName = flag.String("worker-name", "", "worker identity in leases and on the dashboard (default: hostname-pid)")
 		workerLRU  = flag.Int64("worker-cache", 64<<20, "worker-side in-memory result cache over the coordinator's store, in bytes (0 = none)")
 		storeGC    = flag.Duration("store-gc", 0, "prune -cache-dir entries older than this age and exit (e.g. 720h)")
 		storeGCDry = flag.Bool("store-gc-dry-run", false, "with -store-gc: report what would be pruned without deleting")
-		storeScrub = flag.Bool("store-scrub", false, "verify every -cache-dir entry against its digest sidecar (quarantining corrupt ones) and exit")
+		storeScrub = flag.Bool("store-scrub", false, "verify every -cache-dir entry against its sha256 seal (quarantining corrupt ones) and exit")
 		journalDir = flag.String("journal-dir", "", "with -serve: write-ahead journal directory; restarting on the same directory resumes the sweep crash-safely (default: a temporary directory)")
 		soak       = flag.Int("soak", 0, "run a fault-injection soak over this many seeds per scheme instead of figures")
 		soakApp    = flag.String("soak-app", "", "pin -soak to one workload (default: rotate barnes + the five families)")
@@ -235,10 +235,10 @@ func main() {
 	suite.Obs = obsCfg
 	suite.ObsDir = *obsDir
 
-	// The telemetry registry backs /metrics, the dashboard's store panel
-	// and the expvar "sweep" re-host. It only exists when something can
-	// serve it — without -http every instrument stays nil and the hot
-	// paths run the identical off-state instruction stream.
+	// The telemetry registry backs /metrics and the dashboard's store
+	// panel. It only exists when something can serve it — without -http
+	// every instrument stays nil and the hot paths run the identical
+	// off-state instruction stream.
 	var reg *telemetry.Registry
 	if *httpAddr != "" {
 		reg = telemetry.NewRegistry()
@@ -389,7 +389,7 @@ func sortedKinds[V any](m map[string]V) []string {
 	return kinds
 }
 
-// runStoreScrub verifies every store entry against its digest sidecar,
+// runStoreScrub verifies every store entry against its seal,
 // quarantining corrupt ones, and exits nonzero if any were found.
 func runStoreScrub(cacheDir string) {
 	if cacheDir == "" {
@@ -410,8 +410,8 @@ func runStoreScrub(cacheDir string) {
 	for _, kind := range sortedKinds(stats.Kinds) {
 		ks := stats.Kinds[kind]
 		quarantined += ks.Quarantined
-		fmt.Printf("store-scrub: %-12s scanned %d (%d bytes): %d ok, %d backfilled, %d quarantined, %d errors\n",
-			kind, ks.Scanned, ks.Bytes, ks.OK, ks.Backfilled, ks.Quarantined, ks.Errors)
+		fmt.Printf("store-scrub: %-12s scanned %d (%d bytes): %d ok, %d quarantined, %d errors\n",
+			kind, ks.Scanned, ks.Bytes, ks.OK, ks.Quarantined, ks.Errors)
 	}
 	if quarantined > 0 {
 		fmt.Fprintf(os.Stderr, "experiments: store-scrub: %d corrupt entries quarantined (their keys re-simulate on next use)\n", quarantined)

@@ -58,15 +58,13 @@ type storeCacheHealth struct {
 	Evictions    uint64
 }
 
-// storeIntegrityHealth is one verified tier's row: end-to-end digest
+// storeIntegrityHealth is one verified tier's row: end-to-end seal
 // verification outcomes plus scrub-pass totals. A nonzero Quarantined
 // is the headline — the store served (and then quarantined) corruption.
 type storeIntegrityHealth struct {
 	Backend          string
 	Verified         uint64
-	Backfilled       uint64
 	Quarantined      uint64
-	DigestErrs       uint64
 	ScrubScanned     uint64
 	ScrubQuarantined uint64
 }
@@ -108,12 +106,8 @@ func storeHealth(snap []telemetry.SeriesSnapshot) (ops []storeOpHealth, caches [
 			cache(s.Label("backend")).Bytes = uint64(s.Value)
 		case "runstore_integrity_verified_total":
 			verified(s.Label("backend")).Verified = uint64(s.Value)
-		case "runstore_integrity_backfills_total":
-			verified(s.Label("backend")).Backfilled = uint64(s.Value)
 		case "runstore_integrity_quarantines_total":
 			verified(s.Label("backend")).Quarantined = uint64(s.Value)
-		case "runstore_integrity_digest_errors_total":
-			verified(s.Label("backend")).DigestErrs = uint64(s.Value)
 		case "runstore_scrub_scanned_total":
 			verified(s.Label("backend")).ScrubScanned = uint64(s.Value)
 		case "runstore_scrub_quarantined_total":
@@ -255,7 +249,7 @@ th { background: #f3f3f3; }
 <h2>Store health</h2>
 <table id="storeops"><tr><th>Backend</th><th>Op</th><th>Count</th><th>p50 µs</th><th>p95 µs</th><th>p99 µs</th><th>Errors</th></tr></table>
 <table id="storecaches"><tr><th>Cache</th><th>Hits</th><th>Misses</th><th>Hit rate</th><th>Bytes</th><th>Evictions</th></tr></table>
-<table id="storeinteg"><tr><th>Verified tier</th><th>Verified</th><th>Backfilled</th><th>Quarantined</th><th>Digest errs</th><th>Scrubbed</th><th>Scrub quarantined</th></tr></table>
+<table id="storeinteg"><tr><th>Verified tier</th><th>Verified</th><th>Quarantined</th><th>Scrubbed</th><th>Scrub quarantined</th></tr></table>
 </div>
 <h2>Observability artifacts</h2>
 <ul id="obs"><li class="muted">none yet</li></ul>
@@ -315,11 +309,9 @@ function tick() {
       ["Pending", "Leased", "Done", "Failed", "Total", "Epoch"].forEach(function (k) {
         document.getElementById("f" + k.toLowerCase()).textContent = f[k] || 0;
       });
-      var j = f.Journal;
-      document.getElementById("journal").textContent = j
-        ? "journal: " + j.Dir + " — " + (j.Records || 0) + " records, " + (j.Bytes || 0) +
-          " bytes, " + (j.Fsyncs || 0) + " fsyncs, " + (j.Compactions || 0) + " compactions"
-        : "journal: none (in-memory coordinator; not crash-safe)";
+      var j = f.Journal || {};
+      document.getElementById("journal").textContent = "journal: " + j.Dir + " — " + (j.Records || 0) +
+        " records, " + (j.Bytes || 0) + " bytes, " + (j.Fsyncs || 0) + " fsyncs, " + (j.Compactions || 0) + " compactions";
       setRows(document.getElementById("workers"),
         (f.Workers || []).map(function (w) {
           return [w.Name, (w.Active || "idle").slice(0, 12), ns(w.IdleFor), w.Completed, w.Failed,
@@ -340,7 +332,7 @@ function tick() {
       var q = document.createElement("span");
       q.textContent = v.Quarantined || 0;
       if (v.Quarantined) { q.className = "badge stale"; q.title = "corrupt entries quarantined"; }
-      return [v.Backend, v.Verified, v.Backfilled, q, v.DigestErrs, v.ScrubScanned, v.ScrubQuarantined];
+      return [v.Backend, v.Verified, q, v.ScrubScanned, v.ScrubQuarantined];
     }));
     var ul = document.getElementById("obs");
     ul.innerHTML = "";

@@ -105,7 +105,9 @@ type SweepServiceConfig struct {
 // every planned run as a work unit and blocks until a worker completes
 // it. The store must be the coordinator's durable (directory) store —
 // it is both the dedup cache workers share over HTTP and the merge
-// target for returned results. The coordinator is recovered from (or
+// target for returned results. Workers are served the layer beneath
+// its integrity wrapper, so they read and write sealed entries and
+// check the seals themselves. The coordinator is recovered from (or
 // initialized in) cfg.JournalDir, so restarting the process on the same
 // directory resumes the sweep where it died, fencing the previous
 // incarnation's stale traffic by epoch.
@@ -127,7 +129,7 @@ func AttachSweepServiceCfg(s *Suite, store *RunStore, mux *http.ServeMux, cfg Sw
 	}
 	svc := &SweepService{Coord: coord, store: store, suite: s, tempDir: tempDir}
 	mux.Handle("/sweepd/", http.StripPrefix("/sweepd", svc.Coord.Handler()))
-	mux.Handle("/store/", http.StripPrefix("/store", runstore.NewServer(store.Backend())))
+	mux.Handle("/store/", http.StripPrefix("/store", runstore.NewServer(store.served())))
 	s.Dispatch = svc.dispatch
 	return svc, nil
 }
@@ -227,13 +229,13 @@ func RunSweepWorker(ctx context.Context, cfg WorkerConfig) error {
 	tel := sweepd.NewWorkerTelemetry(cfg.Registry)
 	if cfg.CacheBytes > 0 {
 		lru := runstore.NewLRU(backend, cfg.CacheBytes)
-		tel.StoreStats = func() (uint64, uint64) { h, m := lru.Stats(); return h, m }
+		tel.StoreStats = func() (uint64, uint64) { h, m, _ := lru.Counters(); return h, m }
 		backend = sm.Instrument(lru, "lru")
 	}
-	// The integrity layer sits outermost so even locally-cached bytes
-	// verify against their sidecar digest on every read; its warnings
-	// and counters (runstore_integrity_*) flag a corrupt shared store
-	// from whichever worker trips over it first.
+	// The integrity layer sits outermost so the worker seals what it
+	// writes and even locally-cached bytes verify on every read; its
+	// warnings and counters (runstore_integrity_*) flag a corrupt shared
+	// store from whichever worker trips over it first.
 	backend = sm.Instrument(verifyBackend(backend), "verified")
 	store := NewRunStoreWithBackend(backend)
 	logf := func(format string, args ...interface{}) {

@@ -63,8 +63,9 @@ func (h *Hist) Observe(v uint64) {
 	}
 }
 
-// bucketHigh is the largest value bucket i can hold.
-func bucketHigh(i int) uint64 {
+// BucketHigh is the largest value bucket i can hold (the exposition's
+// `le` bound for the bucket).
+func BucketHigh(i int) uint64 {
 	if i == 0 {
 		return 0
 	}
@@ -110,10 +111,10 @@ func (h *Hist) Quantile(q float64) uint64 {
 			break
 		}
 	}
-	if bucketHigh(last) > h.Max {
+	if BucketHigh(last) > h.Max {
 		return h.Max
 	}
-	return bucketHigh(last)
+	return BucketHigh(last)
 }
 
 // Mean returns the exact arithmetic mean, or 0 for an empty histogram.
@@ -160,7 +161,7 @@ func (l *LatencyRecorder) WriteText(w io.Writer) error {
 			if h.Buckets[i] == 0 {
 				continue
 			}
-			fmt.Fprintf(w, "  [%d,%d] %d\n", bucketLow(i), bucketHigh(i), h.Buckets[i])
+			fmt.Fprintf(w, "  [%d,%d] %d\n", bucketLow(i), BucketHigh(i), h.Buckets[i])
 		}
 	}
 	return nil

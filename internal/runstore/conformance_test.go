@@ -41,7 +41,7 @@ func backends(t *testing.T) map[string]func(t *testing.T) Backend {
 		"http":     newHTTP,
 		"lru-http": func(t *testing.T) Backend { return NewLRU(newHTTP(t), 1<<20) },
 		// The integrity layer must be invisible when nothing is corrupt:
-		// the exact same contract through digest writes and verification,
+		// the exact same contract through sealed writes and verification,
 		// both locally and across the wire (the worker's real stack).
 		"verified-dir":      func(t *testing.T) Backend { return NewVerified(newDir(t)) },
 		"verified-lru-http": func(t *testing.T) Backend { return NewVerified(NewLRU(newHTTP(t), 1<<20)) },
@@ -113,13 +113,18 @@ func conformance(t *testing.T, b Backend) {
 		t.Fatalf("replace did not take: %q ok=%v", got, ok)
 	}
 
-	// Stat sees the stored size and a sane mtime.
+	// Stat sees the stored size (seal included under the integrity
+	// layer) and a sane mtime.
 	info, ok, err := b.Stat(KindResults, key)
 	if err != nil || !ok {
 		t.Fatalf("Stat after Put: ok=%v err=%v", ok, err)
 	}
-	if info.Size != int64(len(other)) {
-		t.Fatalf("Stat size = %d, want %d", info.Size, len(other))
+	size := int64(len(other))
+	if _, sealed := b.(*Verified); sealed {
+		size += int64(sealLen)
+	}
+	if info.Size != size {
+		t.Fatalf("Stat size = %d, want %d", info.Size, size)
 	}
 	if info.ModTime.IsZero() || time.Since(info.ModTime) > time.Hour {
 		t.Fatalf("Stat mtime implausible: %v", info.ModTime)
@@ -258,7 +263,7 @@ func TestLRUTier(t *testing.T) {
 	if _, ok, _ := l.Get(KindResults, "k1"); !ok {
 		t.Fatal("k1 missing")
 	}
-	if h, m := l.Stats(); h != 1 || m != 0 {
+	if h, m, _ := l.Counters(); h != 1 || m != 0 {
 		t.Fatalf("after cached Get: hits=%d misses=%d", h, m)
 	}
 
@@ -270,13 +275,13 @@ func TestLRUTier(t *testing.T) {
 	if _, ok, _ := l.Get(KindResults, "k2"); !ok {
 		t.Fatal("k2 missing through tier")
 	}
-	if h, m := l.Stats(); h != 1 || m != 1 {
+	if h, m, _ := l.Counters(); h != 1 || m != 1 {
 		t.Fatalf("after read-through: hits=%d misses=%d", h, m)
 	}
 	if _, ok, _ := l.Get(KindResults, "k2"); !ok {
 		t.Fatal("k2 missing")
 	}
-	if h, _ := l.Stats(); h != 2 {
+	if h, _, _ := l.Counters(); h != 2 {
 		t.Fatal("read-through did not cache")
 	}
 
@@ -290,11 +295,11 @@ func TestLRUTier(t *testing.T) {
 	if s := l.Size(); s > 64 {
 		t.Fatalf("cache over budget: %d bytes", s)
 	}
-	_, m0 := l.Stats()
+	_, m0, _ := l.Counters()
 	if _, ok, _ := l.Get(KindResults, "k1"); !ok {
 		t.Fatal("k1 lost from inner store")
 	}
-	if _, m := l.Stats(); m != m0+1 {
+	if _, m, _ := l.Counters(); m != m0+1 {
 		t.Fatal("evicted k1 still served from cache")
 	}
 

@@ -41,10 +41,11 @@ import (
 const (
 	replaceHeader = "X-Runstore-Replace"
 	digestHeader  = "X-Runstore-Digest"
-	// maxBlobBytes bounds one entry. Results are KBs; 16 MiB (the sweep
-	// protocol's own request cap) is a generous ceiling that still stops
-	// a hostile client from ballooning the server's memory.
-	maxBlobBytes = 16 << 20
+	// maxBlobBytes bounds one stored entry: a 16 MiB payload (the sweep
+	// protocol's own request cap) plus its seal. Results are KBs; the cap
+	// is a generous ceiling that still stops a hostile client from
+	// ballooning the server's memory.
+	maxBlobBytes = 16<<20 + int64(sealLen)
 	// maxDrainBytes bounds how much of an unwanted response body (a 404
 	// page, an error message) is read off the wire so its keep-alive
 	// connection goes back to the pool instead of being torn down.
@@ -404,6 +405,14 @@ func (s *server) put(w http.ResponseWriter, r *http.Request, kind, key string) {
 		return
 	}
 	w.WriteHeader(http.StatusNoContent)
+}
+
+// short abbreviates a digest for error messages.
+func short(d string) string {
+	if len(d) > 12 {
+		return d[:12]
+	}
+	return d
 }
 
 // isDiffers matches ErrDiffers through wrapping, plus a string fallback

@@ -1,51 +1,34 @@
 package runstore
 
 // End-to-end artifact integrity. Verified wraps any Backend with sha256
-// digest verification on every Get: each entry (kind, key) carries a
-// sidecar digest under the derived kind "<kind>-sha256", written
-// alongside every Put and checked against the fetched bytes on every
-// read. A mismatch — bit rot on disk, a torn write predating the atomic
-// discipline, wire corruption below the HTTP layer's own check — is
-// never served: the corrupt bytes are moved to "<kind>-quarantine"
-// (preserved for forensics), the entry and its digest are deleted, and
-// the Get reports a miss, so the caller re-simulates and heals the
-// store exactly like the JSON-decode miss path always has.
+// verification on every Get: each entry is stored *sealed* — a fixed
+// sealLen-byte header naming the payload's digest ("sha256:<64 hex>\n"),
+// then the payload — in one atomic inner Put, so an entry and its
+// digest can never disagree because one write landed and the other did
+// not. Get checks and strips the seal. A missing, short or mismatched
+// seal — bit rot on disk, bytes written around the layer, wire
+// corruption below the HTTP layer's own check — is never served: the
+// stored bytes are moved to "<kind>-quarantine" (preserved for
+// forensics), the entry is deleted, and the Get reports a miss, so the
+// caller re-simulates and heals the store exactly like the JSON-decode
+// miss path always has.
 //
-// Entries that predate the integrity layer have no sidecar; the first
-// Get backfills one from the bytes it fetched (trust on first use), so
-// an old store migrates to full coverage by being read — or all at once
-// by a Scrub pass, which walks every entry of a kind through the same
+// A Scrub pass walks every entry of a kind through the same
 // verify-or-quarantine decision.
-//
-// The derived kinds are ordinary entries in the same backend, so they
-// ride the store's atomicity and replication for free; Verified skips
-// verification for them (a digest has no digest).
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
 	"os"
-	"strings"
 	"sync/atomic"
 )
 
-const (
-	digestKindSuffix     = "-sha256"
-	quarantineKindSuffix = "-quarantine"
-)
-
-// DigestKind returns the sidecar kind holding kind's entry digests.
-func DigestKind(kind string) string { return kind + digestKindSuffix }
+const quarantineKindSuffix = "-quarantine"
 
 // QuarantineKind returns the kind corrupt entries of kind are moved to.
 func QuarantineKind(kind string) string { return kind + quarantineKindSuffix }
-
-// derivedKind reports whether kind is a digest or quarantine sidecar
-// kind (never itself verified — a digest has no digest).
-func derivedKind(kind string) bool {
-	return strings.HasSuffix(kind, digestKindSuffix) || strings.HasSuffix(kind, quarantineKindSuffix)
-}
 
 // Digest is the store's content digest: hex sha256, the same shape as
 // the store keys themselves.
@@ -54,30 +37,59 @@ func Digest(data []byte) string {
 	return hex.EncodeToString(h[:])
 }
 
+// sealPrefix opens every sealed entry; sealLen is the whole header
+// (72 bytes).
+const (
+	sealPrefix = "sha256:"
+	sealLen    = len(sealPrefix) + 2*sha256.Size + 1
+)
+
+// seal returns data behind its digest header.
+func seal(data []byte) []byte {
+	h := sha256.Sum256(data)
+	out := make([]byte, sealLen+len(data))
+	n := copy(out, sealPrefix)
+	hex.Encode(out[n:], h[:])
+	out[sealLen-1] = '\n'
+	copy(out[sealLen:], data)
+	return out
+}
+
+// unseal returns the payload of a well-formed seal whose digest matches,
+// and ok=false for anything else.
+func unseal(stored []byte) (payload []byte, ok bool) {
+	if len(stored) < sealLen || !bytes.HasPrefix(stored, []byte(sealPrefix)) || stored[sealLen-1] != '\n' {
+		return nil, false
+	}
+	payload = stored[sealLen:]
+	h := sha256.Sum256(payload)
+	var got [2 * sha256.Size]byte
+	hex.Encode(got[:], h[:])
+	return payload, bytes.Equal(got[:], stored[len(sealPrefix):sealLen-1])
+}
+
 // IntegrityCounters is a point-in-time snapshot of a Verified wrapper's
 // counters (exported by the metrics layer as runstore_integrity_* and
 // runstore_scrub_*).
 type IntegrityCounters struct {
-	Verified    uint64 // Gets whose bytes matched their sidecar digest
-	Backfilled  uint64 // sidecars written on first read of a pre-integrity entry
+	Verified    uint64 // Gets whose seal matched
 	Quarantined uint64 // corrupt entries moved aside and missed
-	DigestErrs  uint64 // sidecar reads/writes that themselves failed (entry served unverified)
 
 	ScrubScanned     uint64 // entries examined by Scrub passes
 	ScrubQuarantined uint64 // corrupt entries Scrub moved aside
 }
 
-// Verified decorates a Backend with digest sidecars and read-time
+// Verified decorates a Backend with sealed entries and read-time
 // verification. Construct with NewVerified; safe for concurrent use to
 // the same degree the inner backend is.
 type Verified struct {
 	inner Backend
-	// Warn reports non-fatal integrity events (quarantines, sidecar I/O
-	// failures). Defaults to stderr.
+	// Warn reports non-fatal integrity events (quarantines and the
+	// deletes they make). Defaults to stderr.
 	Warn func(format string, args ...interface{})
 
-	verified, backfilled, quarantined, digestErrs atomic.Uint64
-	scrubScanned, scrubQuarantined                atomic.Uint64
+	verified, quarantined          atomic.Uint64
+	scrubScanned, scrubQuarantined atomic.Uint64
 }
 
 // NewVerified wraps inner with digest verification.
@@ -86,16 +98,14 @@ func NewVerified(inner Backend) *Verified {
 }
 
 // Unwrap exposes the inner backend (metrics chain walk, composition
-// checks).
+// checks, and the sweep service, which serves the sealed bytes).
 func (v *Verified) Unwrap() Backend { return v.inner }
 
 // Counters snapshots the integrity counters.
 func (v *Verified) Counters() IntegrityCounters {
 	return IntegrityCounters{
 		Verified:         v.verified.Load(),
-		Backfilled:       v.backfilled.Load(),
 		Quarantined:      v.quarantined.Load(),
-		DigestErrs:       v.digestErrs.Load(),
 		ScrubScanned:     v.scrubScanned.Load(),
 		ScrubQuarantined: v.scrubQuarantined.Load(),
 	}
@@ -109,126 +119,64 @@ func (v *Verified) warnf(format string, args ...interface{}) {
 	fmt.Fprintf(os.Stderr, "runstore: warning: "+format+"\n", args...)
 }
 
-// verdict is one Get's integrity outcome.
-type verdict int
-
-const (
-	vOK         verdict = iota // digest matched
-	vBackfilled                // no sidecar existed; one was written (TOFU)
-	vUnverified                // sidecar I/O failed; bytes served anyway
-	vQuarantined
-)
-
-// Get implements Backend: fetch, verify against the sidecar digest,
-// quarantine-and-miss on mismatch, backfill a missing sidecar.
+// Get implements Backend: fetch, check and strip the seal,
+// quarantine-and-miss on anything else.
 func (v *Verified) Get(kind, key string) ([]byte, bool, error) {
-	data, ok, err := v.inner.Get(kind, key)
-	if err != nil || !ok || derivedKind(kind) {
-		return data, ok, err
+	stored, ok, err := v.inner.Get(kind, key)
+	if err != nil || !ok {
+		return stored, ok, err
 	}
-	if v.verifyFetched(kind, key, data) == vQuarantined {
-		return nil, false, nil
-	}
-	return data, true, nil
+	payload, ok := v.verifyFetched(kind, key, stored)
+	return payload, ok, nil
 }
 
 // verifyFetched runs the verify-or-quarantine decision on bytes already
 // fetched for (kind, key), updating the counters.
-func (v *Verified) verifyFetched(kind, key string, data []byte) verdict {
-	want, haveDigest, err := v.inner.Get(DigestKind(kind), key)
-	if err != nil {
-		// The entry is fine as far as anyone can tell; only the sidecar
-		// read failed. Serve the bytes (availability) but say so.
-		v.digestErrs.Add(1)
-		v.warnf("digest sidecar for %s %s unreadable (%v); serving unverified", kind, key, err)
-		return vUnverified
-	}
-	got := Digest(data)
-	if !haveDigest {
-		// Pre-integrity entry: adopt its current bytes as the truth.
-		if err := v.inner.Put(DigestKind(kind), key, []byte(got), true); err != nil {
-			v.digestErrs.Add(1)
-			v.warnf("digest backfill for %s %s failed: %v", kind, key, err)
-			return vUnverified
-		}
-		v.backfilled.Add(1)
-		return vBackfilled
-	}
-	if got == strings.TrimSpace(string(want)) {
+func (v *Verified) verifyFetched(kind, key string, stored []byte) ([]byte, bool) {
+	if payload, ok := unseal(stored); ok {
 		v.verified.Add(1)
-		return vOK
+		return payload, true
 	}
-	v.quarantine(kind, key, data, strings.TrimSpace(string(want)), got)
-	return vQuarantined
+	v.quarantine(kind, key, stored)
+	return nil, false
 }
 
-// quarantine moves a corrupt entry aside and deletes it (and its
-// sidecar), so the next Get is a clean miss and the next Put heals.
-func (v *Verified) quarantine(kind, key string, data []byte, want, got string) {
+// quarantine moves a corrupt entry aside and deletes it, so the next
+// Get is a clean miss and the next Put heals.
+func (v *Verified) quarantine(kind, key string, stored []byte) {
 	v.quarantined.Add(1)
-	if err := v.inner.Put(QuarantineKind(kind), key, data, true); err != nil {
+	if err := v.inner.Put(QuarantineKind(kind), key, stored, true); err != nil {
 		v.warnf("quarantine copy of %s %s failed: %v", kind, key, err)
 	}
 	if err := v.inner.Delete(kind, key); err != nil {
 		v.warnf("deleting corrupt %s %s failed: %v", kind, key, err)
 	}
-	if err := v.inner.Delete(DigestKind(kind), key); err != nil {
-		v.warnf("deleting stale digest of %s %s failed: %v", kind, key, err)
-	}
-	v.warnf("quarantined corrupt %s %s (digest %s, stored bytes hash to %s); treating as a miss",
-		kind, key, short(want), short(got))
+	v.warnf("quarantined corrupt %s %s (%d bytes with a missing or mismatched seal); treating as a miss",
+		kind, key, len(stored))
 }
 
-func short(d string) string {
-	if len(d) > 12 {
-		return d[:12]
-	}
-	return d
-}
-
-// Put implements Backend: store the bytes, then their digest. A digest
-// write failure leaves the entry TOFU-backfillable, not broken.
+// Put implements Backend: the sealed bytes in one inner Put. Identical
+// payloads seal identically, so idempotence and ErrDiffers carry over.
 func (v *Verified) Put(kind, key string, data []byte, replace bool) error {
-	if err := v.inner.Put(kind, key, data, replace); err != nil {
-		return err
-	}
-	if derivedKind(kind) {
-		return nil
-	}
-	if err := v.inner.Put(DigestKind(kind), key, []byte(Digest(data)), true); err != nil {
-		v.digestErrs.Add(1)
-		v.warnf("digest write for %s %s failed: %v", kind, key, err)
-	}
-	return nil
+	return v.inner.Put(kind, key, seal(data), replace)
 }
 
-// Stat implements Backend.
+// Stat implements Backend. Sizes are stored bytes, seal included.
 func (v *Verified) Stat(kind, key string) (Info, bool, error) { return v.inner.Stat(kind, key) }
 
-// Keys implements Backend.
+// Keys implements Backend. Sizes are stored bytes, seal included.
 func (v *Verified) Keys(kind string) ([]Info, error) { return v.inner.Keys(kind) }
 
-// Delete implements Backend: the sidecar digest goes with the entry.
-func (v *Verified) Delete(kind, key string) error {
-	if err := v.inner.Delete(kind, key); err != nil {
-		return err
-	}
-	if !derivedKind(kind) {
-		if err := v.inner.Delete(DigestKind(kind), key); err != nil {
-			v.warnf("deleting digest of %s %s failed: %v", kind, key, err)
-		}
-	}
-	return nil
-}
+// Delete implements Backend.
+func (v *Verified) Delete(kind, key string) error { return v.inner.Delete(kind, key) }
 
 // ScrubKindStats is one kind's outcome from a Scrub pass.
 type ScrubKindStats struct {
 	Scanned     int   // entries examined
-	OK          int   // digest matched
-	Backfilled  int   // sidecar was missing; written from current bytes
-	Quarantined int   // digest mismatched; entry moved aside
-	Errors      int   // entries whose bytes or sidecar could not be read
-	Bytes       int64 // total bytes of scanned entries
+	OK          int   // seal matched
+	Quarantined int   // seal missing or mismatched; entry moved aside
+	Errors      int   // entries whose bytes could not be read
+	Bytes       int64 // total stored bytes of scanned entries
 }
 
 // ScrubStats aggregates a Scrub pass per kind.
@@ -244,9 +192,6 @@ type ScrubStats struct {
 func (v *Verified) Scrub(kinds ...string) (ScrubStats, error) {
 	st := ScrubStats{Kinds: map[string]ScrubKindStats{}}
 	for _, kind := range kinds {
-		if derivedKind(kind) {
-			continue
-		}
 		ks := ScrubKindStats{}
 		infos, err := v.inner.Keys(kind)
 		if err != nil {
@@ -255,7 +200,7 @@ func (v *Verified) Scrub(kinds ...string) (ScrubStats, error) {
 		for _, info := range infos {
 			ks.Scanned++
 			v.scrubScanned.Add(1)
-			data, ok, err := v.inner.Get(kind, info.Key)
+			stored, ok, err := v.inner.Get(kind, info.Key)
 			if err != nil {
 				ks.Errors++
 				v.warnf("scrub: unreadable %s %s: %v", kind, info.Key, err)
@@ -264,15 +209,10 @@ func (v *Verified) Scrub(kinds ...string) (ScrubStats, error) {
 			if !ok {
 				continue // raced with a concurrent delete
 			}
-			ks.Bytes += int64(len(data))
-			switch v.verifyFetched(kind, info.Key, data) {
-			case vOK:
+			ks.Bytes += int64(len(stored))
+			if _, ok := v.verifyFetched(kind, info.Key, stored); ok {
 				ks.OK++
-			case vBackfilled:
-				ks.Backfilled++
-			case vUnverified:
-				ks.Errors++
-			case vQuarantined:
+			} else {
 				ks.Quarantined++
 				v.scrubQuarantined.Add(1)
 			}

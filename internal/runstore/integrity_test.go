@@ -1,9 +1,8 @@
 package runstore
 
-// Tests for the end-to-end integrity layer: digest verification on Get,
-// quarantine-and-miss on corruption, TOFU backfill for pre-integrity
-// entries, the Scrub pass, and the HTTP protocol's wire-level digest
-// checks, body cap and bounded retries.
+// Tests for the end-to-end integrity layer: sealed entries verified on
+// Get, quarantine-and-miss on corruption, the Scrub pass, and the HTTP
+// protocol's wire-level digest checks, body cap and bounded retries.
 
 import (
 	"bytes"
@@ -39,9 +38,15 @@ func TestVerifiedQuarantine(t *testing.T) {
 	if got, ok, err := v.Get(KindResults, key); err != nil || !ok || !bytes.Equal(got, good) {
 		t.Fatalf("clean roundtrip: %q ok=%v err=%v", got, ok, err)
 	}
+	// The entry is stored sealed: digest header, then the payload.
+	if stored, _, _ := inner.Get(KindResults, key); !bytes.Equal(stored, append([]byte("sha256:"+Digest(good)+"\n"), good...)) {
+		t.Fatalf("stored bytes not sealed: %q", stored)
+	}
 
-	// Rot the bytes behind the layer's back (bit flip on disk).
-	bad := []byte(`{"cycles":43}`)
+	// Rot the payload behind the layer's back (the seal no longer matches).
+	stored, _, _ := inner.Get(KindResults, key)
+	bad := append([]byte{}, stored...)
+	bad[len(bad)-2] ^= 1
 	if err := inner.Put(KindResults, key, bad, true); err != nil {
 		t.Fatal(err)
 	}
@@ -56,16 +61,13 @@ func TestVerifiedQuarantine(t *testing.T) {
 		t.Fatalf("quarantined counter = %d, want 1", c.Quarantined)
 	}
 
-	// The debris is preserved for forensics, the entry and its digest
-	// are gone, and a repeat Get is a clean (uncounted) miss.
+	// The debris is preserved for forensics, the entry is gone, and a
+	// repeat Get is a clean (uncounted) miss.
 	if q, ok, _ := inner.Get(QuarantineKind(KindResults), key); !ok || !bytes.Equal(q, bad) {
 		t.Fatalf("quarantine copy wrong: %q ok=%v", q, ok)
 	}
 	if _, ok, _ := inner.Get(KindResults, key); ok {
 		t.Fatal("corrupt entry not deleted")
-	}
-	if _, ok, _ := inner.Get(DigestKind(KindResults), key); ok {
-		t.Fatal("stale digest not deleted")
 	}
 	if _, ok, _ := v.Get(KindResults, key); ok {
 		t.Fatal("quarantined entry resurrected")
@@ -80,40 +82,104 @@ func TestVerifiedQuarantine(t *testing.T) {
 	}
 }
 
-// TestVerifiedBackfill: entries written before the integrity layer have
-// no sidecar; the first read adopts their bytes (TOFU) and writes one,
-// so every later read verifies.
-func TestVerifiedBackfill(t *testing.T) {
-	inner, err := NewDir(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
+// TestVerifiedDamageTable: every way stored bytes can fail their seal —
+// never sealed at all, a header cut short, one payload bit flipped — is
+// quarantined and missed, never served.
+func TestVerifiedDamageTable(t *testing.T) {
+	payload := []byte(`{"cycles":7,"pad":"0123456789"}`)
+	sealed := seal(payload)
+	cases := []struct {
+		name   string
+		stored []byte
+	}{
+		{"unsealed", payload},
+		{"truncated-header", sealed[:sealLen-9]},
+		{"flipped-payload-bit", func() []byte {
+			b := append([]byte{}, sealed...)
+			b[sealLen+3] ^= 0x04
+			return b
+		}()},
 	}
-	key := "beef02"
-	legacy := []byte("pre-integrity bytes")
-	if err := inner.Put(KindResults, key, legacy, false); err != nil {
-		t.Fatal(err)
-	}
-	v := NewVerified(inner)
-	quietWarn(v)
-	if got, ok, err := v.Get(KindResults, key); err != nil || !ok || !bytes.Equal(got, legacy) {
-		t.Fatalf("legacy entry not served: %q ok=%v err=%v", got, ok, err)
-	}
-	if c := v.Counters(); c.Backfilled != 1 {
-		t.Fatalf("backfilled = %d, want 1", c.Backfilled)
-	}
-	if d, ok, _ := inner.Get(DigestKind(KindResults), key); !ok || string(d) != Digest(legacy) {
-		t.Fatalf("sidecar not backfilled: %q ok=%v", d, ok)
-	}
-	if _, ok, _ := v.Get(KindResults, key); !ok {
-		t.Fatal("entry lost after backfill")
-	}
-	if c := v.Counters(); c.Verified != 1 || c.Backfilled != 1 {
-		t.Fatalf("second read not verified: %+v", c)
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			inner, err := NewDir(t.TempDir())
+			if err != nil {
+				t.Fatal(err)
+			}
+			v := NewVerified(inner)
+			quietWarn(v)
+			if err := inner.Put(KindResults, "dmg0", tc.stored, false); err != nil {
+				t.Fatal(err)
+			}
+			if got, ok, err := v.Get(KindResults, "dmg0"); ok || err != nil {
+				t.Fatalf("damaged entry served: %q ok=%v err=%v", got, ok, err)
+			}
+			if c := v.Counters(); c.Quarantined != 1 || c.Verified != 0 {
+				t.Fatalf("counters %+v, want one quarantine", c)
+			}
+			if q, ok, _ := inner.Get(QuarantineKind(KindResults), "dmg0"); !ok || !bytes.Equal(q, tc.stored) {
+				t.Fatalf("quarantine copy wrong: %q ok=%v", q, ok)
+			}
+			if _, ok, _ := inner.Get(KindResults, "dmg0"); ok {
+				t.Fatal("damaged entry not deleted")
+			}
+		})
 	}
 }
 
-// TestVerifiedScrub: one pass classifies every entry — verified,
-// backfilled, or quarantined — with per-kind stats.
+// reentrantDir is a Dir whose every results Put reads the same key back
+// through the outer integrity layer before returning: a reader landing
+// right after the write, as a concurrent sweep's resume lookup can.
+type reentrantDir struct {
+	*Dir
+	outer *Verified
+	seen  [][]byte // what each reentrant read served (nil = a miss)
+}
+
+func (d *reentrantDir) Put(kind, key string, data []byte, replace bool) error {
+	if err := d.Dir.Put(kind, key, data, replace); err != nil {
+		return err
+	}
+	if kind == KindResults {
+		got, _, _ := d.outer.Get(kind, key)
+		d.seen = append(d.seen, got)
+	}
+	return nil
+}
+
+// TestVerifiedReaderDuringReplace: a reader that lands just after a
+// replacing Put's write sees the new bytes verified. An entry and its
+// digest are one write, so there is no moment where B's bytes sit next
+// to A's digest, and nothing is quarantined.
+func TestVerifiedReaderDuringReplace(t *testing.T) {
+	d, err := NewDir(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	rd := &reentrantDir{Dir: d}
+	v := NewVerified(rd)
+	rd.outer = v
+	quietWarn(v)
+	a, b := []byte("result A"), []byte("result B")
+	if err := v.Put(KindResults, "swap0", a, false); err != nil {
+		t.Fatal(err)
+	}
+	if err := v.Put(KindResults, "swap0", b, true); err != nil {
+		t.Fatal(err)
+	}
+	if len(rd.seen) < 2 || !bytes.Equal(rd.seen[len(rd.seen)-1], b) {
+		t.Fatalf("reader during the replace saw %q, want %q", rd.seen, b)
+	}
+	if got, ok, _ := v.Get(KindResults, "swap0"); !ok || !bytes.Equal(got, b) {
+		t.Fatalf("after the replace: %q ok=%v, want %q", got, ok, b)
+	}
+	if c := v.Counters(); c.Quarantined != 0 {
+		t.Fatalf("a clean replace quarantined %d entries", c.Quarantined)
+	}
+}
+
+// TestVerifiedScrub: one pass classifies every entry — verified or
+// quarantined — with per-kind stats.
 func TestVerifiedScrub(t *testing.T) {
 	inner, err := NewDir(t.TempDir())
 	if err != nil {
@@ -121,17 +187,17 @@ func TestVerifiedScrub(t *testing.T) {
 	}
 	v := NewVerified(inner)
 	quietWarn(v)
-	// ok1, ok2: written through the layer (digests present).
+	// ok1, ok2: written through the layer (sealed).
 	for _, k := range []string{"ok1", "ok2"} {
 		if err := v.Put(KindResults, k, []byte("good-"+k), false); err != nil {
 			t.Fatal(err)
 		}
 	}
-	// legacy3: no sidecar.
-	if err := inner.Put(KindResults, "legacy3", []byte("old"), false); err != nil {
+	// raw3: written around the layer, so never sealed.
+	if err := inner.Put(KindResults, "raw3", []byte("old"), false); err != nil {
 		t.Fatal(err)
 	}
-	// rot4: sidecar disagrees with the bytes.
+	// rot4: sealed, then overwritten with other bytes.
 	if err := v.Put(KindResults, "rot4", []byte("original"), false); err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +214,7 @@ func TestVerifiedScrub(t *testing.T) {
 		t.Fatal(err)
 	}
 	rs := st.Kinds[KindResults]
-	if rs.Scanned != 4 || rs.OK != 2 || rs.Backfilled != 1 || rs.Quarantined != 1 || rs.Errors != 0 {
+	if rs.Scanned != 4 || rs.OK != 2 || rs.Quarantined != 2 || rs.Errors != 0 {
 		t.Fatalf("results scrub stats: %+v", rs)
 	}
 	if rs.Bytes <= 0 {
@@ -158,14 +224,16 @@ func TestVerifiedScrub(t *testing.T) {
 	if cs.Scanned != 1 || cs.OK != 1 {
 		t.Fatalf("blobs scrub stats: %+v", cs)
 	}
-	if c := v.Counters(); c.ScrubScanned != 5 || c.ScrubQuarantined != 1 {
+	if c := v.Counters(); c.ScrubScanned != 5 || c.ScrubQuarantined != 2 {
 		t.Fatalf("scrub counters: %+v", c)
 	}
-	// The rot is gone; the rest survived.
-	if _, ok, _ := v.Get(KindResults, "rot4"); ok {
-		t.Fatal("scrub left the corrupt entry readable")
+	// The damage is gone; the rest survived.
+	for _, k := range []string{"raw3", "rot4"} {
+		if _, ok, _ := v.Get(KindResults, k); ok {
+			t.Fatalf("scrub left damaged entry %s readable", k)
+		}
 	}
-	for _, k := range []string{"ok1", "ok2", "legacy3"} {
+	for _, k := range []string{"ok1", "ok2"} {
 		if _, ok, _ := v.Get(KindResults, k); !ok {
 			t.Fatalf("scrub damaged healthy entry %s", k)
 		}
@@ -350,7 +418,7 @@ func TestVerifiedOverHTTPQuarantine(t *testing.T) {
 	}
 	// Corrupt on the server's disk; the server's GET digest header now
 	// matches the corrupt bytes (it hashes what it serves), so only the
-	// sidecar comparison can catch it.
+	// seal can catch it.
 	if err := inner.Put(KindResults, key, []byte("lies!"), true); err != nil {
 		t.Fatal(err)
 	}

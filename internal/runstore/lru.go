@@ -42,14 +42,7 @@ func NewLRU(inner Backend, maxBytes int64) *LRU {
 
 func cacheKey(kind, key string) string { return kind + "/" + key }
 
-// Stats returns the Get hit/miss counters.
-func (l *LRU) Stats() (hits, misses uint64) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.hits, l.misses
-}
-
-// Counters returns all three cache counters. The telemetry layer
+// Counters returns the cache counters. The telemetry layer
 // exports these func-backed (read at scrape time), so the Get/Put hot
 // paths are identical with telemetry on or off.
 func (l *LRU) Counters() (hits, misses, evictions uint64) {

@@ -30,9 +30,7 @@ const (
 	metricCacheBytes = "runstore_cache_bytes"
 
 	metricIntegrityVerified    = "runstore_integrity_verified_total"
-	metricIntegrityBackfills   = "runstore_integrity_backfills_total"
 	metricIntegrityQuarantines = "runstore_integrity_quarantines_total"
-	metricIntegrityErrors      = "runstore_integrity_digest_errors_total"
 	metricScrubScanned         = "runstore_scrub_scanned_total"
 	metricScrubQuarantined     = "runstore_scrub_quarantined_total"
 )
@@ -103,14 +101,10 @@ func (m *Metrics) Instrument(b Backend, kind string) Backend {
 // exportVerified publishes a Verified wrapper's integrity and scrub
 // counters, read at scrape time (the verify path is untouched).
 func (m *Metrics) exportVerified(v *Verified, kind string) {
-	m.reg.CounterFunc(metricIntegrityVerified, "gets whose bytes matched their sidecar digest",
+	m.reg.CounterFunc(metricIntegrityVerified, "gets whose seal matched their bytes",
 		func() uint64 { return v.Counters().Verified }, "backend", kind)
-	m.reg.CounterFunc(metricIntegrityBackfills, "digest sidecars backfilled on first read (TOFU)",
-		func() uint64 { return v.Counters().Backfilled }, "backend", kind)
 	m.reg.CounterFunc(metricIntegrityQuarantines, "corrupt entries quarantined and missed",
 		func() uint64 { return v.Counters().Quarantined }, "backend", kind)
-	m.reg.CounterFunc(metricIntegrityErrors, "sidecar reads/writes that failed (entry served unverified)",
-		func() uint64 { return v.Counters().DigestErrs }, "backend", kind)
 	m.reg.CounterFunc(metricScrubScanned, "entries examined by scrub passes",
 		func() uint64 { return v.Counters().ScrubScanned }, "backend", kind)
 	m.reg.CounterFunc(metricScrubQuarantined, "corrupt entries quarantined by scrub passes",

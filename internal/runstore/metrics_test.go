@@ -87,7 +87,7 @@ func TestInstrumentedOps(t *testing.T) {
 }
 
 // TestLRUCountersExported: hit/miss/eviction counters flow to /metrics
-// func-backed, reading the same counters Stats always returned.
+// func-backed, reading the same counters Counters returns.
 func TestLRUCountersExported(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	m := NewMetrics(reg)

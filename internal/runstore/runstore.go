@@ -17,8 +17,8 @@
 //   - Concurrent same-key writers settle on one winner: the entry
 //     afterwards holds one writer's bytes intact.
 //
-// Three implementations exist: Dir (the original local directory
-// layout), LRU (an in-memory tier wrapping any backend), and Client (an
+// Three implementations exist: Dir (a local directory), LRU (an
+// in-memory tier wrapping any backend), and Client (an
 // HTTP blob client speaking the small GET/PUT/HEAD protocol served by
 // NewServer). The conformance suite in conformance_test.go runs every
 // one of them against the same contract.
@@ -34,9 +34,8 @@ import (
 	"time"
 )
 
-// KindResults is the one artifact kind the tinydir store writes, and the
-// one kind with a fixed on-disk extension. Backends accept any path-safe
-// kind name.
+// KindResults is the one artifact kind the tinydir store writes.
+// Backends accept any path-safe kind name.
 const KindResults = "results"
 
 // KindCheckpoints names the kind the store once used for warmup
@@ -107,18 +106,10 @@ func checkNames(kind, key string) error {
 	return nil
 }
 
-// ext preserves the original store's on-disk layout: results/<key>.json.
-// Other kinds use a neutral extension.
-func ext(kind string) string {
-	if kind == KindResults {
-		return ".json"
-	}
-	return ".dat"
-}
-
-// Dir is the local directory backend: root/<kind>/<key><ext>. Writes go
+// Dir is the local directory backend: root/<kind>/<key>. Writes go
 // through a temp file + rename, so a killed process never leaves a
-// truncated entry behind (the pre-Backend store's discipline, verbatim).
+// truncated entry behind. Temp names contain a '.', which ValidName
+// rejects, so listings never see them.
 type Dir struct {
 	root string
 }
@@ -135,7 +126,7 @@ func NewDir(root string) (*Dir, error) {
 func (d *Dir) Root() string { return d.root }
 
 func (d *Dir) path(kind, key string) string {
-	return filepath.Join(d.root, kind, key+ext(kind))
+	return filepath.Join(d.root, kind, key)
 }
 
 // Get implements Backend.
@@ -200,16 +191,11 @@ func (d *Dir) Keys(kind string) ([]Info, error) {
 	if err != nil {
 		return nil, fmt.Errorf("runstore: %w", err)
 	}
-	suffix := ext(kind)
 	var infos []Info
 	for _, e := range entries {
-		name := e.Name()
-		if e.IsDir() || len(name) <= len(suffix) || name[len(name)-len(suffix):] != suffix {
+		key := e.Name()
+		if e.IsDir() || !ValidName(key) {
 			continue // temp files, foreign debris
-		}
-		key := name[:len(name)-len(suffix)]
-		if !ValidName(key) {
-			continue
 		}
 		fi, err := e.Info()
 		if err != nil {

@@ -425,11 +425,10 @@ func (c *Coordinator) claim(worker string, rep *WorkerReport) (u Unit, ttl time.
 	return Unit{}, 0, c.epoch, false, false
 }
 
-// fencedLocked reports whether a request stamped with epoch belongs to a
-// previous incarnation. Epoch 0 (a worker predating the protocol field)
-// is never fenced. Callers hold mu.
+// fencedLocked reports whether a request stamped with epoch belongs to
+// another incarnation (any epoch but the current one). Callers hold mu.
 func (c *Coordinator) fencedLocked(epoch uint64) bool {
-	if epoch == 0 || epoch == c.epoch {
+	if epoch == c.epoch {
 		return false
 	}
 	c.tel.epochFences.Inc()
@@ -641,9 +640,8 @@ func (c *Coordinator) Status() Status {
 
 type claimRequest struct {
 	Worker string
-	// Report is an optional self-telemetry push; absent from old
-	// workers' requests (omitempty both ways keeps the wire compatible).
-	Report *WorkerReport `json:",omitempty"`
+	// Report is the worker's self-telemetry push (nil when it has none).
+	Report *WorkerReport
 }
 
 type claimResponse struct {
@@ -651,15 +649,14 @@ type claimResponse struct {
 	Payload []byte
 	LeaseMs int64
 	// Epoch is the incarnation the lease was granted under; the worker
-	// echoes it on this unit's heartbeat/done requests. Zero from an old
-	// coordinator (and zero echoes are never fenced).
-	Epoch uint64 `json:",omitempty"`
+	// echoes it on this unit's heartbeat/done requests.
+	Epoch uint64
 }
 
 type heartbeatRequest struct {
 	Worker, Key string
-	Epoch       uint64        `json:",omitempty"`
-	Report      *WorkerReport `json:",omitempty"`
+	Epoch       uint64
+	Report      *WorkerReport
 }
 
 type heartbeatResponse struct {
@@ -668,7 +665,7 @@ type heartbeatResponse struct {
 
 type doneRequest struct {
 	Worker, Key string
-	Epoch       uint64 `json:",omitempty"`
+	Epoch       uint64
 	Result      []byte
 	Err         string
 }

@@ -207,7 +207,7 @@ func TestTornTailTruncation(t *testing.T) {
 		if claimed != "fresh" {
 			t.Fatalf("cut=%d: fresh unit never claimable (last %q)", cut, claimed)
 		}
-		if err := c2.complete("w", "fresh", 0, []byte("rf"), ""); err != nil {
+		if err := c2.complete("w", "fresh", c2.Epoch(), []byte("rf"), ""); err != nil {
 			t.Fatalf("cut=%d: %v", cut, err)
 		}
 		c2.Close()
@@ -347,8 +347,8 @@ func TestCorruptSnapshotDegrades(t *testing.T) {
 }
 
 // TestEpochFencing: a restarted coordinator answers its predecessor's
-// lease traffic with 412 (heartbeat and completion), while zero-epoch
-// (legacy) and current-epoch requests pass.
+// lease traffic with 412 (heartbeat and completion), current-epoch
+// requests pass, and epoch 0 is fenced like any other stale epoch.
 func TestEpochFencing(t *testing.T) {
 	dir := t.TempDir()
 	c1 := recover1(t, dir)
@@ -408,11 +408,10 @@ func TestEpochFencing(t *testing.T) {
 	if r := <-ch2; r.err != nil || string(r.b) != "r2" {
 		t.Fatalf("fenced unit outcome: %q, %v", r.b, r.err)
 	}
-	// Legacy zero-epoch traffic is never fenced: for a done unit the
-	// heartbeat answers "lease gone" (410), not 412.
-	resp, _ = post("/heartbeat", heartbeatRequest{Worker: "legacy", Key: "fenced0"})
-	if resp.StatusCode != http.StatusGone {
-		t.Fatalf("legacy heartbeat: status %d, want 410", resp.StatusCode)
+	// Epoch 0 names no incarnation: fenced (412), never "lease gone".
+	resp, _ = post("/heartbeat", heartbeatRequest{Worker: "zero", Key: "fenced0"})
+	if resp.StatusCode != http.StatusPreconditionFailed {
+		t.Fatalf("epoch-0 heartbeat: status %d, want 412", resp.StatusCode)
 	}
 }
 

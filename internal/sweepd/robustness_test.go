@@ -48,11 +48,11 @@ func TestLeaseExpiryCompletionRace(t *testing.T) {
 	if st := c.Status(); st.Leased != 1 {
 		t.Fatalf("lease expired at its own expiry instant: %+v", st)
 	}
-	if _, ok, _ := c.heartbeat("w", "race0", 0, nil); !ok {
+	if _, ok, _ := c.heartbeat("w", "race0", c.Epoch(), nil); !ok {
 		t.Fatal("heartbeat refused at the expiry instant the expiry scan honors")
 	}
 	cur = cur.Add(c.LeaseTTL) // the heartbeat re-extended; land on the boundary again
-	if err := c.complete("w", "race0", 0, []byte("r0"), ""); err != nil {
+	if err := c.complete("w", "race0", c.Epoch(), []byte("r0"), ""); err != nil {
 		t.Fatal(err)
 	}
 	if r := <-ch; r.err != nil || string(r.b) != "r0" {
@@ -67,7 +67,7 @@ func TestLeaseExpiryCompletionRace(t *testing.T) {
 	ch = submitWait(t, c, Unit{Key: "race1", Payload: nil})
 	mustClaim("race1")
 	cur = cur.Add(c.LeaseTTL + time.Nanosecond)
-	if err := c.complete("w", "race1", 0, []byte("r1"), ""); err != nil {
+	if err := c.complete("w", "race1", c.Epoch(), []byte("r1"), ""); err != nil {
 		t.Fatal(err)
 	}
 	<-ch
@@ -90,7 +90,7 @@ func TestLeaseExpiryCompletionRace(t *testing.T) {
 	if n := expiries(); n != 1 {
 		t.Fatalf("expiries after scan = %d, want 1", n)
 	}
-	if err := c.complete("w", "race2", 0, []byte("r2"), ""); err != nil {
+	if err := c.complete("w", "race2", c.Epoch(), []byte("r2"), ""); err != nil {
 		t.Fatal(err)
 	}
 	if r := <-ch; r.err != nil || string(r.b) != "r2" {

@@ -188,20 +188,20 @@ func TestDuplicateCompletion(t *testing.T) {
 		resp.Body.Close()
 		return resp.StatusCode
 	}
-	claimOne(t, srv.URL, "w1")
+	ep := claimOne(t, srv.URL, "w1").Epoch
 
-	if code := post(doneRequest{Worker: "w1", Key: "dup0", Result: []byte("r")}); code != http.StatusNoContent {
+	if code := post(doneRequest{Worker: "w1", Key: "dup0", Epoch: ep, Result: []byte("r")}); code != http.StatusNoContent {
 		t.Fatalf("first completion: %d", code)
 	}
 	if r := <-done; r.err != nil || string(r.b) != "r" {
 		t.Fatalf("Do outcome: %q err=%v", r.b, r.err)
 	}
 	// Identical duplicate (the expired-lease worker finishing late).
-	if code := post(doneRequest{Worker: "w2", Key: "dup0", Result: []byte("r")}); code != http.StatusNoContent {
+	if code := post(doneRequest{Worker: "w2", Key: "dup0", Epoch: ep, Result: []byte("r")}); code != http.StatusNoContent {
 		t.Fatalf("identical duplicate not acknowledged: %d", code)
 	}
 	// Differing duplicate: nondeterminism, refused loudly.
-	if code := post(doneRequest{Worker: "w3", Key: "dup0", Result: []byte("DIFFERENT")}); code != http.StatusConflict {
+	if code := post(doneRequest{Worker: "w3", Key: "dup0", Epoch: ep, Result: []byte("DIFFERENT")}); code != http.StatusConflict {
 		t.Fatalf("differing duplicate not refused: %d", code)
 	}
 }

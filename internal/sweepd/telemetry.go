@@ -192,8 +192,8 @@ type WorkerReport struct {
 	ExecMeanMs  float64
 	ExecP95Ms   float64
 	ReportP95Ms float64
-	StoreHits   uint64 `json:",omitempty"`
-	StoreMisses uint64 `json:",omitempty"`
+	StoreHits   uint64
+	StoreMisses uint64
 }
 
 // WorkerTelemetry instruments one Worker: claim round-trip, unit

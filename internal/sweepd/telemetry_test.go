@@ -50,18 +50,18 @@ func TestCoordinatorMetrics(t *testing.T) {
 		t.Fatal("claim k1")
 	}
 	clk.Advance(200 * time.Millisecond)
-	if _, ok, _ := c.heartbeat("w1", "k1", 0, nil); !ok {
+	if _, ok, _ := c.heartbeat("w1", "k1", c.Epoch(), nil); !ok {
 		t.Fatal("heartbeat k1")
 	}
 	clk.Advance(300 * time.Millisecond)
-	if err := c.complete("w1", "k1", 0, []byte("r1"), ""); err != nil {
+	if err := c.complete("w1", "k1", c.Epoch(), []byte("r1"), ""); err != nil {
 		t.Fatal(err)
 	}
 	// Duplicate identical, then conflicting.
-	if err := c.complete("w2", "k1", 0, []byte("r1"), ""); err != nil {
+	if err := c.complete("w2", "k1", c.Epoch(), []byte("r1"), ""); err != nil {
 		t.Fatal("identical duplicate refused:", err)
 	}
-	if err := c.complete("w2", "k1", 0, []byte("DIFFERENT"), ""); err == nil {
+	if err := c.complete("w2", "k1", c.Epoch(), []byte("DIFFERENT"), ""); err == nil {
 		t.Fatal("conflicting duplicate accepted")
 	}
 	// k2: claimed by w2, lease lapses twice -> terminal failure (MaxExpiries=2).
@@ -142,7 +142,7 @@ func TestStragglerAndStaleDetection(t *testing.T) {
 				t.Fatalf("%s claim %s", worker, key)
 			}
 			clk.Advance(wall)
-			if err := c.complete(worker, key, 0, []byte("r"), ""); err != nil {
+			if err := c.complete(worker, key, c.Epoch(), []byte("r"), ""); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -185,7 +185,7 @@ func TestStragglerNeedsAFleet(t *testing.T) {
 	enqueue(c, "k")
 	c.claim("only", nil)
 	clk.Advance(10 * time.Second)
-	c.complete("only", "k", 0, []byte("r"), "")
+	c.complete("only", "k", c.Epoch(), []byte("r"), "")
 	if st := c.Status(); st.Stragglers != 0 || st.Workers[0].Straggler {
 		t.Fatalf("lone worker flagged: %+v", st.Workers)
 	}
@@ -344,7 +344,7 @@ func TestCoordinatorOffAllocSteadyState(t *testing.T) {
 	enqueue(c, "k")
 	c.claim("w", nil)
 	allocs := testing.AllocsPerRun(500, func() {
-		if _, ok, _ := c.heartbeat("w", "k", 0, nil); !ok {
+		if _, ok, _ := c.heartbeat("w", "k", c.Epoch(), nil); !ok {
 			t.Fatal("lease lost")
 		}
 	})
@@ -377,6 +377,6 @@ func benchClaimComplete(b *testing.B, withMetrics bool) {
 		key := fmt.Sprintf("k%d", i)
 		enqueue(c, key)
 		c.claim("w", nil)
-		c.complete("w", key, 0, nil, "")
+		c.complete("w", key, c.Epoch(), nil, "")
 	}
 }

@@ -288,7 +288,7 @@ func (w *Worker) claim(ctx context.Context) (cl claimResponse, status int, err e
 	if w.Tel != nil {
 		observeUS(w.Tel.claim, time.Since(start))
 	}
-	if status == http.StatusOK && cl.Epoch != 0 && cl.Epoch != w.epoch {
+	if status == http.StatusOK && cl.Epoch != w.epoch {
 		if w.epoch != 0 {
 			w.logf("worker %s: coordinator epoch %d -> %d (restart observed)", w.Name, w.epoch, cl.Epoch)
 			w.Logger.Info("coordinator epoch bump observed",

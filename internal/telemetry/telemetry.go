@@ -6,10 +6,9 @@
 // The in-sim observability layer (internal/obs, DESIGN.md §9) answers
 // "what did this simulation do, cycle by cycle"; telemetry answers
 // "what is this *service* doing, op by op" — store latencies, queue
-// depths, worker health. The two share the bucketing discipline: a
-// histogram here is the same 65-bucket log2 layout as obs.Hist, so
-// quantiles are exact functions of the counts (deterministic,
-// merge-friendly) rather than estimates.
+// depths, worker health. The two share one histogram: a Hist here is an
+// obs.Hist behind a mutex, so quantiles are exact functions of the
+// counts (deterministic, merge-friendly) rather than estimates.
 //
 // Everything is nil-safe in the PR 4 recorder style: every method on a
 // nil *Counter, *Gauge, *Hist or *Registry is a no-op behind one
@@ -27,16 +26,16 @@
 package telemetry
 
 import (
-	"expvar"
 	"fmt"
 	"io"
 	"math"
-	"math/bits"
 	"net/http"
 	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
+
+	"tinydir/internal/obs"
 )
 
 // Kind is a metric family's type as exposed in the # TYPE line.
@@ -113,20 +112,14 @@ func (g *Gauge) Value() float64 {
 	return math.Float64frombits(g.bits.Load())
 }
 
-// histBuckets mirrors obs.Hist: value v lands in bucket bits.Len64(v),
-// so bucket 0 holds only 0 and bucket i>0 holds [2^(i-1), 2^i-1].
-const histBuckets = 65
-
-// Hist is a concurrency-safe log2-bucketed histogram (the obs.Hist
-// layout behind a mutex — service-layer ops are microseconds apart, not
-// nanoseconds, so a lock is the simple correct choice). A nil Hist
-// ignores all observations.
+// Hist is a concurrency-safe log2-bucketed histogram: an obs.Hist (the
+// simulator's own histogram, so /metrics and epoch CSVs quantize
+// identically) behind a mutex — service-layer ops are microseconds
+// apart, not nanoseconds, so a lock is the simple correct choice. A nil
+// Hist ignores all observations.
 type Hist struct {
-	mu      sync.Mutex
-	buckets [histBuckets]uint64
-	count   uint64
-	sum     uint64
-	max     uint64
+	mu sync.Mutex
+	h  obs.Hist
 }
 
 // Observe adds one value.
@@ -135,67 +128,16 @@ func (h *Hist) Observe(v uint64) {
 		return
 	}
 	h.mu.Lock()
-	h.buckets[bits.Len64(v)]++
-	h.count++
-	h.sum += v
-	if v > h.max {
-		h.max = v
-	}
+	h.h.Observe(v)
 	h.mu.Unlock()
 }
 
 // HistSnapshot is a consistent copy of a histogram with its derived
-// quantiles (bucket upper bounds, exactly as obs.Hist derives them).
+// quantiles (obs.Hist.Quantile: bucket upper bounds clamped to the
+// exact max).
 type HistSnapshot struct {
-	Count, Sum, Max uint64
-	P50, P95, P99   uint64
-	Buckets         [histBuckets]uint64
-}
-
-// Mean returns the exact arithmetic mean, or 0 when empty.
-func (s HistSnapshot) Mean() float64 {
-	if s.Count == 0 {
-		return 0
-	}
-	return float64(s.Sum) / float64(s.Count)
-}
-
-func bucketHigh(i int) uint64 {
-	if i == 0 {
-		return 0
-	}
-	return 1<<uint(i) - 1
-}
-
-// quantile is obs.Hist.Quantile over a snapshot: the upper bound of the
-// bucket holding the ⌈q·count⌉-th sample, clamped to the exact max.
-func (s *HistSnapshot) quantile(q float64) uint64 {
-	if s.Count == 0 {
-		return 0
-	}
-	rank := uint64(math.Ceil(q * float64(s.Count) * (1 - 1e-12)))
-	if rank < 1 {
-		rank = 1
-	}
-	if rank > s.Count {
-		rank = s.Count
-	}
-	var cum uint64
-	last := 0
-	for i := 0; i < histBuckets; i++ {
-		if s.Buckets[i] == 0 {
-			continue
-		}
-		last = i
-		cum += s.Buckets[i]
-		if cum >= rank {
-			break
-		}
-	}
-	if bucketHigh(last) > s.Max {
-		return s.Max
-	}
-	return bucketHigh(last)
+	obs.Hist
+	P50, P95, P99 uint64
 }
 
 // Snapshot returns a consistent copy with quantiles filled in. Safe on
@@ -206,12 +148,11 @@ func (h *Hist) Snapshot() HistSnapshot {
 		return s
 	}
 	h.mu.Lock()
-	s.Count, s.Sum, s.Max = h.count, h.sum, h.max
-	s.Buckets = h.buckets
+	s.Hist = h.h
 	h.mu.Unlock()
-	s.P50 = s.quantile(0.50)
-	s.P95 = s.quantile(0.95)
-	s.P99 = s.quantile(0.99)
+	s.P50 = s.Quantile(0.50)
+	s.P95 = s.Quantile(0.95)
+	s.P99 = s.Quantile(0.99)
 	return s
 }
 
@@ -239,12 +180,11 @@ type family struct {
 type Registry struct {
 	mu       sync.Mutex
 	families map[string]*family
-	expvars  map[string]bool // names already re-hosted on expvar
 }
 
 // NewRegistry creates an empty registry.
 func NewRegistry() *Registry {
-	return &Registry{families: map[string]*family{}, expvars: map[string]bool{}}
+	return &Registry{families: map[string]*family{}}
 }
 
 // labelSig renders alternating label pairs into the exposition
@@ -346,25 +286,6 @@ func (r *Registry) Hist(name, help string, labels ...string) *Hist {
 	return r.lookup(name, help, KindHistogram, labels).hist
 }
 
-// PublishExpvar re-hosts a JSON snapshot publication (the `sweep`
-// expvar the monitor has always served) on the registry, so the
-// process-global expvar map and /metrics are fed from one source of
-// truth and the registration cannot double-publish (expvar.Publish
-// panics on duplicates; re-attaching after a suite restart must not).
-func (r *Registry) PublishExpvar(name string, fn func() interface{}) {
-	if r == nil {
-		expvar.Publish(name, expvar.Func(fn))
-		return
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.expvars[name] {
-		return
-	}
-	r.expvars[name] = true
-	expvar.Publish(name, expvar.Func(fn))
-}
-
 // SeriesSnapshot is one series' state in a Registry snapshot: counters
 // and gauges carry Value, histograms carry Hist.
 type SeriesSnapshot struct {
@@ -462,12 +383,12 @@ func writePromSeries(w io.Writer, f *family, s *series) error {
 	}
 	h := s.hist.Snapshot()
 	var cum uint64
-	for i := 0; i < histBuckets; i++ {
-		if h.Buckets[i] == 0 {
+	for i, n := range h.Buckets {
+		if n == 0 {
 			continue
 		}
-		cum += h.Buckets[i]
-		if _, err := fmt.Fprintf(w, "%s_bucket%s %d\n", f.name, histSig(s.sig, fmt.Sprintf("%d", bucketHigh(i))), cum); err != nil {
+		cum += n
+		if _, err := fmt.Fprintf(w, "%s_bucket%s %d\n", f.name, histSig(s.sig, fmt.Sprintf("%d", obs.BucketHigh(i))), cum); err != nil {
 			return err
 		}
 	}

@@ -152,8 +152,8 @@ type ActiveRun struct {
 	IPC float64
 }
 
-// SweepStatus is the monitor's view of a sweep, published by
-// `experiments -http` as the expvar "sweep".
+// SweepStatus is the monitor's view of a sweep, served by
+// `experiments -http` in /dash/status and as the tinydir_sweep_* gauges.
 type SweepStatus struct {
 	Planned int
 	Done    int

@@ -7,9 +7,9 @@ package tinydir
 // invalidates old entries instead of mixing with them.
 //
 // The store holds one artifact kind (see internal/runstore for the blob
-// layer; the default directory backend keeps the original layout):
+// layer):
 //
-//	results/<key>.json      — the finished Result (resumable sweeps)
+//	results/<key>      — the finished Result, sealed by its sha256
 //
 // Writes are atomic (temp file + rename, or the HTTP protocol's buffered
 // PUT) so a killed sweep never leaves a truncated artifact behind, and
@@ -47,7 +47,10 @@ import (
 // format version, which only mattered for the warmup checkpoints that
 // used to sit beside each result; directories written by v3 are simply
 // abandoned.
-const storeFormatVersion = 4
+// v5: entries are sealed (digest header + payload in one file) and
+// named results/<key>; the results-sha256 sidecars are gone. v4
+// directories are simply abandoned.
+const storeFormatVersion = 5
 
 // RunStore is a backend-backed cache of simulation results. The zero
 // value is not usable; construct with NewRunStore
@@ -60,11 +63,10 @@ type RunStore struct {
 }
 
 // NewRunStore opens (creating if needed) a directory-backed run store
-// rooted at dir, wrapped in the integrity layer: every Put leaves a
-// sha256 sidecar digest, every Get verifies against it, and a corrupt
-// entry is quarantined and missed — never silently served (see
-// internal/runstore's Verified). Entries predating the layer get their
-// digest backfilled on first read.
+// rooted at dir, wrapped in the integrity layer: every Put seals the
+// entry with its sha256, every Get checks the seal, and a corrupt entry
+// is quarantined and missed — never silently served (see
+// internal/runstore's Verified).
 func NewRunStore(dir string) (*RunStore, error) {
 	b, err := runstore.NewDir(dir)
 	if err != nil {
@@ -88,9 +90,19 @@ func NewRunStoreWithBackend(b runstore.Backend) *RunStore {
 	return &RunStore{b: b}
 }
 
-// Backend exposes the underlying blob store (the coordinator serves it
-// to workers over HTTP via runstore.NewServer).
+// Backend exposes the underlying blob store.
 func (s *RunStore) Backend() runstore.Backend { return s.b }
+
+// served is the view the sweep service exposes to workers over HTTP:
+// the backend beneath the integrity layer. Sealed bytes then cross the
+// wire, and each worker's own Verified layer checks the seal the
+// original writer made.
+func (s *RunStore) served() runstore.Backend {
+	if v := runstore.FindVerified(s.b); v != nil {
+		return v.Unwrap()
+	}
+	return s.b
+}
 
 // normalizeOptions applies Run's defaulting rules so that every spelling of
 // the same simulation maps to the same store key.
@@ -155,9 +167,9 @@ var storeWarn = func(format string, args ...interface{}) {
 }
 
 // GetResult returns the stored result for key, if present. An unreadable
-// or corrupt (e.g. truncated by a crash predating atomic writes, or
-// hand-damaged) entry is a cache miss with a warning, never a sweep
-// failure: the run simply re-simulates and PutResult replaces the debris.
+// or corrupt (e.g. hand-damaged) entry is a cache miss with a warning,
+// never a sweep failure: the run simply re-simulates and PutResult
+// replaces the debris.
 func (s *RunStore) GetResult(key string) (Result, bool, error) {
 	b, ok, err := s.b.Get(runstore.KindResults, key)
 	if err != nil {
@@ -193,8 +205,7 @@ func (s *RunStore) PutResult(key string, r Result) error {
 		return err
 	}
 	// The key holds different bytes. A valid stored result is protected;
-	// corrupt debris (a pre-atomic-write truncation GetResult warned
-	// about) is replaced.
+	// corrupt debris (a damaged entry GetResult warned about) is replaced.
 	old, ok, gerr := s.b.Get(runstore.KindResults, key)
 	if gerr == nil && ok {
 		var stale Result
@@ -215,31 +226,27 @@ type GCKindStats struct {
 }
 
 // GCStats reports what a GC pass found (and, unless it was a dry run,
-// pruned). The top-level counts cover results only — digest sidecars
-// ride along with their entry and quarantined debris is bookkeeping,
-// not cached work — while Kinds breaks every walked kind out
-// individually (experiments -store-gc -store-gc-dry-run prints this
-// table).
+// pruned). The top-level counts cover results only — quarantined
+// debris is bookkeeping, not cached work — while Kinds breaks every
+// walked kind out individually (experiments -store-gc -store-gc-dry-run
+// prints this table).
 type GCStats struct {
 	Scanned     int   // results examined
 	Pruned      int   // results older than the cutoff
 	PrunedBytes int64 // their total size
 	Kept        int
-	Kinds       map[string]GCKindStats // every walked kind, sidecars included
+	Kinds       map[string]GCKindStats // every walked kind, quarantine included
 }
 
-// gcKinds are the kinds a GC pass walks: results first (so an entry's
-// digest sidecar is already gone — the integrity layer deletes it with
-// the entry — before the sidecar kinds are walked), then the integrity
-// layer's derived kinds, which age out by their own modification times
-// (covering orphans).
+// gcKinds are the kinds a GC pass walks: results, then the integrity
+// layer's quarantine copies, which age out by their own modification
+// times.
 var gcKinds = []string{
 	runstore.KindResults,
-	runstore.DigestKind(runstore.KindResults),
 	runstore.QuarantineKind(runstore.KindResults),
 }
 
-// GC prunes results and the integrity layer's sidecar kinds whose
+// GC prunes results and quarantined copies whose
 // modification time is older than age. With dryRun set it only reports
 // what would go. Long-lived shared stores call this
 // periodically (experiments -store-gc) so a fleet's accumulated sweep
@@ -283,15 +290,13 @@ func (s *RunStore) GC(age time.Duration, dryRun bool) (GCStats, error) {
 }
 
 // Scrub walks every result through the integrity layer's
-// verify-or-quarantine decision (experiments -store-scrub). On a store
-// whose backend already carries the Verified wrapper this uses it (the
-// scrub counters land on its runstore_scrub_* series); on a bare
-// backend an ad-hoc wrapper is used, which doubles as a migration pass —
-// every entry without a digest sidecar gets one backfilled.
+// verify-or-quarantine decision (experiments -store-scrub); the scrub
+// counters land on its runstore_scrub_* series. A store without a
+// Verified layer has no seals to check, and is an error.
 func (s *RunStore) Scrub() (runstore.ScrubStats, error) {
 	v := runstore.FindVerified(s.b)
 	if v == nil {
-		v = verifyBackend(s.b)
+		return runstore.ScrubStats{}, errors.New("tinydir: store-scrub needs a store with an integrity (Verified) layer")
 	}
 	return v.Scrub(runstore.KindResults)
 }

@@ -26,7 +26,7 @@ func testStore(t *testing.T) (*RunStore, string) {
 
 // resultFile reproduces the Dir backend's on-disk layout, which the
 // tests tamper with directly to simulate crashes.
-func resultFile(dir, key string) string { return filepath.Join(dir, "results", key+".json") }
+func resultFile(dir, key string) string { return filepath.Join(dir, "results", key) }
 
 var storeTestOpts = Options{
 	App:    App("barnes"),
@@ -37,7 +37,7 @@ var storeTestOpts = Options{
 // TestRunStoreStacks: a store-backed run equals Run on both backend
 // stacks the system uses — the local Verified(Dir) and a fleet worker's
 // Verified(LRU(Client)) against a Dir served over HTTP — and leaves
-// nothing behind but the result and its digest sidecar. A resumed run
+// nothing behind but the sealed result. A resumed run
 // is served without simulating, and the collision guard holds on both
 // stacks (across the wire, the server's 409 surfaces as the same loud
 // refusal). An instrumented run through a store returns the same Result
@@ -93,7 +93,7 @@ func TestRunStoreStacks(t *testing.T) {
 			for _, e := range ents {
 				kinds = append(kinds, e.Name())
 			}
-			if want := []string{runstore.KindResults, runstore.DigestKind(runstore.KindResults)}; !reflect.DeepEqual(kinds, want) {
+			if want := []string{runstore.KindResults}; !reflect.DeepEqual(kinds, want) {
 				t.Fatalf("backend holds kinds %v, want only %v", kinds, want)
 			}
 
@@ -204,7 +204,7 @@ func TestRunStoreCollisionGuard(t *testing.T) {
 }
 
 // TestRunStoreTruncatedResultIsMiss: a truncated (or otherwise corrupt)
-// results/<key>.json entry is a cache miss with a warning — a resumed
+// results/<key> entry is a cache miss with a warning — a resumed
 // sweep re-simulates and replaces the debris, never dies on it.
 func TestRunStoreTruncatedResultIsMiss(t *testing.T) {
 	store, dir := testStore(t)
@@ -217,7 +217,8 @@ func TestRunStoreTruncatedResultIsMiss(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Tear the entry like a pre-atomic-write crash would have.
+	// Tear the entry, as a crash on a file system without atomic
+	// renames could.
 	if err := os.WriteFile(resultFile(dir, key), full[:len(full)/2], 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -333,36 +334,26 @@ func TestRunStoreGC(t *testing.T) {
 }
 
 // TestRunStoreGCKinds: the per-kind breakdown behind `experiments
-// -store-gc` — primaries prune with their digest sidecars (the
-// integrity layer deletes them together), while orphaned sidecars and
-// quarantine copies age out by their own modification times.
+// -store-gc` — results and quarantine copies each age out by their own
+// modification times.
 func TestRunStoreGCKinds(t *testing.T) {
 	store, dir := testStore(t)
 	oldKey := strings.Repeat("c", 64)
 	newKey := strings.Repeat("d", 64)
-	orphanKey := strings.Repeat("e", 64)
+	quarKey := strings.Repeat("e", 64)
 	if err := store.PutResult(oldKey, Result{App: "old"}); err != nil {
 		t.Fatal(err)
 	}
 	if err := store.PutResult(newKey, Result{App: "new"}); err != nil {
 		t.Fatal(err)
 	}
-	// An orphaned digest sidecar (its primary long gone) and an aged
-	// quarantine copy, both stale; plus the stale primary.
-	digestKind := runstore.DigestKind(runstore.KindResults)
+	// An aged quarantine copy, plus the stale result.
 	quarKind := runstore.QuarantineKind(runstore.KindResults)
-	if err := store.Backend().Put(digestKind, orphanKey, []byte("deadbeef"), true); err != nil {
-		t.Fatal(err)
-	}
-	if err := store.Backend().Put(quarKind, orphanKey, []byte("{corrupt}"), true); err != nil {
+	if err := store.Backend().Put(quarKind, quarKey, []byte("{corrupt}"), true); err != nil {
 		t.Fatal(err)
 	}
 	stale := time.Now().Add(-48 * time.Hour)
-	for _, f := range []string{
-		resultFile(dir, oldKey),
-		filepath.Join(dir, digestKind, orphanKey+".dat"),
-		filepath.Join(dir, quarKind, orphanKey+".dat"),
-	} {
+	for _, f := range []string{resultFile(dir, oldKey), filepath.Join(dir, quarKind, quarKey)} {
 		if err := os.Chtimes(f, stale, stale); err != nil {
 			t.Fatal(err)
 		}
@@ -374,7 +365,10 @@ func TestRunStoreGCKinds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, kind := range []string{runstore.KindResults, digestKind, quarKind} {
+	if len(dry.Kinds) != 2 {
+		t.Fatalf("dry-run walked kinds %v, want results and quarantine", dry.Kinds)
+	}
+	for _, kind := range []string{runstore.KindResults, quarKind} {
 		ks := dry.Kinds[kind]
 		if ks.Pruned == 0 || ks.PrunedBytes <= 0 {
 			t.Fatalf("dry-run kind %s reports nothing to reclaim: %+v", kind, ks)
@@ -388,19 +382,12 @@ func TestRunStoreGCKinds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Top-level stats count primaries only (the CLI's headline numbers).
+	// Top-level stats count results only (the CLI's headline numbers).
 	if stats.Scanned != 2 || stats.Pruned != 1 || stats.Kept != 1 {
 		t.Fatalf("top-level stats: %+v", stats)
 	}
-	// results: old pruned, new kept. results-sha256: old's sidecar went
-	// with its primary (integrity delete), so only new's fresh sidecar
-	// and the stale orphan are walked; the orphan prunes. quarantine:
-	// the one stale copy prunes.
 	if ks := stats.Kinds[runstore.KindResults]; ks.Scanned != 2 || ks.Pruned != 1 || ks.Kept != 1 {
 		t.Fatalf("results kind stats: %+v", ks)
-	}
-	if ks := stats.Kinds[digestKind]; ks.Scanned != 2 || ks.Pruned != 1 || ks.Kept != 1 {
-		t.Fatalf("digest kind stats: %+v (want orphan pruned, live sidecar kept)", ks)
 	}
 	if ks := stats.Kinds[quarKind]; ks.Scanned != 1 || ks.Pruned != 1 {
 		t.Fatalf("quarantine kind stats: %+v", ks)

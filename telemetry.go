@@ -4,8 +4,7 @@ package tinydir
 // generic internal/telemetry registry to its moving parts — sweep
 // progress from the Reporter, the run store's backend, the distributed
 // coordinator — so `experiments -http` serves one /metrics page covering
-// the whole process, and the expvar "sweep" JSON is re-hosted from the
-// same source of truth.
+// the whole process.
 
 import (
 	"tinydir/internal/runstore"
@@ -13,9 +12,8 @@ import (
 )
 
 // RegisterSweepMetrics exports the Reporter's live sweep progress on reg
-// as tinydir_sweep_* gauges and re-hosts the expvar "sweep" JSON from
-// the same snapshot. Everything is read at scrape time; the sweep's hot
-// path is untouched.
+// as tinydir_sweep_* gauges. Everything is read at scrape time; the
+// sweep's hot path is untouched.
 func RegisterSweepMetrics(reg *telemetry.Registry, mon *Reporter) {
 	if reg == nil || mon == nil {
 		return
@@ -36,16 +34,23 @@ func RegisterSweepMetrics(reg *telemetry.Registry, mon *Reporter) {
 		}
 		return float64(s.Served) / float64(s.Done)
 	})
-	reg.PublishExpvar("sweep", func() interface{} { return mon.Snapshot() })
 }
 
 // EnableTelemetry wraps the store's backend with per-op latency, byte
 // and error series labeled backend=kind ("dir" on a coordinator, "http"
-// or "lru" on a worker). Call before the backend is shared (e.g. before
-// AttachSweepServiceCfg mounts it over HTTP) so every consumer sees the
-// instrumented view. A nil reg leaves the store untouched.
+// or "lru" on a worker). On a store whose outermost layer is the
+// integrity wrapper, kind labels the layer beneath it — the view
+// AttachSweepServiceCfg serves to workers — and the wrapper itself is
+// rebuilt over that view and labeled "verified". Call before the
+// backend is shared so every consumer sees the instrumented view. A nil
+// reg leaves the store untouched.
 func (s *RunStore) EnableTelemetry(reg *telemetry.Registry, kind string) {
-	s.b = runstore.NewMetrics(reg).Instrument(s.b, kind)
+	m := runstore.NewMetrics(reg)
+	if v, ok := s.b.(*runstore.Verified); ok && m != nil {
+		s.b = m.Instrument(verifyBackend(m.Instrument(v.Unwrap(), kind)), "verified")
+		return
+	}
+	s.b = m.Instrument(s.b, kind)
 }
 
 // EnableTelemetry registers the coordinator's sweepd_* series on reg.
