@@ -63,7 +63,7 @@ func hotpathCases() []hotpathCase {
 		}},
 		{"Fig01At128", func() uint64 {
 			s := NewSuite(hotScale128)
-			f := s.Fig1()
+			f := buildFigure(s, "1")
 			if len(f.Series) == 0 {
 				panic("hotpath: Fig1 produced no data")
 			}

@@ -46,7 +46,7 @@ func obsOverheadCases() []hotpathCase {
 		return func() uint64 {
 			s := NewSuite(hotScale128)
 			s.Obs = cfg
-			f := s.Fig1()
+			f := buildFigure(s, "1")
 			if len(f.Series) == 0 {
 				panic("obs overhead: Fig1 produced no data")
 			}

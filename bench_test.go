@@ -23,63 +23,29 @@ func suiteForBench() *Suite {
 	return benchSuite
 }
 
-func benchFigure(b *testing.B, fn func(s *Suite) Figure) {
-	b.Helper()
+// BenchmarkFigure has one sub-benchmark per figure-table id, so
+// `go test -bench 'Figure/^10$'` regenerates Fig. 10 alone.
+func BenchmarkFigure(b *testing.B) {
 	s := suiteForBench()
-	for i := 0; i < b.N; i++ {
-		f := fn(s)
-		if len(f.Series) == 0 || len(f.Cols) == 0 {
-			b.Fatalf("%s produced no data", f.ID)
-		}
-		for _, se := range f.Series {
-			if len(se.Values) == 0 {
-				b.Fatalf("%s series %s empty", f.ID, se.Name)
+	for _, id := range FigureIDs(true) {
+		b.Run(id, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				f, err := s.FigureByID(id)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if len(f.Series) == 0 || len(f.Cols) == 0 {
+					b.Fatalf("%s produced no data", f.ID)
+				}
+				for _, se := range f.Series {
+					if len(se.Values) == 0 {
+						b.Fatalf("%s series %s empty", f.ID, se.Name)
+					}
+				}
 			}
-		}
+		})
 	}
 }
-
-func BenchmarkFig01_SparseSizing(b *testing.B)     { benchFigure(b, (*Suite).Fig1) }
-func BenchmarkFig02_SharerBins(b *testing.B)       { benchFigure(b, (*Suite).Fig2) }
-func BenchmarkFig03_SharedOnly(b *testing.B)       { benchFigure(b, (*Suite).Fig3) }
-func BenchmarkFig04_InLLC(b *testing.B)            { benchFigure(b, (*Suite).Fig4) }
-func BenchmarkFig05_Traffic(b *testing.B)          { benchFigure(b, (*Suite).Fig5) }
-func BenchmarkFig06_Lengthened(b *testing.B)       { benchFigure(b, (*Suite).Fig6) }
-func BenchmarkFig07_LengthenedBlocks(b *testing.B) { benchFigure(b, (*Suite).Fig7) }
-func BenchmarkFig08_BlockSTRACats(b *testing.B)    { benchFigure(b, (*Suite).Fig8) }
-func BenchmarkFig09_AccessSTRACats(b *testing.B)   { benchFigure(b, (*Suite).Fig9) }
-
-func BenchmarkFig10_Tiny32(b *testing.B) {
-	benchFigure(b, func(s *Suite) Figure { return s.FigTiny(1.0 / 32) })
-}
-func BenchmarkFig11_Tiny64(b *testing.B) {
-	benchFigure(b, func(s *Suite) Figure { return s.FigTiny(1.0 / 64) })
-}
-func BenchmarkFig12_Tiny128(b *testing.B) {
-	benchFigure(b, func(s *Suite) Figure { return s.FigTiny(1.0 / 128) })
-}
-func BenchmarkFig13_Tiny256(b *testing.B) {
-	benchFigure(b, func(s *Suite) Figure { return s.FigTiny(1.0 / 256) })
-}
-func BenchmarkFig14_Lengthened32(b *testing.B) {
-	benchFigure(b, func(s *Suite) Figure { return s.FigLengthened(1.0 / 32) })
-}
-func BenchmarkFig15_Lengthened256(b *testing.B) {
-	benchFigure(b, func(s *Suite) Figure { return s.FigLengthened(1.0 / 256) })
-}
-
-func BenchmarkFig16_GNRUHits(b *testing.B)       { benchFigure(b, (*Suite).Fig16) }
-func BenchmarkFig17_GNRUAllocs(b *testing.B)     { benchFigure(b, (*Suite).Fig17) }
-func BenchmarkFig18_HitsPerAlloc(b *testing.B)   { benchFigure(b, (*Suite).Fig18) }
-func BenchmarkFig19_SpillSavings(b *testing.B)   { benchFigure(b, (*Suite).Fig19) }
-func BenchmarkFig20_SpillMissRate(b *testing.B)  { benchFigure(b, (*Suite).Fig20) }
-func BenchmarkFig21_Energy(b *testing.B)         { benchFigure(b, (*Suite).Fig21) }
-func BenchmarkFig22_MgDStash(b *testing.B)       { benchFigure(b, (*Suite).Fig22) }
-func BenchmarkHalvedHierarchy(b *testing.B)      { benchFigure(b, (*Suite).FigHalved) }
-
-func BenchmarkAblFormat(b *testing.B)  { benchFigure(b, (*Suite).AblFormat) }
-func BenchmarkAblGenLen(b *testing.B)  { benchFigure(b, (*Suite).AblGenLen) }
-func BenchmarkAblWindow(b *testing.B)  { benchFigure(b, (*Suite).AblWindow) }
 
 // benchRunAll measures the worker-pool layer over a fixed batch of
 // independent simulations; compare the serial and parallel variants to

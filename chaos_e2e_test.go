@@ -114,7 +114,7 @@ func TestChaosSweepEndToEnd(t *testing.T) {
 	local := NewSuite(ScaleTest)
 	local.Workers = 4
 	var want bytes.Buffer
-	if err := local.Fig1().WriteCSV(&want); err != nil {
+	if err := buildFigure(local, "1").WriteCSV(&want); err != nil {
 		t.Fatal(err)
 	}
 	for _, seed := range []uint64{3, 7} {
@@ -152,7 +152,7 @@ func runChaosE2E(t *testing.T, seed uint64, want []byte) {
 	defer psrv.Close()
 
 	figCh := make(chan Figure, 1)
-	go func() { figCh <- coord.Fig1() }()
+	go func() { figCh <- buildFigure(coord, "1") }()
 
 	ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
 	defer cancel()

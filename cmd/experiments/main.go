@@ -92,7 +92,7 @@ import (
 
 func main() {
 	var (
-		fig        = flag.String("fig", "all", `figure id: 1..22, "halved", "families", "format", "genlen", "window", or "all"`)
+		fig        = flag.String("fig", "all", "figure id ("+strings.Join(tinydir.FigureIDs(true), " ")+`) or "all" (every figure but the ablations)`)
 		scale      = flag.String("scale", "experiment", "test | experiment | full")
 		quiet      = flag.Bool("q", false, "suppress per-run progress")
 		csvOut     = flag.Bool("csv", false, "emit CSV instead of aligned tables")
@@ -135,10 +135,15 @@ func main() {
 	}
 	logger := telemetry.NewLogger(os.Stderr, lvl, *logJSON)
 
-	if *resume && *cacheDir == "" {
-		fmt.Fprintln(os.Stderr, "experiments: -resume requires -cache-dir")
-		os.Exit(2)
+	requires := func(set, has bool, flag, req string) {
+		if set && !has {
+			fmt.Fprintf(os.Stderr, "experiments: %s requires %s\n", flag, req)
+			os.Exit(2)
+		}
 	}
+	requires(*resume, *cacheDir != "", "-resume", "-cache-dir")
+	requires(*storeGCDry, *storeGC > 0, "-store-gc-dry-run", "-store-gc")
+	requires(*obsTrace > 0, *obsDir != "", "-obs-trace", "-obs-dir")
 	if *storeGC > 0 {
 		runStoreGC(*cacheDir, *storeGC, *storeGCDry)
 		return
@@ -185,16 +190,9 @@ func main() {
 		}()
 	}
 
-	var sc tinydir.Scale
-	switch *scale {
-	case "test":
-		sc = tinydir.ScaleTest
-	case "experiment":
-		sc = tinydir.ScaleExperiment
-	case "full":
-		sc = tinydir.ScaleFull
-	default:
-		fmt.Fprintf(os.Stderr, "experiments: unknown scale %q\n", *scale)
+	sc, err := tinydir.ScaleByName(*scale)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "experiments:", err)
 		os.Exit(2)
 	}
 	if *soak > 0 {
@@ -320,9 +318,7 @@ func main() {
 	ids := []string{*fig}
 	if strings.EqualFold(*fig, "all") {
 		// Stream figure by figure so partial results survive interrupts.
-		ids = []string{"1", "2", "3", "4", "5", "6", "7", "8", "9", "10",
-			"11", "12", "13", "14", "15", "16", "17", "18", "19", "20",
-			"21", "22", "halved", "families"}
+		ids = tinydir.FigureIDs(false)
 	}
 	for _, id := range ids {
 		f, err := suite.FigureByID(id)

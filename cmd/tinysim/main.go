@@ -60,16 +60,9 @@ func main() {
 	default:
 		fatal(fmt.Errorf("unknown scheme %q", *scheme))
 	}
-	var sc tinydir.Scale
-	switch *scale {
-	case "test":
-		sc = tinydir.ScaleTest
-	case "experiment":
-		sc = tinydir.ScaleExperiment
-	case "full":
-		sc = tinydir.ScaleFull
-	default:
-		fatal(fmt.Errorf("unknown scale %q", *scale))
+	sc, err := tinydir.ScaleByName(*scale)
+	if err != nil {
+		fatal(err)
 	}
 
 	res := tinydir.Run(tinydir.Options{App: tinydir.App(*appName), Scheme: sch, Scale: sc})

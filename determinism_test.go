@@ -54,7 +54,7 @@ func TestSuiteParallelBitIdentical(t *testing.T) {
 		s := NewSuite(detScale)
 		s.Workers = workers
 		var buf bytes.Buffer
-		for _, f := range []Figure{s.Fig6(), s.FigTiny(1.0 / 64)} {
+		for _, f := range []Figure{buildFigure(s, "6"), buildFigure(s, "11")} {
 			f.Fprint(&buf)
 			if err := f.WriteCSV(&buf); err != nil {
 				t.Fatal(err)

@@ -22,7 +22,7 @@ func TestDistributedSweepByteIdentical(t *testing.T) {
 	local := NewSuite(ScaleTest)
 	local.Workers = 4
 	var want bytes.Buffer
-	if err := local.Fig1().WriteCSV(&want); err != nil {
+	if err := buildFigure(local, "1").WriteCSV(&want); err != nil {
 		t.Fatal(err)
 	}
 
@@ -47,7 +47,7 @@ func TestDistributedSweepByteIdentical(t *testing.T) {
 	// the units.
 	figCh := make(chan Figure, 1)
 	go func() {
-		f := coord.Fig1()
+		f := buildFigure(coord, "1")
 		figCh <- f
 	}()
 
@@ -160,7 +160,7 @@ func TestDistributedSweepByteIdentical(t *testing.T) {
 	resumed.Store = store
 	resumed.Resume = true
 	var again bytes.Buffer
-	if err := resumed.Fig1().WriteCSV(&again); err != nil {
+	if err := buildFigure(resumed, "1").WriteCSV(&again); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(again.Bytes(), want.Bytes()) {

@@ -15,7 +15,11 @@ import (
 func main() {
 	suite := tinydir.NewSuite(tinydir.ScaleExperiment)
 	suite.Progress = os.Stderr
-	fig := suite.Fig21()
+	fig, err := suite.FigureByID("21")
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
 	fig.Fprint(os.Stdout)
 	fmt.Println()
 	fmt.Println("Reading: each column is one directory configuration; values are")

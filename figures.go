@@ -6,6 +6,7 @@ import (
 	"io"
 	"os"
 	"runtime"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -359,130 +360,325 @@ func (s *Suite) ReportFailures() int {
 	return len(fails)
 }
 
-// The public figure methods wrap the serial builders below in the
-// plan/prefetch/build cycle of figure(): the simulations each figure
-// needs run concurrently, the figure itself is assembled serially.
-
-// Fig1 reproduces Figure 1 (see fig1).
-func (s *Suite) Fig1() Figure { return s.figure(s.fig1) }
-
-// Fig2 reproduces Figure 2 (see fig2).
-func (s *Suite) Fig2() Figure { return s.figure(s.fig2) }
-
-// Fig3 reproduces Figure 3 (see fig3).
-func (s *Suite) Fig3() Figure { return s.figure(s.fig3) }
-
-// Fig4 reproduces Figure 4 (see fig4).
-func (s *Suite) Fig4() Figure { return s.figure(s.fig4) }
-
-// Fig5 reproduces Figure 5 (see fig5).
-func (s *Suite) Fig5() Figure { return s.figure(s.fig5) }
-
-// Fig6 reproduces Figure 6 (see fig6).
-func (s *Suite) Fig6() Figure { return s.figure(s.fig6) }
-
-// Fig7 reproduces Figure 7 (see fig7).
-func (s *Suite) Fig7() Figure { return s.figure(s.fig7) }
-
-// Fig8 reproduces Figure 8 (see fig8).
-func (s *Suite) Fig8() Figure { return s.figure(s.fig8) }
-
-// Fig9 reproduces Figure 9 (see fig9).
-func (s *Suite) Fig9() Figure { return s.figure(s.fig9) }
-
-// FigTiny reproduces Figures 10-13 (see figTiny).
-func (s *Suite) FigTiny(ratio float64) Figure {
-	return s.figure(func() Figure { return s.figTiny(ratio) })
+// figureRow is one figure of the reproduction: its -fig id (FigureByID
+// also accepts the id behind a "fig" prefix, in any case), further
+// aliases, whether -fig all leaves it out, and its serial builder.
+type figureRow struct {
+	id       string
+	aliases  []string
+	ablation bool // -fig all skips it
+	build    func(s *Suite) Figure
 }
 
-// FigLengthened reproduces Figures 14/15 (see figLengthened).
-func (s *Suite) FigLengthened(ratio float64) Figure {
-	return s.figure(func() Figure { return s.figLengthened(ratio) })
+// figureTable lists the paper's Figs. 1-22, the halved-hierarchy and
+// workload-family tables, then the ablation studies, in output order. It
+// is the one place figure ids live: FigureByID looks rows up here and
+// cmd/experiments takes its -fig all list and -fig help from FigureIDs.
+var figureTable = []figureRow{
+	// Fig. 1: baseline sparse directories of 1/4x..1/16x.
+	{id: "1", build: func(s *Suite) Figure {
+		return appFigure("Fig1", "Sparse directory sizing", xVs2x,
+			s.cyclesVs(Apps(), baseline, ratioSeries("", SparseDirectory, 1.0/4, 1.0/8, 1.0/16)))
+	}},
+	{id: "2", build: (*Suite).fig2},
+	// Fig. 3: sparse directories tracking only shared blocks, plus the
+	// skew-associative variants the text reports.
+	{id: "3", build: func(s *Suite) Figure {
+		return appFigure("Fig3", "Shared-only directory limit study", xVs2x,
+			s.cyclesVs(Apps(), baseline, append(
+				ratioSeries("", func(r float64) Scheme { return SharedOnlyDirectory(r, false) }, 1.0/16, 1.0/32, 1.0/64, 1.0/128),
+				ratioSeries("skew-", func(r float64) Scheme { return SharedOnlyDirectory(r, true) }, 1.0/16, 1.0/32, 1.0/64)...)))
+	}},
+	// Fig. 4: in-LLC coherence tracking, tag-extended vs data bits borrowed.
+	{id: "4", build: func(s *Suite) Figure {
+		return appFigure("Fig4", "In-LLC coherence tracking", xVs2x, s.cyclesVs(Apps(), baseline,
+			[]namedScheme{{"tag-extended", InLLC(true)}, {"data-bits-borrowed", InLLC(false)}}))
+	}},
+	{id: "5", build: (*Suite).fig5},
+	// Fig. 6: LLC accesses whose critical path in-LLC tracking lengthens,
+	// split into data and code.
+	{id: "6", build: func(s *Suite) Figure {
+		return appFigure("Fig6", "LLC accesses with lengthened critical path (in-LLC)", "%",
+			s.percentOf(func(m Metrics) float64 { return perAccess(m.LengthenedData, m) }, namedScheme{"data", InLLC(false)}),
+			s.percentOf(func(m Metrics) float64 { return perAccess(m.LengthenedCode, m) }, namedScheme{"code", InLLC(false)}))
+	}},
+	// Fig. 7: allocated LLC blocks that source lengthened accesses.
+	{id: "7", build: func(s *Suite) Figure {
+		return appFigure("Fig7", "Allocated LLC blocks with lengthened accesses (in-LLC)", "%",
+			s.percentOf(Metrics.LengthenedBlockFrac, namedScheme{"blocks", InLLC(false)}))
+	}},
+	// Figs. 8/9: allocated blocks with a non-zero STRA ratio, and the
+	// lengthened accesses, over STRA categories C1..C7.
+	{id: "8", build: func(s *Suite) Figure {
+		return s.straDistribution("Fig8", "Block distribution over STRA categories", "stra.blockCat")
+	}},
+	{id: "9", build: func(s *Suite) Figure {
+		return s.straDistribution("Fig9", "Lengthened-access distribution over STRA categories", "stra.accessCat")
+	}},
+	// Figs. 10-13: the tiny directory's three policy stacks at each size.
+	{id: "10", build: func(s *Suite) Figure { return s.tinyCycles("Fig10", 1.0/32) }},
+	{id: "11", build: func(s *Suite) Figure { return s.tinyCycles("Fig11", 1.0/64) }},
+	{id: "12", build: func(s *Suite) Figure { return s.tinyCycles("Fig12", 1.0/128) }},
+	{id: "13", build: func(s *Suite) Figure { return s.tinyCycles("Fig13", 1.0/256) }},
+	// Figs. 14/15: LLC accesses with lengthened critical paths under them.
+	{id: "14", build: func(s *Suite) Figure { return s.tinyLengthened("Fig14", 1.0/32) }},
+	{id: "15", build: func(s *Suite) Figure { return s.tinyLengthened("Fig15", 1.0/256) }},
+	// Figs. 16/17: tiny-directory hits and allocations under DSTRA+gNRU,
+	// relative to DSTRA alone.
+	{id: "16", build: func(s *Suite) Figure {
+		return appFigure("Fig16", "Tiny-directory hits, gNRU vs DSTRA", "x",
+			s.trackerRatio("tiny.hits", withoutGNRU, ratioSeries("", tinyGNRU, TinySizes...)))
+	}},
+	{id: "17", build: func(s *Suite) Figure {
+		return appFigure("Fig17", "Tiny-directory allocations, gNRU vs DSTRA", "x",
+			s.trackerRatio("tiny.allocs", withoutGNRU, ratioSeries("", tinyGNRU, TinySizes...)))
+	}},
+	{id: "18", build: (*Suite).fig18},
+	// Fig. 19: LLC accesses whose critical path spilled entries save.
+	{id: "19", build: func(s *Suite) Figure {
+		return appFigure("Fig19", "LLC accesses saved by spilled entries", "%",
+			s.percentOf(Metrics.SpillAvoidedFrac, ratioSeries("", tinySpill, TinySizes...)...))
+	}},
+	{id: "20", build: (*Suite).fig20},
+	{id: "21", build: (*Suite).fig21},
+	// Fig. 22: MgD at 1/8x..1/64x and Stash at 1/32x.
+	{id: "22", build: func(s *Suite) Figure {
+		return appFigure("Fig22", "MgD and Stash comparison", xVs2x, s.cyclesVs(Apps(), baseline, append(
+			ratioSeries("MgD-", MgD, 1.0/8, 1.0/16, 1.0/32, 1.0/64),
+			namedScheme{"Stash-1/32x", Stash(1.0 / 32)})))
+	}},
+	// §V-A robustness: the whole cache hierarchy halved, tiny 1/128x with
+	// gNRU and with gNRU+DynSpill against the halved 2x baseline.
+	{id: "halved", build: func(s *Suite) Figure {
+		half := s.derived(Scale{Name: s.Scale.Name + "-halved", Cores: s.Scale.Cores, Refs: s.Scale.Refs, HalveHierarchy: true})
+		return appFigure("Halved", "Halved hierarchy, tiny 1/128x", xVs2x,
+			half.cyclesVs(Apps(), baseline, tinyPolicies(1.0 / 128)[1:]))
+	}},
+	// The five workload families — the sharing extremes (falsely-shared
+	// lines, hot home banks, producer-consumer migration, work stealing,
+	// multiprogram rate mode) that the 17 mixed applications under-stress.
+	{id: "families", build: func(s *Suite) Figure {
+		var schemes []namedScheme
+		for _, sc := range []Scheme{SparseDirectory(1.0 / 8), InLLC(false), TinyDirectory(1.0/64, true, true), Stash(1.0 / 32)} {
+			schemes = append(schemes, namedScheme{sc.String(), sc})
+		}
+		fams := FamilyApps()
+		return Figure{ID: "Families", Title: "Workload families across schemes", Cols: profileNames(fams),
+			Unit: xVs2x, Series: s.cyclesVs(fams, baseline, schemes)}
+	}},
+
+	// Ablations of the design choices DESIGN.md calls out. Entry-format
+	// composability (§I-A): narrower sharer encodings on a 1x sparse
+	// directory shrink each entry but inflate invalidations.
+	{id: "format", aliases: []string{"ablformat"}, ablation: true, build: (*Suite).ablFormat},
+	// The gNRU generation length (§IV-A2: "the length of a generation
+	// needs to be chosen carefully"): fixed lengths in 4K-cycle units
+	// against the adaptive estimate, tiny-directory hits at 1/128x.
+	{id: "genlen", aliases: []string{"ablgenlen"}, ablation: true, build: func(s *Suite) Figure {
+		adaptive := TinyDirectory(1.0/128, true, false)
+		var fixed []namedScheme
+		for _, gl := range []uint64{1, 16, 256, 1024} {
+			sc := adaptive
+			sc.FixedGenLen = gl
+			fixed = append(fixed, namedScheme{fmt.Sprintf("fixed-%d", gl), sc})
+		}
+		return appFigure("AblGenLen", "gNRU generation length, tiny 1/128x", "hits vs adaptive",
+			s.trackerRatio("tiny.hits", func(Scheme) Scheme { return adaptive }, fixed))
+	}},
+	// The dynamic-spill observation window (§IV-B2's 8K accesses) at
+	// 1/256x: short windows adapt the spill threshold noisily, long ones
+	// adapt late.
+	{id: "window", aliases: []string{"ablwindow"}, ablation: true, build: func(s *Suite) Figure {
+		ref := TinyDirectory(1.0/256, true, true)
+		var windows []namedScheme
+		for _, w := range []uint64{256, 1024, 32768} {
+			sc := ref
+			sc.SpillWindow = w
+			windows = append(windows, namedScheme{fmt.Sprintf("window-%d", w), sc})
+		}
+		return appFigure("AblWindow", "Spill observation window, tiny 1/256x", "x vs 8K window",
+			s.cyclesVs(Apps(), ref, windows))
+	}},
 }
 
-// Fig16 reproduces Figure 16 (see fig16).
-func (s *Suite) Fig16() Figure { return s.figure(s.fig16) }
+// lookupFigure finds a table row by -fig id or alias.
+func lookupFigure(id string) (figureRow, bool) {
+	key := strings.TrimPrefix(strings.ToLower(id), "fig")
+	for _, row := range figureTable {
+		if row.id == key || slices.Contains(row.aliases, key) {
+			return row, true
+		}
+	}
+	return figureRow{}, false
+}
 
-// Fig17 reproduces Figure 17 (see fig17).
-func (s *Suite) Fig17() Figure { return s.figure(s.fig17) }
+// FigureByID builds one figure of the table by id ("1".."22", "halved",
+// "families", or an ablation name; "Fig10" and "AblFormat" work too),
+// prefetching the runs it needs in parallel: the simulations run
+// concurrently, the figure itself is assembled serially.
+func (s *Suite) FigureByID(id string) (Figure, error) {
+	row, ok := lookupFigure(id)
+	if !ok {
+		return Figure{}, fmt.Errorf("unknown figure %q", id)
+	}
+	return s.figure(func() Figure { return row.build(s) }), nil
+}
 
-// Fig18 reproduces Figure 18 (see fig18).
-func (s *Suite) Fig18() Figure { return s.figure(s.fig18) }
+// FigureIDs returns the table's -fig ids in output order: the figures
+// -fig all builds, followed, when ablations is set, by the ablations.
+func FigureIDs(ablations bool) []string {
+	var ids []string
+	for _, row := range figureTable {
+		if ablations || !row.ablation {
+			ids = append(ids, row.id)
+		}
+	}
+	return ids
+}
 
-// Fig19 reproduces Figure 19 (see fig19).
-func (s *Suite) Fig19() Figure { return s.figure(s.fig19) }
+const xVs2x = "x vs 2x"
 
-// Fig20 reproduces Figure 20 (see fig20).
-func (s *Suite) Fig20() Figure { return s.figure(s.fig20) }
+// baseline is the paper's reference: the 2x sparse directory.
+var baseline = SparseDirectory(2)
 
-// Fig21 reproduces Figure 21 (see fig21).
-func (s *Suite) Fig21() Figure { return s.figure(s.fig21) }
+// TinySizes are the four tiny-directory sizes of §V.
+var TinySizes = []float64{1.0 / 32, 1.0 / 64, 1.0 / 128, 1.0 / 256}
 
-// Fig22 reproduces Figure 22 (see fig22).
-func (s *Suite) Fig22() Figure { return s.figure(s.fig22) }
+// namedScheme is one series of a figure: its name and the scheme it runs.
+type namedScheme struct {
+	name   string
+	scheme Scheme
+}
 
-// FigHalved reproduces the §V-A robustness experiment (see figHalved).
-func (s *Suite) FigHalved() Figure { return s.figure(s.figHalved) }
+// ratioSeries names mk(r) prefix+"1/16x" and so on for each size r.
+func ratioSeries(prefix string, mk func(float64) Scheme, ratios ...float64) []namedScheme {
+	out := make([]namedScheme, len(ratios))
+	for i, r := range ratios {
+		out[i] = namedScheme{prefix + ratioName(r), mk(r)}
+	}
+	return out
+}
 
-// AblFormat runs the sharer-encoding ablation (see ablFormat).
-func (s *Suite) AblFormat() Figure { return s.figure(s.ablFormat) }
+// tinyPolicies are the tiny directory's three policy stacks at one size.
+func tinyPolicies(ratio float64) []namedScheme {
+	return []namedScheme{
+		{"DSTRA", TinyDirectory(ratio, false, false)},
+		{"DSTRA+gNRU", TinyDirectory(ratio, true, false)},
+		{"DSTRA+gNRU+DynSpill", TinyDirectory(ratio, true, true)},
+	}
+}
 
-// AblGenLen runs the gNRU generation-length ablation (see ablGenLen).
-func (s *Suite) AblGenLen() Figure { return s.figure(s.ablGenLen) }
+func tinyGNRU(r float64) Scheme  { return TinyDirectory(r, true, false) }
+func tinySpill(r float64) Scheme { return TinyDirectory(r, true, true) }
 
-// AblWindow runs the spill-window ablation (see ablWindow).
-func (s *Suite) AblWindow() Figure { return s.figure(s.ablWindow) }
+func withoutGNRU(sc Scheme) Scheme {
+	sc.GNRU = false
+	return sc
+}
 
-func (s *Suite) appNames() []string {
-	var names []string
-	for _, p := range Apps() {
-		names = append(names, p.Name)
+func profileNames(apps []Profile) []string {
+	names := make([]string, len(apps))
+	for i, p := range apps {
+		names[i] = p.Name
 	}
 	return names
 }
 
-// baseline returns the 2x sparse directory run for an app.
-func (s *Suite) baseline(app Profile) Result { return s.run(app, SparseDirectory(2.0)) }
-
-// normCycles returns execution time normalized to the 2x baseline.
-func (s *Suite) normCycles(app Profile, scheme Scheme) float64 {
-	base := s.baseline(app).Metrics.Cycles
-	r := s.run(app, scheme)
-	return float64(r.Metrics.Cycles) / float64(base)
+// appFigure assembles a figure over the 17 applications from groups of
+// series, in order.
+func appFigure(id, title, unit string, groups ...[]Series) Figure {
+	f := Figure{ID: id, Title: title, Cols: profileNames(Apps()), Unit: unit}
+	for _, g := range groups {
+		f.Series = append(f.Series, g...)
+	}
+	return f
 }
 
-// perApp fills a series by evaluating fn for every application.
-func (s *Suite) perApp(name string, fn func(app Profile) float64) Series {
+// perProfile fills a series by evaluating fn for every profile in apps.
+func perProfile(apps []Profile, name string, fn func(app Profile) float64) Series {
 	se := Series{Name: name, Values: map[string]float64{}}
-	for _, app := range Apps() {
+	for _, app := range apps {
 		se.Values[app.Name] = fn(app)
 	}
 	return se
 }
 
-// Fig1 reproduces Figure 1: baseline sparse directories of 1/4x, 1/8x,
-// 1/16x, normalized execution time vs 2x.
-func (s *Suite) fig1() Figure {
-	f := Figure{ID: "Fig1", Title: "Sparse directory sizing", Cols: s.appNames(), Unit: "x vs 2x"}
-	for _, ratio := range []float64{1.0 / 4, 1.0 / 8, 1.0 / 16} {
-		ratio := ratio
-		f.Series = append(f.Series, s.perApp(ratioName(ratio), func(app Profile) float64 {
-			return s.normCycles(app, SparseDirectory(ratio))
+// cyclesVs builds one series per scheme: each profile's execution time
+// normalized to its run under ref.
+func (s *Suite) cyclesVs(apps []Profile, ref Scheme, schemes []namedScheme) []Series {
+	var out []Series
+	for _, ns := range schemes {
+		out = append(out, perProfile(apps, ns.name, func(app Profile) float64 {
+			base := s.run(app, ref).Metrics.Cycles
+			return float64(s.run(app, ns.scheme).Metrics.Cycles) / float64(base)
 		}))
 	}
-	return f
+	return out
 }
 
-// Fig2 reproduces Figure 2: distribution of the maximum sharer count per
+// percentOf builds one series per scheme: a run metric of each
+// application, as a percentage.
+func (s *Suite) percentOf(frac func(Metrics) float64, schemes ...namedScheme) []Series {
+	var out []Series
+	for _, ns := range schemes {
+		out = append(out, perProfile(Apps(), ns.name, func(app Profile) float64 {
+			return 100 * frac(s.run(app, ns.scheme).Metrics)
+		}))
+	}
+	return out
+}
+
+// perAccess is n as a fraction of the run's LLC accesses.
+func perAccess(n uint64, m Metrics) float64 {
+	if m.LLCAccesses == 0 {
+		return 0
+	}
+	return float64(n) / float64(m.LLCAccesses)
+}
+
+// trackerRatio builds one series per scheme: each application's tracker
+// counter key under the scheme over the same counter under ref(scheme).
+// A zero reference counter yields 1 when both are zero and the raw
+// count otherwise.
+func (s *Suite) trackerRatio(key string, ref func(Scheme) Scheme, schemes []namedScheme) []Series {
+	var out []Series
+	for _, ns := range schemes {
+		out = append(out, perProfile(Apps(), ns.name, func(app Profile) float64 {
+			a := s.run(app, ref(ns.scheme)).Metrics.Tracker[key]
+			b := s.run(app, ns.scheme).Metrics.Tracker[key]
+			if a == 0 {
+				if b == 0 {
+					return 1
+				}
+				return float64(b)
+			}
+			return float64(b) / float64(a)
+		}))
+	}
+	return out
+}
+
+// tinyCycles is one of Figs. 10-13: the tiny directory's policy stacks at
+// one size, normalized to the 2x baseline.
+func (s *Suite) tinyCycles(id string, ratio float64) Figure {
+	return appFigure(id, "Tiny directory "+ratioName(ratio), xVs2x, s.cyclesVs(Apps(), baseline, tinyPolicies(ratio)))
+}
+
+// tinyLengthened is Fig. 14 or 15: the percentage of LLC accesses with
+// lengthened critical paths under the tiny directory of one size.
+func (s *Suite) tinyLengthened(id string, ratio float64) Figure {
+	return appFigure(id, "Lengthened accesses, tiny "+ratioName(ratio), "%",
+		s.percentOf(Metrics.LengthenedFrac, tinyPolicies(ratio)...))
+}
+
+// fig2 reproduces Figure 2: distribution of the maximum sharer count per
 // allocated LLC block (percent of allocated blocks per bin), measured on
 // the 2x baseline.
 func (s *Suite) fig2() Figure {
-	f := Figure{ID: "Fig2", Title: "Max sharer count per allocated LLC block", Cols: s.appNames(), Unit: "%"}
-	bins := []string{"[2,4]", "[5,8]", "[9,16]", "[17,128]"}
-	for i, bin := range bins {
-		i := i
-		f.Series = append(f.Series, s.perApp(bin, func(app Profile) float64 {
-			m := s.baseline(app).Metrics
+	f := appFigure("Fig2", "Max sharer count per allocated LLC block", "%")
+	for i, bin := range []string{"[2,4]", "[5,8]", "[9,16]", "[17,128]"} {
+		f.Series = append(f.Series, perProfile(Apps(), bin, func(app Profile) float64 {
+			m := s.run(app, baseline).Metrics
 			if m.AllocatedBlocks == 0 {
 				return 0
 			}
@@ -492,57 +688,15 @@ func (s *Suite) fig2() Figure {
 	return f
 }
 
-// Fig3 reproduces Figure 3: sparse directories tracking only shared
-// blocks (1/16x..1/128x), plus the skew-associative variants the text
-// reports, normalized to 2x.
-func (s *Suite) fig3() Figure {
-	f := Figure{ID: "Fig3", Title: "Shared-only directory limit study", Cols: s.appNames(), Unit: "x vs 2x"}
-	for _, ratio := range []float64{1.0 / 16, 1.0 / 32, 1.0 / 64, 1.0 / 128} {
-		ratio := ratio
-		f.Series = append(f.Series, s.perApp(ratioName(ratio), func(app Profile) float64 {
-			return s.normCycles(app, SharedOnlyDirectory(ratio, false))
-		}))
-	}
-	for _, ratio := range []float64{1.0 / 16, 1.0 / 32, 1.0 / 64} {
-		ratio := ratio
-		f.Series = append(f.Series, s.perApp("skew-"+ratioName(ratio), func(app Profile) float64 {
-			return s.normCycles(app, SharedOnlyDirectory(ratio, true))
-		}))
-	}
-	return f
-}
-
-// Fig4 reproduces Figure 4: in-LLC coherence tracking, tag-extended vs
-// data-bits-borrowed, normalized to 2x.
-func (s *Suite) fig4() Figure {
-	f := Figure{ID: "Fig4", Title: "In-LLC coherence tracking", Cols: s.appNames(), Unit: "x vs 2x"}
-	f.Series = append(f.Series, s.perApp("tag-extended", func(app Profile) float64 {
-		return s.normCycles(app, InLLC(true))
-	}))
-	f.Series = append(f.Series, s.perApp("data-bits-borrowed", func(app Profile) float64 {
-		return s.normCycles(app, InLLC(false))
-	}))
-	return f
-}
-
-// Fig5 reproduces Figure 5: interconnect traffic split into processor,
+// fig5 reproduces Figure 5: interconnect traffic split into processor,
 // writeback and coherence classes, normalized to the 2x baseline's total.
 func (s *Suite) fig5() Figure {
-	f := Figure{ID: "Fig5", Title: "Interconnect traffic breakdown", Cols: s.appNames(), Unit: "x of 2x total"}
-	classes := []string{"processor", "writeback", "coherence"}
-	order := []int{0, 1, 2}
-	for _, cfgName := range []string{"sparse-2x", "inllc"} {
-		cfgName := cfgName
-		for _, ci := range order {
-			ci := ci
-			f.Series = append(f.Series, s.perApp(cfgName+":"+classes[ci], func(app Profile) float64 {
-				base := s.baseline(app).Metrics
-				var m Metrics
-				if cfgName == "sparse-2x" {
-					m = base
-				} else {
-					m = s.run(app, InLLC(false)).Metrics
-				}
+	f := appFigure("Fig5", "Interconnect traffic breakdown", "x of 2x total")
+	for _, cfg := range []namedScheme{{"sparse-2x", baseline}, {"inllc", InLLC(false)}} {
+		for ci, class := range []string{"processor", "writeback", "coherence"} {
+			f.Series = append(f.Series, perProfile(Apps(), cfg.name+":"+class, func(app Profile) float64 {
+				base := s.run(app, baseline).Metrics
+				m := s.run(app, cfg.scheme).Metrics
 				tot := float64(base.TotalTraffic())
 				if tot == 0 {
 					return 0
@@ -554,54 +708,12 @@ func (s *Suite) fig5() Figure {
 	return f
 }
 
-// Fig6 reproduces Figure 6: percentage of LLC accesses whose critical
-// path lengthens under in-LLC tracking, split into code and data.
-func (s *Suite) fig6() Figure {
-	f := Figure{ID: "Fig6", Title: "LLC accesses with lengthened critical path (in-LLC)", Cols: s.appNames(), Unit: "%"}
-	f.Series = append(f.Series, s.perApp("data", func(app Profile) float64 {
-		m := s.run(app, InLLC(false)).Metrics
-		if m.LLCAccesses == 0 {
-			return 0
-		}
-		return 100 * float64(m.LengthenedData) / float64(m.LLCAccesses)
-	}))
-	f.Series = append(f.Series, s.perApp("code", func(app Profile) float64 {
-		m := s.run(app, InLLC(false)).Metrics
-		if m.LLCAccesses == 0 {
-			return 0
-		}
-		return 100 * float64(m.LengthenedCode) / float64(m.LLCAccesses)
-	}))
-	return f
-}
-
-// Fig7 reproduces Figure 7: percentage of allocated LLC blocks that
-// source lengthened accesses under in-LLC tracking.
-func (s *Suite) fig7() Figure {
-	f := Figure{ID: "Fig7", Title: "Allocated LLC blocks with lengthened accesses (in-LLC)", Cols: s.appNames(), Unit: "%"}
-	f.Series = append(f.Series, s.perApp("blocks", func(app Profile) float64 {
-		return 100 * s.run(app, InLLC(false)).Metrics.LengthenedBlockFrac()
-	}))
-	return f
-}
-
-// Fig8 reproduces Figure 8: distribution of allocated LLC blocks with
-// non-zero STRA ratio over categories C1..C7.
-func (s *Suite) fig8() Figure {
-	return s.straDistribution("Fig8", "Block distribution over STRA categories", "stra.blockCat")
-}
-
-// Fig9 reproduces Figure 9: distribution of lengthened LLC accesses over
-// the accessed block's STRA category.
-func (s *Suite) fig9() Figure {
-	return s.straDistribution("Fig9", "Lengthened-access distribution over STRA categories", "stra.accessCat")
-}
-
+// straDistribution is Fig. 8 or 9: the percentage of the in-LLC run's
+// keyPrefix1..7 counters in each STRA category.
 func (s *Suite) straDistribution(id, title, keyPrefix string) Figure {
-	f := Figure{ID: id, Title: title, Cols: s.appNames(), Unit: "%", NoAverage: false}
+	f := appFigure(id, title, "%")
 	for cat := 1; cat <= 7; cat++ {
-		cat := cat
-		f.Series = append(f.Series, s.perApp(fmt.Sprintf("C%d", cat), func(app Profile) float64 {
+		f.Series = append(f.Series, perProfile(Apps(), fmt.Sprintf("C%d", cat), func(app Profile) float64 {
 			m := s.run(app, InLLC(false)).Metrics
 			var total, mine uint64
 			for c := 1; c <= 7; c++ {
@@ -620,95 +732,12 @@ func (s *Suite) straDistribution(id, title, keyPrefix string) Figure {
 	return f
 }
 
-// TinySizes are the four tiny-directory sizes of §V.
-var TinySizes = []float64{1.0 / 32, 1.0 / 64, 1.0 / 128, 1.0 / 256}
-
-// FigTiny reproduces Figures 10-13: tiny directory at the given size with
-// the DSTRA, DSTRA+gNRU, and DSTRA+gNRU+DynSpill policies, normalized to
-// the 2x sparse baseline.
-func (s *Suite) figTiny(ratio float64) Figure {
-	id := map[float64]string{1.0 / 32: "Fig10", 1.0 / 64: "Fig11", 1.0 / 128: "Fig12", 1.0 / 256: "Fig13"}[ratio]
-	if id == "" {
-		id = "FigTiny-" + ratioName(ratio)
-	}
-	f := Figure{ID: id, Title: "Tiny directory " + ratioName(ratio), Cols: s.appNames(), Unit: "x vs 2x"}
-	for _, pol := range tinyPolicies(ratio) {
-		pol := pol
-		f.Series = append(f.Series, s.perApp(pol.name, func(app Profile) float64 {
-			return s.normCycles(app, pol.scheme)
-		}))
-	}
-	return f
-}
-
-type tinyPolicy struct {
-	name   string
-	scheme Scheme
-}
-
-func tinyPolicies(ratio float64) []tinyPolicy {
-	return []tinyPolicy{
-		{"DSTRA", TinyDirectory(ratio, false, false)},
-		{"DSTRA+gNRU", TinyDirectory(ratio, true, false)},
-		{"DSTRA+gNRU+DynSpill", TinyDirectory(ratio, true, true)},
-	}
-}
-
-// FigLengthened reproduces Figures 14/15: percentage of LLC accesses with
-// lengthened critical paths under the tiny directory of the given size.
-func (s *Suite) figLengthened(ratio float64) Figure {
-	id := map[float64]string{1.0 / 32: "Fig14", 1.0 / 256: "Fig15"}[ratio]
-	if id == "" {
-		id = "FigLen-" + ratioName(ratio)
-	}
-	f := Figure{ID: id, Title: "Lengthened accesses, tiny " + ratioName(ratio), Cols: s.appNames(), Unit: "%"}
-	for _, pol := range tinyPolicies(ratio) {
-		pol := pol
-		f.Series = append(f.Series, s.perApp(pol.name, func(app Profile) float64 {
-			return 100 * s.run(app, pol.scheme).Metrics.LengthenedFrac()
-		}))
-	}
-	return f
-}
-
-// Fig16 reproduces Figure 16: tiny-directory hits under DSTRA+gNRU
-// normalized to DSTRA, for the four sizes.
-func (s *Suite) fig16() Figure {
-	return s.gnruRatio("Fig16", "Tiny-directory hits, gNRU vs DSTRA", "tiny.hits")
-}
-
-// Fig17 reproduces Figure 17: tiny-directory allocations under
-// DSTRA+gNRU normalized to DSTRA.
-func (s *Suite) fig17() Figure {
-	return s.gnruRatio("Fig17", "Tiny-directory allocations, gNRU vs DSTRA", "tiny.allocs")
-}
-
-func (s *Suite) gnruRatio(id, title, key string) Figure {
-	f := Figure{ID: id, Title: title, Cols: s.appNames(), Unit: "x"}
-	for _, ratio := range TinySizes {
-		ratio := ratio
-		f.Series = append(f.Series, s.perApp(ratioName(ratio), func(app Profile) float64 {
-			a := s.run(app, TinyDirectory(ratio, false, false)).Metrics.Tracker[key]
-			b := s.run(app, TinyDirectory(ratio, true, false)).Metrics.Tracker[key]
-			if a == 0 {
-				if b == 0 {
-					return 1
-				}
-				return float64(b)
-			}
-			return float64(b) / float64(a)
-		}))
-	}
-	return f
-}
-
-// Fig18 reproduces Figure 18: hits per allocation with DSTRA+gNRU.
+// fig18 reproduces Figure 18: hits per allocation with DSTRA+gNRU.
 func (s *Suite) fig18() Figure {
-	f := Figure{ID: "Fig18", Title: "Tiny-directory hits per allocation (gNRU)", Cols: s.appNames(), Unit: "hits/alloc"}
-	for _, ratio := range TinySizes {
-		ratio := ratio
-		f.Series = append(f.Series, s.perApp(ratioName(ratio), func(app Profile) float64 {
-			m := s.run(app, TinyDirectory(ratio, true, false)).Metrics
+	f := appFigure("Fig18", "Tiny-directory hits per allocation (gNRU)", "hits/alloc")
+	for _, ns := range ratioSeries("", tinyGNRU, TinySizes...) {
+		f.Series = append(f.Series, perProfile(Apps(), ns.name, func(app Profile) float64 {
+			m := s.run(app, ns.scheme).Metrics
 			a := m.Tracker["tiny.allocs"]
 			if a == 0 {
 				return 0
@@ -719,44 +748,26 @@ func (s *Suite) fig18() Figure {
 	return f
 }
 
-// Fig19 reproduces Figure 19: percentage of LLC accesses whose critical
-// path is saved by spilled entries (DSTRA+gNRU+DynSpill).
-func (s *Suite) fig19() Figure {
-	f := Figure{ID: "Fig19", Title: "LLC accesses saved by spilled entries", Cols: s.appNames(), Unit: "%"}
-	for _, ratio := range TinySizes {
-		ratio := ratio
-		f.Series = append(f.Series, s.perApp(ratioName(ratio), func(app Profile) float64 {
-			return 100 * s.run(app, TinyDirectory(ratio, true, true)).Metrics.SpillAvoidedFrac()
-		}))
-	}
-	return f
-}
-
-// Fig20 reproduces Figure 20: LLC miss-rate increase due to spilling
+// fig20 reproduces Figure 20: LLC miss-rate increase due to spilling
 // (percentage points vs the 2x baseline).
 func (s *Suite) fig20() Figure {
-	f := Figure{ID: "Fig20", Title: "LLC miss-rate increase from spilling", Cols: s.appNames(), Unit: "pp"}
-	for _, ratio := range TinySizes {
-		ratio := ratio
-		f.Series = append(f.Series, s.perApp(ratioName(ratio), func(app Profile) float64 {
-			base := s.baseline(app).Metrics.LLCMissRate()
-			m := s.run(app, TinyDirectory(ratio, true, true)).Metrics.LLCMissRate()
+	f := appFigure("Fig20", "LLC miss-rate increase from spilling", "pp")
+	for _, ns := range ratioSeries("", tinySpill, TinySizes...) {
+		f.Series = append(f.Series, perProfile(Apps(), ns.name, func(app Profile) float64 {
+			base := s.run(app, baseline).Metrics.LLCMissRate()
+			m := s.run(app, ns.scheme).Metrics.LLCMissRate()
 			return 100 * (m - base)
 		}))
 	}
 	return f
 }
 
-// Fig21 reproduces Figure 21: LLC+directory energy (dynamic, leakage,
+// fig21 reproduces Figure 21: LLC+directory energy (dynamic, leakage,
 // total) and execution cycles for baseline sparse directories from 2x
 // down to 1/16x plus the tiny 1/128x, all normalized to the tiny 1/256x
 // configuration with DSTRA+gNRU+DynSpill, averaged over the applications.
 func (s *Suite) fig21() Figure {
-	type point struct {
-		name   string
-		scheme Scheme
-	}
-	points := []point{
+	points := []namedScheme{
 		{"2x", SparseDirectory(2)},
 		{"1x", SparseDirectory(1)},
 		{"1/2x", SparseDirectory(0.5)},
@@ -811,16 +822,12 @@ func (s *Suite) energyOf(r Result, scheme Scheme) energy.Breakdown {
 	cfg := s.Scale.machine()
 	llcBytes := cfg.LLCSets * cfg.LLCWays * 64 * cores
 	tagBytes := llcBytes / 16
-	dirEntries := 0
-	bitsPerEntry := cores + 27 + 32 // sharer vector + state/policy + tag
-	switch scheme.Kind {
-	case KindSparse, KindSharedOnly, KindSharedOnlySkew, KindMgD, KindStash:
+	dirEntries := 0 // the in-LLC schemes have no directory
+	if scheme.Kind != KindInLLC && scheme.Kind != KindInLLCTagExt {
 		dirEntries = cfg.DirEntriesPerSlice(scheme.Ratio) * cores
-	case KindTiny:
-		dirEntries = cfg.DirEntriesPerSlice(scheme.Ratio) * cores
-		bitsPerEntry = cores + 27 + 32 // 155-bit entry at 128 cores
 	}
-	dirBytes := energy.DirectoryBytes(maxInt(dirEntries, 1), bitsPerEntry)
+	// Sharer vector + state/policy + tag: a 155-bit entry at 128 cores.
+	dirBytes := energy.DirectoryBytes(max(dirEntries, 1), cores+27+32)
 	model := energy.Model{
 		LLCData: energy.Structure{Bytes: llcBytes, Ways: cfg.LLCWays},
 		LLCTags: energy.Structure{Bytes: tagBytes, Ways: cfg.LLCWays},
@@ -837,160 +844,29 @@ func (s *Suite) energyOf(r Result, scheme Scheme) energy.Breakdown {
 	return model.Energy(act)
 }
 
-func maxInt(a, b int) int {
-	if a > b {
-		return a
+// ablFormat compares sharer-encoding formats on a 1x sparse directory:
+// execution time and coherence traffic, normalized to the full-map 1x
+// configuration.
+func (s *Suite) ablFormat() Figure {
+	ref := SparseDirectory(1)
+	names := []string{"ptr1", "ptr4", "coarse4", "coarse8"}
+	var times []namedScheme
+	for _, name := range names {
+		times = append(times, namedScheme{"time:" + name, SparseDirectoryWithFormat(1, name)})
 	}
-	return b
-}
-
-// Fig22 reproduces Figure 22: MgD at 1/8x..1/64x and Stash at 1/32x,
-// normalized to the 2x sparse baseline.
-func (s *Suite) fig22() Figure {
-	f := Figure{ID: "Fig22", Title: "MgD and Stash comparison", Cols: s.appNames(), Unit: "x vs 2x"}
-	for _, ratio := range []float64{1.0 / 8, 1.0 / 16, 1.0 / 32, 1.0 / 64} {
-		ratio := ratio
-		f.Series = append(f.Series, s.perApp("MgD-"+ratioName(ratio), func(app Profile) float64 {
-			return s.normCycles(app, MgD(ratio))
-		}))
-	}
-	f.Series = append(f.Series, s.perApp("Stash-1/32x", func(app Profile) float64 {
-		return s.normCycles(app, Stash(1.0/32))
-	}))
-	return f
-}
-
-// FigHalved reproduces the §V-A robustness experiment: the whole cache
-// hierarchy halved, tiny 1/128x policies vs the 2x baseline.
-func (s *Suite) figHalved() Figure {
-	half := s.derived(Scale{
-		Name:           s.Scale.Name + "-halved",
-		Cores:          s.Scale.Cores,
-		Refs:           s.Scale.Refs,
-		HalveHierarchy: true,
-	})
-	f := Figure{ID: "Halved", Title: "Halved hierarchy, tiny 1/128x", Cols: s.appNames(), Unit: "x vs 2x"}
-	f.Series = append(f.Series, half.perApp("DSTRA+gNRU", func(app Profile) float64 {
-		return half.normCycles(app, TinyDirectory(1.0/128, true, false))
-	}))
-	f.Series = append(f.Series, half.perApp("DSTRA+gNRU+DynSpill", func(app Profile) float64 {
-		return half.normCycles(app, TinyDirectory(1.0/128, true, true))
-	}))
-	return f
-}
-
-// perFamily fills a series by evaluating fn for every workload-family
-// profile (the perApp analogue over FamilyApps).
-func (s *Suite) perFamily(name string, fn func(app Profile) float64) Series {
-	se := Series{Name: name, Values: map[string]float64{}}
-	for _, app := range FamilyApps() {
-		se.Values[app.Name] = fn(app)
-	}
-	return se
-}
-
-// FigFamilies compares the tracking schemes on the five specialized
-// workload families — the sharing extremes (falsely-shared lines, hot
-// home banks, producer-consumer migration, work stealing, multiprogram
-// rate mode) that the 17 mixed applications under-stress.
-func (s *Suite) FigFamilies() Figure { return s.figure(s.figFamilies) }
-
-func (s *Suite) figFamilies() Figure {
-	var cols []string
-	for _, p := range FamilyApps() {
-		cols = append(cols, p.Name)
-	}
-	f := Figure{ID: "Families", Title: "Workload families across schemes", Cols: cols, Unit: "x vs 2x"}
-	schemes := []Scheme{
-		SparseDirectory(1.0 / 8),
-		InLLC(false),
-		TinyDirectory(1.0/64, true, true),
-		Stash(1.0 / 32),
-	}
-	for _, sc := range schemes {
-		sc := sc
-		f.Series = append(f.Series, s.perFamily(sc.String(), func(app Profile) float64 {
-			return s.normCycles(app, sc)
+	f := appFigure("AblFormat", "Sharer-encoding formats on a 1x sparse directory", "x vs fullmap",
+		s.cyclesVs(Apps(), ref, times))
+	for _, name := range names {
+		f.Series = append(f.Series, perProfile(Apps(), "coh-traffic:"+name, func(app Profile) float64 {
+			base := s.run(app, ref).Metrics.TrafficBytes[2]
+			m := s.run(app, SparseDirectoryWithFormat(1, name)).Metrics
+			if base == 0 {
+				return 1
+			}
+			return float64(m.TrafficBytes[2]) / float64(base)
 		}))
 	}
 	return f
-}
-
-// AllFigures runs the complete experiment suite in paper order.
-func (s *Suite) AllFigures() []Figure {
-	figs := []Figure{
-		s.Fig1(), s.Fig2(), s.Fig3(), s.Fig4(), s.Fig5(), s.Fig6(),
-		s.Fig7(), s.Fig8(), s.Fig9(),
-	}
-	for _, r := range TinySizes {
-		figs = append(figs, s.FigTiny(r))
-	}
-	figs = append(figs, s.FigLengthened(1.0/32), s.FigLengthened(1.0/256))
-	figs = append(figs, s.Fig16(), s.Fig17(), s.Fig18(), s.Fig19(), s.Fig20(), s.Fig21(), s.Fig22(), s.FigHalved())
-	figs = append(figs, s.FigFamilies())
-	return figs
-}
-
-// FigureByID runs a single figure by identifier ("1".."22", "halved",
-// "families", or an ablation name).
-func (s *Suite) FigureByID(id string) (Figure, error) {
-	switch strings.ToLower(strings.TrimPrefix(strings.ToLower(id), "fig")) {
-	case "1":
-		return s.Fig1(), nil
-	case "2":
-		return s.Fig2(), nil
-	case "3":
-		return s.Fig3(), nil
-	case "4":
-		return s.Fig4(), nil
-	case "5":
-		return s.Fig5(), nil
-	case "6":
-		return s.Fig6(), nil
-	case "7":
-		return s.Fig7(), nil
-	case "8":
-		return s.Fig8(), nil
-	case "9":
-		return s.Fig9(), nil
-	case "10":
-		return s.FigTiny(1.0 / 32), nil
-	case "11":
-		return s.FigTiny(1.0 / 64), nil
-	case "12":
-		return s.FigTiny(1.0 / 128), nil
-	case "13":
-		return s.FigTiny(1.0 / 256), nil
-	case "14":
-		return s.FigLengthened(1.0 / 32), nil
-	case "15":
-		return s.FigLengthened(1.0 / 256), nil
-	case "16":
-		return s.Fig16(), nil
-	case "17":
-		return s.Fig17(), nil
-	case "18":
-		return s.Fig18(), nil
-	case "19":
-		return s.Fig19(), nil
-	case "20":
-		return s.Fig20(), nil
-	case "21":
-		return s.Fig21(), nil
-	case "22":
-		return s.Fig22(), nil
-	case "halved":
-		return s.FigHalved(), nil
-	case "families":
-		return s.FigFamilies(), nil
-	case "ablformat", "format":
-		return s.AblFormat(), nil
-	case "ablgenlen", "genlen":
-		return s.AblGenLen(), nil
-	case "ablwindow", "window":
-		return s.AblWindow(), nil
-	}
-	return Figure{}, fmt.Errorf("unknown figure %q", id)
 }
 
 // SortedTrackerKeys is a small helper for stable metric dumps.

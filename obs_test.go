@@ -102,7 +102,7 @@ func TestObsSuiteDeterministicAtAnyJ(t *testing.T) {
 		s.Workers = workers
 		s.Obs = ObsConfig{EpochInterval: 1000, Latency: true, TraceSpans: 2000}
 		s.ObsDir = t.TempDir()
-		if f := s.Fig7(); len(f.Series) == 0 {
+		if f := buildFigure(s, "7"); len(f.Series) == 0 {
 			t.Fatal("Fig7 produced no data")
 		}
 		files := map[string][]byte{}
@@ -261,7 +261,7 @@ func TestObsRaceSmoke(t *testing.T) {
 		}
 	}()
 
-	f := s.Fig7()
+	f := buildFigure(s, "7")
 	close(stop)
 	if len(f.Series) == 0 {
 		t.Fatal("Fig7 produced no data")

@@ -271,7 +271,7 @@ func TestSuiteStoreSweepIdentical(t *testing.T) {
 		s.Store = store
 		s.Resume = resume
 		var buf bytes.Buffer
-		if err := s.Fig1().WriteCSV(&buf); err != nil {
+		if err := buildFigure(s, "1").WriteCSV(&buf); err != nil {
 			t.Fatal(err)
 		}
 		return buf.Bytes(), s.Runs()

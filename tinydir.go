@@ -310,6 +310,17 @@ var (
 	ScaleFull = Scale{Name: "full", Cores: 128, Refs: 8000}
 )
 
+// ScaleByName returns the preset scale named "test", "experiment" or
+// "full".
+func ScaleByName(name string) (Scale, error) {
+	for _, sc := range []Scale{ScaleTest, ScaleExperiment, ScaleFull} {
+		if sc.Name == name {
+			return sc, nil
+		}
+	}
+	return Scale{}, fmt.Errorf("unknown scale %q", name)
+}
+
 func (sc Scale) machine() system.Config {
 	var cfg system.Config
 	switch {

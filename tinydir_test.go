@@ -7,17 +7,17 @@ import (
 
 func TestSchemeNames(t *testing.T) {
 	cases := map[string]Scheme{
-		"sparse-2x":                        SparseDirectory(2),
-		"sparse-1/16x":                     SparseDirectory(1.0 / 16),
-		"sharedonly-1/32x":                 SharedOnlyDirectory(1.0/32, false),
-		"sharedonly-skew-1/32x":            SharedOnlyDirectory(1.0/32, true),
-		"inllc":                            InLLC(false),
-		"inllc-tagext":                     InLLC(true),
-		"tiny-1/128x-dstra":                TinyDirectory(1.0/128, false, false),
-		"tiny-1/128x-dstra+gnru":           TinyDirectory(1.0/128, true, false),
-		"tiny-1/128x-dstra+gnru+dynspill":  TinyDirectory(1.0/128, true, true),
-		"mgd-1/8x":                         MgD(1.0 / 8),
-		"stash-1/32x":                      Stash(1.0 / 32),
+		"sparse-2x":                       SparseDirectory(2),
+		"sparse-1/16x":                    SparseDirectory(1.0 / 16),
+		"sharedonly-1/32x":                SharedOnlyDirectory(1.0/32, false),
+		"sharedonly-skew-1/32x":           SharedOnlyDirectory(1.0/32, true),
+		"inllc":                           InLLC(false),
+		"inllc-tagext":                    InLLC(true),
+		"tiny-1/128x-dstra":               TinyDirectory(1.0/128, false, false),
+		"tiny-1/128x-dstra+gnru":          TinyDirectory(1.0/128, true, false),
+		"tiny-1/128x-dstra+gnru+dynspill": TinyDirectory(1.0/128, true, true),
+		"mgd-1/8x":                        MgD(1.0 / 8),
+		"stash-1/32x":                     Stash(1.0 / 32),
 	}
 	for want, sch := range cases {
 		if got := sch.String(); got != want {
@@ -50,9 +50,9 @@ func TestRunAllSchemesAtTestScale(t *testing.T) {
 
 func TestSuiteMemoizes(t *testing.T) {
 	s := NewSuite(ScaleTest)
-	f1 := s.Fig7() // needs the in-LLC run per app
+	f1 := buildFigure(s, "7") // needs the in-LLC run per app
 	n := s.Runs()
-	f2 := s.Fig6() // same runs
+	f2 := buildFigure(s, "6") // same runs
 	if s.Runs() != n {
 		t.Fatalf("Fig6 re-ran simulations: %d -> %d", n, s.Runs())
 	}
@@ -61,15 +61,38 @@ func TestSuiteMemoizes(t *testing.T) {
 	}
 }
 
+// buildFigure builds a table figure; the ids tests pass are literals, so
+// an unknown one is a bug in the test.
+func buildFigure(s *Suite, id string) Figure {
+	f, err := s.FigureByID(id)
+	if err != nil {
+		panic(err)
+	}
+	return f
+}
+
+// Every table id and alias is unique and resolves to its own row, also
+// behind a "fig" prefix and in any case; an unknown id errors.
 func TestFigureByIDCoversAll(t *testing.T) {
-	s := NewSuite(ScaleTest)
-	for _, id := range []string{"1", "Fig7", "fig16"} {
-		if _, err := s.FigureByID(id); err != nil {
-			t.Errorf("FigureByID(%q): %v", id, err)
+	seen := map[string]bool{}
+	for _, row := range figureTable {
+		for _, key := range append([]string{row.id}, row.aliases...) {
+			if seen[key] {
+				t.Errorf("id %q appears twice in the figure table", key)
+			}
+			seen[key] = true
+		}
+		for _, id := range append([]string{row.id, "Fig" + row.id, strings.ToUpper(row.id)}, row.aliases...) {
+			got, ok := lookupFigure(id)
+			if !ok || got.id != row.id {
+				t.Errorf("lookupFigure(%q) = %q, %v; want row %q", id, got.id, ok, row.id)
+			}
 		}
 	}
-	if _, err := s.FigureByID("99"); err == nil {
-		t.Error("FigureByID(99) should fail")
+	for _, id := range []string{"99", "", "fig", "FigTiny-1/16x", "FigLen-1/64x"} {
+		if _, err := NewSuite(ScaleTest).FigureByID(id); err == nil {
+			t.Errorf("FigureByID(%q) should fail", id)
+		}
 	}
 }
 
@@ -100,14 +123,12 @@ func TestFigurePrinting(t *testing.T) {
 func TestHeadlineShapeAtTestScale(t *testing.T) {
 	s := NewSuite(ScaleTest)
 	app := App("barnes")
-	base := s.run(app, SparseDirectory(2)).Metrics
 	inllc := s.run(app, InLLC(false)).Metrics
 	tiny := s.run(app, TinyDirectory(1.0/64, true, true)).Metrics
 	if inllc.LengthenedFrac() <= tiny.LengthenedFrac() {
 		t.Fatalf("tiny (%.3f) did not reduce lengthened accesses vs in-LLC (%.3f)",
 			tiny.LengthenedFrac(), inllc.LengthenedFrac())
 	}
-	_ = base
 }
 
 // The spill observation window must scale with short traces (the late
