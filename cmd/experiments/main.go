@@ -117,7 +117,7 @@ func main() {
 		soak       = flag.Int("soak", 0, "run a fault-injection soak over this many seeds per scheme instead of figures")
 		soakApp    = flag.String("soak-app", "", "pin -soak to one workload (default: rotate barnes + the five families)")
 		traceFile  = flag.String("trace-file", "", "replay a trace file (tracegen -write) through one scheme instead of figures")
-		schemeName = flag.String("scheme", "tiny", "tracking scheme for -trace-file: sparse | sharedonly | inllc | tiny | mgd | stash")
+		schemeName = flag.String("scheme", "tiny", "tracking scheme for -trace-file: sparse | sharedonly | sharedonly-skew | inllc | inllc-tagext | tiny | mgd | stash")
 		ratio      = flag.Float64("ratio", 1.0/64, "directory size ratio for -trace-file schemes that take one")
 		faultRate  = flag.Float64("fault-rate", 0.02, "uniform fault rate for -soak (see internal/fault)")
 		faultSeed  = flag.Uint64("fault-seed", 1, "base PRNG seed for -soak; seed i of a sweep uses fault-seed+i")
@@ -249,7 +249,7 @@ func main() {
 	var svc *tinydir.SweepService
 	if *serveMode {
 		if *obsDir != "" {
-			fmt.Fprintln(os.Stderr, "experiments: note: dispatched runs execute on workers; -obs-dir records no per-run artifacts in -serve mode")
+			fmt.Fprintln(os.Stderr, "experiments: note: dispatched runs execute on workers; in -serve mode -obs-dir records only quarantine notes for failed units")
 		}
 		svc, err = tinydir.AttachSweepServiceCfg(suite, suite.Store, http.DefaultServeMux, tinydir.SweepServiceConfig{
 			JournalDir: *journalDir,
@@ -461,29 +461,10 @@ func runSoak(sc tinydir.Scale, seeds int, app string, rate float64, seed uint64,
 	}
 }
 
-// parseScheme maps a -scheme name (+ -ratio) to a tracking scheme.
-func parseScheme(name string, ratio float64) (tinydir.Scheme, error) {
-	switch strings.ToLower(name) {
-	case "sparse":
-		return tinydir.SparseDirectory(ratio), nil
-	case "sharedonly":
-		return tinydir.SharedOnlyDirectory(ratio, false), nil
-	case "inllc":
-		return tinydir.InLLC(false), nil
-	case "tiny":
-		return tinydir.TinyDirectory(ratio, true, true), nil
-	case "mgd":
-		return tinydir.MgD(ratio), nil
-	case "stash":
-		return tinydir.Stash(ratio), nil
-	}
-	return tinydir.Scheme{}, fmt.Errorf("unknown scheme %q", name)
-}
-
 // runTraceFile replays one trace file through one scheme and prints the
 // run's headline metrics plus its tracker counters.
 func runTraceFile(path, schemeName string, ratio float64, cacheDir string, resume bool, timeout time.Duration) {
-	scheme, err := parseScheme(schemeName, ratio)
+	scheme, err := tinydir.SchemeByName(schemeName, ratio)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "experiments:", err)
 		os.Exit(2)

@@ -39,26 +39,14 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	var sch tinydir.Scheme
-	switch *scheme {
-	case "sparse":
-		sch = tinydir.SparseDirectory(r)
-	case "sharedonly":
-		sch = tinydir.SharedOnlyDirectory(r, false)
-	case "sharedonly-skew":
-		sch = tinydir.SharedOnlyDirectory(r, true)
-	case "inllc":
-		sch = tinydir.InLLC(false)
-	case "inllc-tagext":
-		sch = tinydir.InLLC(true)
-	case "tiny":
-		sch = tinydir.TinyDirectory(r, *gnru, *spill)
-	case "mgd":
-		sch = tinydir.MgD(r)
-	case "stash":
-		sch = tinydir.Stash(r)
-	default:
-		fatal(fmt.Errorf("unknown scheme %q", *scheme))
+	sch, err := tinydir.SchemeByName(*scheme, r)
+	if err != nil {
+		fatal(err)
+	}
+	if sch.Kind == tinydir.KindTiny {
+		// -gnru and -spill pick the policy stack; without them tinysim's
+		// tiny directory is plain DSTRA.
+		sch.GNRU, sch.Spill = *gnru, *spill
 	}
 	sc, err := tinydir.ScaleByName(*scale)
 	if err != nil {

@@ -8,13 +8,14 @@ package tinydir
 // for a fleet: the coordinator plans figures exactly as `-j N` does, but
 // every planned run becomes a work unit (its store key + its normalized
 // Options as JSON) served to pull-based workers over HTTP. Workers run
-// units through the identical runWithStore path — quarantine, deadlines
-// and fault config intact — against the coordinator's store via the HTTP
-// blob backend, so results dedup exactly; the coordinator merges each
-// returned Result through the store's collision guard and assembles
-// figures from the same serial pass as ever. Determinism is the
-// acceptance bar: the figure CSVs are byte-identical to a single-process
-// run (see TestDistributedSweepByteIdentical and the CI smoke job).
+// units through the identical guarded path (Suite.attempt) — panic
+// guard, deadlines and fault config intact — against the coordinator's
+// store via the HTTP blob backend, so results dedup exactly; the
+// coordinator merges each returned Result through the store's collision
+// guard and assembles figures from the same serial pass as ever.
+// Determinism is the acceptance bar: the figure CSVs are byte-identical
+// to a single-process run (see TestDistributedSweepByteIdentical and the
+// CI smoke job).
 
 import (
 	"context"
@@ -24,7 +25,6 @@ import (
 	"io"
 	"net/http"
 	"os"
-	"runtime/debug"
 	"time"
 
 	"tinydir/internal/runstore"
@@ -147,7 +147,7 @@ func (svc *SweepService) Close() {
 // store, enqueue, wait, merge through the collision guard.
 func (svc *SweepService) dispatch(o Options) (Result, bool, error) {
 	o = normalizeOptions(o)
-	key := svc.store.Key(o)
+	key := runKey(o)
 	if svc.suite.Resume {
 		if r, ok, err := svc.store.GetResult(key); err == nil && ok {
 			return r, false, nil
@@ -204,12 +204,10 @@ type WorkerConfig struct {
 
 // RunSweepWorker joins a coordinator's fleet and executes claimed units
 // until the sweep completes (returns nil), ctx is cancelled, or the
-// coordinator stays unreachable. Each unit runs through the standard
-// runWithStore path — panic quarantine and wall-clock deadlines behave
-// exactly as in a local sweep — against
-// the coordinator's store mounted over HTTP, with resume semantics (an
-// already-stored result is served, not re-simulated: exact dedup is the
-// point of the shared store).
+// coordinator stays unreachable. Each unit runs through the same guarded
+// path as a local sweep's runs — panics and wall-clock deadlines fail
+// the unit with the message a local quarantine records — against the
+// coordinator's store mounted over HTTP.
 func RunSweepWorker(ctx context.Context, cfg WorkerConfig) error {
 	if cfg.Coordinator == "" {
 		return fmt.Errorf("tinydir: worker needs a coordinator URL")
@@ -243,6 +241,11 @@ func RunSweepWorker(ctx context.Context, cfg WorkerConfig) error {
 			fmt.Fprintf(cfg.Progress, format+"\n", args...)
 		}
 	}
+	// Units run exactly as a local sweep's runs do: through Suite.attempt,
+	// under the panic guard and the deadline, with resume semantics (an
+	// already-stored result is served, not re-simulated: exact dedup is
+	// the point of the shared store).
+	local := &Suite{Store: store, Resume: true, RunTimeout: cfg.RunTimeout}
 	w := &sweepd.Worker{
 		Base:   cfg.Coordinator + "/sweepd",
 		Name:   cfg.Name,
@@ -250,7 +253,21 @@ func RunSweepWorker(ctx context.Context, cfg WorkerConfig) error {
 		Logger: cfg.Logger,
 		Tel:    tel,
 		Run: func(key string, payload []byte) ([]byte, error) {
-			return runUnit(store, payload, cfg.RunTimeout)
+			o, err := decodeUnit(payload)
+			if err != nil {
+				return nil, err
+			}
+			r, simulated, err := local.attempt(o)
+			if err != nil {
+				// The coordinator hears the message; a caught panic's
+				// post-mortem stays in this worker's log.
+				var p *runPanic
+				if errors.As(err, &p) {
+					logf("worker %s: unit %.12s post-mortem:\n%s\n%s", cfg.Name, key, p.dump, p.stack)
+				}
+				return nil, err
+			}
+			return json.Marshal(wireResult{Result: r, Simulated: simulated})
 		},
 	}
 	err := w.Loop(ctx)
@@ -258,24 +275,4 @@ func RunSweepWorker(ctx context.Context, cfg WorkerConfig) error {
 		return nil // a signalled worker exiting cleanly is not an error
 	}
 	return err
-}
-
-// runUnit executes one claimed unit, converting panics (protocol
-// deadlocks, blown deadlines) into reported unit failures so a bad unit
-// never kills the worker process.
-func runUnit(store *RunStore, payload []byte, timeout time.Duration) (out []byte, err error) {
-	o, err := decodeUnit(payload)
-	if err != nil {
-		return nil, err
-	}
-	if timeout > 0 && o.Timeout == 0 {
-		o.Timeout = timeout
-	}
-	defer func() {
-		if p := recover(); p != nil {
-			err = fmt.Errorf("run panicked: %v\n%s", p, debug.Stack())
-		}
-	}()
-	r, simulated := runWithStore(o, store, true)
-	return json.Marshal(wireResult{Result: r, Simulated: simulated})
 }

@@ -212,16 +212,9 @@ func (s *Suite) Monitor() *Reporter {
 	return sh.rep
 }
 
-func (s *Suite) runKey(app Profile, scheme Scheme) string {
-	key := app.Name + "|" + scheme.String() + "|" + s.Scale.Name
-	if s.Scale.HalveHierarchy {
-		key += "|halved"
-	}
-	return key
-}
-
 func (s *Suite) run(app Profile, scheme Scheme) Result {
-	key := s.runKey(app, scheme)
+	o := Options{App: app, Scheme: scheme, Scale: s.Scale}
+	key := runKey(o)
 	sh := s.sh
 	sh.mu.Lock()
 	if r, ok := sh.cache[key]; ok {
@@ -233,19 +226,24 @@ func (s *Suite) run(app Profile, scheme Scheme) Result {
 		// set of runs matters, the figure built from it is discarded.
 		if !sh.planned[key] {
 			sh.planned[key] = true
-			sh.plan = append(sh.plan, plannedRun{key: key, opts: Options{App: app, Scheme: scheme, Scale: s.Scale}})
+			sh.plan = append(sh.plan, plannedRun{key: key, opts: o})
 		}
 		sh.mu.Unlock()
 		return Result{App: app.Name, Scheme: scheme.String()}
 	}
 	sh.mu.Unlock()
-	r, simulated := s.executeRun(Options{App: app, Scheme: scheme, Scale: s.Scale})
-	sh.mu.Lock()
-	sh.cache[key] = r
+	return s.cacheRun(plannedRun{key: key, opts: o})
+}
+
+// cacheRun runs p through executeRun and caches the result under its key.
+func (s *Suite) cacheRun(p plannedRun) Result {
+	r, simulated := s.executeRun(p.opts)
+	s.sh.mu.Lock()
+	s.sh.cache[p.key] = r
 	if simulated {
-		sh.runs++
+		s.sh.runs++
 	}
-	sh.mu.Unlock()
+	s.sh.mu.Unlock()
 	return r
 }
 
@@ -279,41 +277,11 @@ func (s *Suite) figure(build func() Figure) Figure {
 	return build() // real pass: cached when prefetched, identical either way
 }
 
-// prefetch executes the planned runs on a bounded worker pool.
+// prefetch executes the planned runs on the bounded worker pool. Once
+// the suite is cancelled the remaining entries skip their simulations
+// (executeRun returns at once).
 func (s *Suite) prefetch(plan []plannedRun) {
-	workers := s.Workers
-	if workers > len(plan) {
-		workers = len(plan)
-	}
-	if workers < 1 {
-		return
-	}
-	var next int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				if s.sh.cancelled.Load() {
-					return // graceful shutdown: claim nothing further
-				}
-				i := int(atomic.AddInt64(&next, 1)) - 1
-				if i >= len(plan) {
-					return
-				}
-				p := plan[i]
-				r, simulated := s.executeRun(p.opts)
-				s.sh.mu.Lock()
-				s.sh.cache[p.key] = r
-				if simulated {
-					s.sh.runs++
-				}
-				s.sh.mu.Unlock()
-			}
-		}()
-	}
-	wg.Wait()
+	parallelFor(len(plan), s.Workers, func(i int) { s.cacheRun(plan[i]) })
 }
 
 // Runs returns the number of simulations actually executed so far.
@@ -496,7 +464,10 @@ var figureTable = []figureRow{
 			sc.SpillWindow = w
 			windows = append(windows, namedScheme{fmt.Sprintf("window-%d", w), sc})
 		}
-		return appFigure("AblWindow", "Spill observation window, tiny 1/256x", "x vs 8K window",
+		// The reference is the run Figs. 13 and 15 share; its window is
+		// whatever normalizeOptions gives this scale.
+		refWindow := normalizeOptions(Options{Scheme: ref, Scale: s.Scale}).Scheme.SpillWindow
+		return appFigure("AblWindow", "Spill observation window, tiny 1/256x", fmt.Sprintf("x vs %d window", refWindow),
 			s.cyclesVs(Apps(), ref, windows))
 	}},
 }

@@ -8,11 +8,11 @@ package tinydir
 // ETA from sweep throughput.
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"os"
 	"path/filepath"
-	"runtime/debug"
 	"sort"
 	"strings"
 	"sync"
@@ -208,11 +208,25 @@ func sampler(rec *ObsRecorder) *obs.EpochSampler {
 	return rec.Epochs
 }
 
+// runName names one run for the monitor and its artifacts: the scheme's
+// legend name plus a -genlenN or -windowN suffix when the options set
+// that ablation knob, so runs whose keys differ never share a name.
+func runName(sch Scheme) string {
+	n := sch.String()
+	if sch.FixedGenLen != 0 {
+		n += fmt.Sprintf("-genlen%d", sch.FixedGenLen)
+	}
+	if sch.SpillWindow != 0 {
+		n += fmt.Sprintf("-window%d", sch.SpillWindow)
+	}
+	return n
+}
+
 // obsFileBase derives the artifact file stem for one run. Scheme names
 // contain '/' (ratio spellings like "tiny-1/64x-dstra"), which must not
 // become path separators.
 func obsFileBase(app string, scheme Scheme, sc Scale) string {
-	name := app + "_" + scheme.String() + "_" + sc.Name
+	name := app + "_" + runName(scheme) + "_" + sc.Name
 	if sc.HalveHierarchy {
 		name += "_halved"
 	}
@@ -230,142 +244,6 @@ func (s *Suite) writeObsArtifacts(o Options, rec *ObsRecorder, rep *Reporter) {
 		return
 	}
 	base := filepath.Join(s.ObsDir, obsFileBase(o.App.Name, o.Scheme, o.Scale))
-	if err := writeObsFiles(base, rec); err != nil {
-		rep.printf("  obs: %v\n", err)
-	}
-}
-
-// executeRun performs one simulation with progress reporting and
-// observability attachment — the one code path behind both the serial
-// figure builder and the prefetch workers. A run that panics (a protocol
-// deadlock, a blown wall-clock deadline, a plain bug) is quarantined: its
-// state is dumped to an artifact under ObsDir, the failure is recorded for
-// Failures(), and the sweep continues with a zero Result in that slot.
-func (s *Suite) executeRun(o Options) (Result, bool) {
-	if s.sh.cancelled.Load() {
-		// Graceful shutdown: skip the simulation entirely. The figure
-		// assembled from this zero result is discarded by the caller
-		// (Cancelled() gates output).
-		return Result{App: o.App.Name, Scheme: o.Scheme.String()}, false
-	}
-	rep := s.Monitor()
-	if s.Dispatch != nil {
-		return s.dispatchRun(o, rep)
-	}
-	rec := s.newRecorder(rep)
-	o.Obs = rec
-	if s.RunTimeout > 0 && o.Timeout == 0 {
-		o.Timeout = s.RunTimeout
-	}
-	rep.runStarted(o.App.Name, o.Scheme.String(), sampler(rec))
-	start := time.Now()
-	r, simulated, failure := s.guardedRun(o)
-	if failure != nil {
-		f := RunFailure{App: o.App.Name, Scheme: o.Scheme.String(), Err: failure.msg}
-		f.Artifact = s.quarantine(o, failure)
-		s.sh.mu.Lock()
-		s.sh.failures = append(s.sh.failures, f)
-		s.sh.mu.Unlock()
-		rep.runFailed(o.App.Name, o.Scheme.String(), f.Err, f.Artifact)
-		return Result{App: o.App.Name, Scheme: o.Scheme.String()}, false
-	}
-	if simulated {
-		s.writeObsArtifacts(o, rec, rep)
-	}
-	rep.runDone(o.App.Name, o.Scheme.String(), simulated, time.Since(start))
-	return r, simulated
-}
-
-// dispatchRun routes one run through the suite's Dispatch (the
-// distributed-sweep path) with the same progress reporting and failure
-// quarantine bookkeeping as a local run — minus the observability
-// recorder, which is per-process state a remote worker cannot share.
-func (s *Suite) dispatchRun(o Options, rep *Reporter) (Result, bool) {
-	if s.RunTimeout > 0 && o.Timeout == 0 {
-		o.Timeout = s.RunTimeout
-	}
-	rep.runStarted(o.App.Name, o.Scheme.String(), nil)
-	start := time.Now()
-	r, simulated, err := s.Dispatch(o)
-	if err != nil {
-		if s.Cancelled() {
-			// The dispatch path was torn down under us (coordinator
-			// closed); the output is discarded anyway, so this is not a
-			// run failure worth recording.
-			return Result{App: o.App.Name, Scheme: o.Scheme.String()}, false
-		}
-		f := RunFailure{App: o.App.Name, Scheme: o.Scheme.String(), Err: err.Error()}
-		s.sh.mu.Lock()
-		s.sh.failures = append(s.sh.failures, f)
-		s.sh.mu.Unlock()
-		rep.runFailed(o.App.Name, o.Scheme.String(), f.Err, "")
-		return Result{App: o.App.Name, Scheme: o.Scheme.String()}, false
-	}
-	rep.runDone(o.App.Name, o.Scheme.String(), simulated, time.Since(start))
-	return r, simulated
-}
-
-// runPanic is a caught run failure: the panic value, the goroutine stack
-// at the panic, and the stalled-machine dump when the panic carried one.
-type runPanic struct {
-	msg   string
-	dump  string
-	stack []byte
-}
-
-// guardedRun isolates one simulation behind a recover so a panicking run
-// cannot take down its prefetch worker (and with it the whole sweep).
-func (s *Suite) guardedRun(o Options) (r Result, simulated bool, failure *runPanic) {
-	defer func() {
-		p := recover()
-		if p == nil {
-			return
-		}
-		failure = &runPanic{msg: fmt.Sprint(p), stack: debug.Stack()}
-		if te, ok := p.(*RunTimeoutError); ok {
-			failure.dump = te.Dump
-		}
-	}()
-	r, simulated = runWithStore(o, s.Store, s.Resume)
-	return r, simulated, nil
-}
-
-// quarantine writes a failed run's post-mortem — options, error, stalled
-// machine dump, stack — to <ObsDir>/quarantine/<base>.txt and returns the
-// path ("" when ObsDir is unset or the write fails; the failure itself is
-// still recorded either way).
-func (s *Suite) quarantine(o Options, p *runPanic) string {
-	if s.ObsDir == "" {
-		return ""
-	}
-	dir := filepath.Join(s.ObsDir, "quarantine")
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		s.Monitor().printf("  quarantine: %v\n", err)
-		return ""
-	}
-	var b strings.Builder
-	fmt.Fprintf(&b, "quarantined run: %s %s scale=%s\n", o.App.Name, o.Scheme, o.Scale.Name)
-	fmt.Fprintf(&b, "options: scheme=%+v scale=%+v maxevents=%d fault-rate=%g fault-seed=%d timeout=%s\n",
-		o.Scheme, o.Scale, o.MaxEvents, o.FaultRate, o.FaultSeed, o.Timeout)
-	fmt.Fprintf(&b, "error: %s\n", p.msg)
-	if p.dump != "" {
-		fmt.Fprintf(&b, "\nstalled machine state:\n%s", p.dump)
-	}
-	fmt.Fprintf(&b, "\nstack:\n%s", p.stack)
-	path := filepath.Join(dir, obsFileBase(o.App.Name, o.Scheme, o.Scale)+".txt")
-	if err := os.WriteFile(path, []byte(b.String()), 0o644); err != nil {
-		s.Monitor().printf("  quarantine: %v\n", err)
-		return ""
-	}
-	return path
-}
-
-// writeObsFiles writes the enabled artifacts for one recorder to
-// <base>.<ext>. Shared by the Suite and cmd/experiments single-run paths.
-func writeObsFiles(base string, rec *ObsRecorder) error {
-	if err := os.MkdirAll(filepath.Dir(base), 0o755); err != nil {
-		return err
-	}
 	emit := func(ext string, write func(io.Writer) error) error {
 		f, err := os.Create(base + ext)
 		if err != nil {
@@ -378,20 +256,115 @@ func writeObsFiles(base string, rec *ObsRecorder) error {
 		}
 		return cerr
 	}
-	if rec.Epochs != nil {
-		if err := emit(".epochs.csv", rec.Epochs.WriteCSV); err != nil {
-			return err
-		}
+	err := os.MkdirAll(s.ObsDir, 0o755)
+	if err == nil && rec.Epochs != nil {
+		err = emit(".epochs.csv", rec.Epochs.WriteCSV)
 	}
-	if rec.Latency != nil {
-		if err := emit(".latency.txt", rec.Latency.WriteText); err != nil {
-			return err
-		}
+	if err == nil && rec.Latency != nil {
+		err = emit(".latency.txt", rec.Latency.WriteText)
 	}
-	if rec.Trace != nil {
-		if err := emit(".trace.json", rec.Trace.WriteJSON); err != nil {
-			return err
-		}
+	if err == nil && rec.Trace != nil {
+		err = emit(".trace.json", rec.Trace.WriteJSON)
 	}
-	return nil
+	if err != nil {
+		rep.printf("  obs: %v\n", err)
+	}
+}
+
+// executeRun performs one run with progress reporting and failure
+// quarantine — the one code path behind the serial figure builder, the
+// prefetch workers and, through Dispatch, the fleet. A failed run (a
+// panic caught by guard: a protocol deadlock, a blown wall-clock
+// deadline, a plain bug; or a dispatched unit's error) is quarantined:
+// its post-mortem goes to an artifact under ObsDir, the failure is
+// recorded for Failures(), and the sweep continues with a zero Result in
+// that slot.
+func (s *Suite) executeRun(o Options) (Result, bool) {
+	zero := Result{App: o.App.Name, Scheme: o.Scheme.String()}
+	if s.Cancelled() {
+		// Graceful shutdown: skip the simulation entirely. The figure
+		// assembled from this zero result is discarded by the caller
+		// (Cancelled() gates output).
+		return zero, false
+	}
+	rep := s.Monitor()
+	var rec *ObsRecorder
+	if s.Dispatch == nil {
+		// The recorder is per-process state a remote worker cannot share.
+		rec = s.newRecorder(rep)
+		o.Obs = rec
+	}
+	name := runName(o.Scheme)
+	rep.runStarted(o.App.Name, name, sampler(rec))
+	start := time.Now()
+	r, simulated, err := s.attempt(o)
+	if err != nil {
+		if s.Dispatch != nil && s.Cancelled() {
+			// The dispatch path was torn down under us (coordinator
+			// closed); the output is discarded anyway, so this is not a
+			// run failure worth recording.
+			return zero, false
+		}
+		f := RunFailure{App: o.App.Name, Scheme: name, Err: err.Error()}
+		f.Artifact = s.quarantine(o, err)
+		s.sh.mu.Lock()
+		s.sh.failures = append(s.sh.failures, f)
+		s.sh.mu.Unlock()
+		rep.runFailed(o.App.Name, name, f.Err, f.Artifact)
+		return zero, false
+	}
+	if simulated {
+		s.writeObsArtifacts(o, rec, rep)
+	}
+	rep.runDone(o.App.Name, name, simulated, time.Since(start))
+	return r, simulated
+}
+
+// attempt runs o once, after filling a zero o.Timeout with RunTimeout:
+// through Dispatch when one is set, else locally through the store under
+// guard. A fleet worker executes its units through the same method, so a
+// dispatched run fails exactly as a local one does.
+func (s *Suite) attempt(o Options) (r Result, simulated bool, err error) {
+	if o.Timeout == 0 {
+		o.Timeout = s.RunTimeout
+	}
+	if s.Dispatch != nil {
+		return s.Dispatch(o)
+	}
+	err = guard(func() { r, simulated = runWithStore(o, s.Store, s.Resume) })
+	return r, simulated, err
+}
+
+// quarantine writes a failed run's post-mortem — options, error, and for
+// a caught panic the stalled machine dump and stack — to
+// <ObsDir>/quarantine/<base>.txt and returns the path ("" when ObsDir is
+// unset or the write fails; the failure itself is still recorded either
+// way).
+func (s *Suite) quarantine(o Options, failure error) string {
+	if s.ObsDir == "" {
+		return ""
+	}
+	dir := filepath.Join(s.ObsDir, "quarantine")
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		s.Monitor().printf("  quarantine: %v\n", err)
+		return ""
+	}
+	var b strings.Builder
+	fmt.Fprintf(&b, "quarantined run: %s %s scale=%s\n", o.App.Name, o.Scheme, o.Scale.Name)
+	fmt.Fprintf(&b, "options: scheme=%+v scale=%+v maxevents=%d fault-rate=%g fault-seed=%d timeout=%s run-timeout=%s\n",
+		o.Scheme, o.Scale, o.MaxEvents, o.FaultRate, o.FaultSeed, o.Timeout, s.RunTimeout)
+	fmt.Fprintf(&b, "error: %s\n", failure)
+	var p *runPanic
+	if errors.As(failure, &p) {
+		if p.dump != "" {
+			fmt.Fprintf(&b, "\nstalled machine state:\n%s", p.dump)
+		}
+		fmt.Fprintf(&b, "\nstack:\n%s", p.stack)
+	}
+	path := filepath.Join(dir, obsFileBase(o.App.Name, o.Scheme, o.Scale)+".txt")
+	if err := os.WriteFile(path, []byte(b.String()), 0o644); err != nil {
+		s.Monitor().printf("  quarantine: %v\n", err)
+		return ""
+	}
+	return path
 }

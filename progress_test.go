@@ -165,4 +165,22 @@ func TestObsFileBase(t *testing.T) {
 	if !strings.HasSuffix(halved, "_halved") {
 		t.Fatalf("halved scale not reflected in %q", halved)
 	}
+	// Ablation variants differ from their reference only in a knob the
+	// legend name omits; each still gets its own artifact name.
+	sc := Scale{Name: "test", Cores: 8, Refs: 800}
+	genlen := TinyDirectory(1.0/128, true, false)
+	genlen.FixedGenLen = 16
+	window := TinyDirectory(1.0/256, true, true)
+	window.SpillWindow = 1024
+	for _, c := range []struct {
+		variant Scheme
+		want    string
+	}{
+		{genlen, "barnes_tiny-1-128x-dstra+gnru-genlen16_test"},
+		{window, "barnes_tiny-1-256x-dstra+gnru+dynspill-window1024_test"},
+	} {
+		if got := obsFileBase("barnes", c.variant, sc); got != c.want {
+			t.Errorf("obsFileBase(%+v) = %q, want %q", c.variant, got, c.want)
+		}
+	}
 }

@@ -16,7 +16,6 @@ import (
 
 	"tinydir/internal/fault"
 	"tinydir/internal/system"
-	"tinydir/internal/trace"
 )
 
 // SoakOptions configures a fault-injection soak sweep.
@@ -117,7 +116,7 @@ func Soak(o SoakOptions, progress io.Writer) SoakReport {
 			if b, ok := baselines[name]; ok {
 				return b, ""
 			}
-			b, _, err := soakOne(App(name), sch, o.Scale, fault.Config{}, o.Timeout)
+			b, _, err := soakOne(Options{App: App(name), Scheme: sch, Scale: o.Scale, Timeout: o.Timeout})
 			if err != nil {
 				baseErrs[name] = "fault-free baseline: " + err.Error()
 				logf("soak: %s/%s: baseline FAILED: %v\n", sch, name, err)
@@ -137,7 +136,8 @@ func Soak(o SoakOptions, progress io.Writer) SoakReport {
 				rep.Runs = append(rep.Runs, run)
 				continue
 			}
-			retires, stats, err := soakOne(App(appName), sch, o.Scale, fault.Uniform(seed, o.FaultRate), o.Timeout)
+			retires, stats, err := soakOne(Options{App: App(appName), Scheme: sch, Scale: o.Scale,
+				FaultRate: o.FaultRate, FaultSeed: seed, Timeout: o.Timeout})
 			run.Retires = retires
 			switch {
 			case err != nil:
@@ -160,32 +160,29 @@ func Soak(o SoakOptions, progress io.Writer) SoakReport {
 }
 
 // soakOne executes one run under the golden reference machine and checks
-// the whole survival contract, converting panics (deadlock detection,
-// wall-clock deadlines) into errors so a wedged seed is one failure line.
-func soakOne(app Profile, sch Scheme, sc Scale, fcfg fault.Config, timeout time.Duration) (retires uint64, stats fault.Stats, err error) {
-	defer func() {
-		if p := recover(); p != nil {
-			err = fmt.Errorf("run panicked: %v", p)
-		}
-	}()
-	cfg := sc.machine()
-	cfg.NewTracker = sch.newTracker(cfg)
-	cfg.Faults = fcfg
+// the whole survival contract. It builds the machine like every other run
+// (normalized options, startSystem) with the golden checker as observer,
+// under the same panic guard, so a wedged seed (deadlock detection, a
+// blown wall-clock deadline) is one failure line.
+func soakOne(o Options) (retires uint64, stats fault.Stats, err error) {
+	o = normalizeOptions(o)
 	g := system.NewGoldenChecker()
-	cfg.Observer = g
-	sys := system.New(cfg, trace.NewGen(app, cfg.Cores).Traces(sc.Refs))
-	sys.Start()
-	completeBounded(sys, Options{App: app, Scheme: sch, MaxEvents: 4_000_000_000, Timeout: timeout}, time.Now())
-	if flt := sys.FaultInjector(); flt != nil {
-		stats = flt.Stats
+	if perr := guard(func() {
+		start := time.Now()
+		sys := startSystem(o, g)
+		completeBounded(sys, o, start)
+		if flt := sys.FaultInjector(); flt != nil {
+			stats = flt.Stats
+		}
+		if v := g.Violations(); len(v) > 0 {
+			err = fmt.Errorf("%d golden-machine violations, first: %s", len(v), v[0])
+		} else if bad := sys.CheckCoherence(false); len(bad) > 0 {
+			err = fmt.Errorf("%d end-state violations, first: %s", len(bad), bad[0])
+		}
+	}); perr != nil {
+		return 0, fault.Stats{}, fmt.Errorf("run panicked: %w", perr)
 	}
-	if v := g.Violations(); len(v) > 0 {
-		return g.Retires(), stats, fmt.Errorf("%d golden-machine violations, first: %s", len(v), v[0])
-	}
-	if bad := sys.CheckCoherence(false); len(bad) > 0 {
-		return g.Retires(), stats, fmt.Errorf("%d end-state violations, first: %s", len(bad), bad[0])
-	}
-	return g.Retires(), stats, nil
+	return g.Retires(), stats, err
 }
 
 // addStats accumulates src into dst field by field.

@@ -6,8 +6,12 @@ package tinydir
 
 import (
 	"bytes"
+	"context"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 	"time"
@@ -143,5 +147,46 @@ func TestSweepRunDeadline(t *testing.T) {
 	// The artifact landed where the docs promise.
 	if got := filepath.Dir(fails[0].Artifact); got != filepath.Join(dir, "quarantine") {
 		t.Fatalf("artifact in %s, want %s", got, filepath.Join(dir, "quarantine"))
+	}
+
+	// The same run dispatched to a fleet worker takes the same guarded
+	// path there: the coordinator ships its RunTimeout with the unit, and
+	// the failure it records carries the local quarantine's message.
+	coord := NewSuite(ScaleTest)
+	coord.ObsDir = t.TempDir()
+	coord.RunTimeout = time.Nanosecond
+	store, err := NewRunStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	mux := http.NewServeMux()
+	svc, err := AttachSweepServiceCfg(coord, store, mux, SweepServiceConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(mux)
+	defer srv.Close()
+	defer svc.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	workerErr := make(chan error, 1)
+	go func() { workerErr <- RunSweepWorker(ctx, WorkerConfig{Coordinator: srv.URL, Name: "w"}) }()
+	coord.prefetch([]plannedRun{{key: "k", opts: Options{App: App("barnes"), Scheme: SparseDirectory(2.0), Scale: ScaleTest}}})
+	svc.Close()
+	if err := <-workerErr; err != nil {
+		t.Fatalf("worker exit: %v", err)
+	}
+	remote := coord.Failures()
+	if len(remote) != 1 {
+		t.Fatalf("dispatched sweep got %d failures, want 1: %+v", len(remote), remote)
+	}
+	elapsed := regexp.MustCompile(`exceeded its \S+ wall-clock`)
+	localMsg := elapsed.ReplaceAllString(fails[0].Err, "exceeded its D wall-clock")
+	remoteMsg := elapsed.ReplaceAllString(remote[0].Err, "exceeded its D wall-clock")
+	if !strings.HasSuffix(remoteMsg, localMsg) {
+		t.Fatalf("dispatched deadline failure %q does not carry the local message %q", remote[0].Err, fails[0].Err)
+	}
+	if remote[0].Artifact == "" {
+		t.Fatal("dispatched failure wrote no quarantine artifact despite ObsDir being set")
 	}
 }

@@ -28,6 +28,7 @@ import (
 	"errors"
 	"fmt"
 	"os"
+	"runtime/debug"
 	"time"
 
 	"tinydir/internal/fault"
@@ -139,9 +140,14 @@ func normalizeOptions(o Options) Options {
 	return o
 }
 
-// Key returns the content address of o's simulation: a hex sha256 over the
-// normalized options and the store format version.
-func (s *RunStore) Key(o Options) string {
+// Key returns the content address of o's simulation (see runKey).
+func (s *RunStore) Key(o Options) string { return runKey(o) }
+
+// runKey is the one identity of a run: a hex sha256 over the normalized
+// options and the store format version. The run store files results
+// under it, and a Suite's run cache and prefetch plan key on it, so two
+// configurations share a result exactly when they share a key.
+func runKey(o Options) string {
 	o = normalizeOptions(o)
 	h := sha256.New()
 	fmt.Fprintf(h, "store=%d\n", storeFormatVersion)
@@ -319,18 +325,33 @@ func runWithStore(o Options, store *RunStore, resume bool) (Result, bool) {
 	o = normalizeOptions(o)
 	var key string
 	if store != nil {
-		key = store.Key(o)
+		key = runKey(o)
 		if resume {
 			if r, ok, err := store.GetResult(key); err == nil && ok {
 				return r, false
 			}
 		}
 	}
-
 	start := time.Now()
+	sys := startSystem(o, nil)
+	m := completeBounded(sys, o, start)
+	res := Result{App: o.App.Name, Scheme: o.Scheme.String(), Cores: o.Scale.Cores, Metrics: m}
+	if store != nil {
+		if err := store.PutResult(key, res); err != nil {
+			panic(err)
+		}
+	}
+	return res, true
+}
+
+// startSystem builds and starts the machine normalized options o
+// describe, with observer (nil = none) receiving its protocol callbacks.
+// It is the one machine builder: store-backed runs and soak runs alike.
+func startSystem(o Options, observer system.Observer) *system.System {
 	cfg := o.Scale.machine()
 	cfg.NewTracker = o.Scheme.newTracker(cfg)
 	cfg.Recorder = o.Obs
+	cfg.Observer = observer
 	if o.FaultRate > 0 {
 		cfg.Faults = fault.Uniform(o.FaultSeed, o.FaultRate)
 	}
@@ -345,14 +366,39 @@ func runWithStore(o Options, store *RunStore, resume bool) (Result, bool) {
 		sys = system.New(cfg, traces)
 	}
 	sys.Start()
-	m := completeBounded(sys, o, start)
-	res := Result{App: o.App.Name, Scheme: o.Scheme.String(), Cores: cfg.Cores, Metrics: m}
-	if store != nil {
-		if err := store.PutResult(key, res); err != nil {
-			panic(err)
+	return sys
+}
+
+// runPanic is a run that panicked — a protocol deadlock, a blown
+// wall-clock deadline, a plain bug — as guard caught it: the panic
+// message, the stalled-machine dump when the panic was a
+// *RunTimeoutError, and the goroutine stack at the panic.
+type runPanic struct {
+	msg   string
+	dump  string
+	stack []byte
+}
+
+func (p *runPanic) Error() string { return p.msg }
+
+// guard runs fn and returns its panic, if any, as a *runPanic. It is the
+// one recover on the run path: a sweep's runs, a fleet worker's units and
+// the soak's runs all execute under it, so a failing run is one recorded
+// failure, never a dead worker pool or process.
+func guard(fn func()) (err error) {
+	defer func() {
+		p := recover()
+		if p == nil {
+			return
 		}
-	}
-	return res, true
+		rp := &runPanic{msg: fmt.Sprint(p), stack: debug.Stack()}
+		if te, ok := p.(*RunTimeoutError); ok {
+			rp.dump = te.Dump
+		}
+		err = rp
+	}()
+	fn()
+	return nil
 }
 
 // RunTimeoutError is the panic value of a run that blew its wall-clock

@@ -225,6 +225,32 @@ func (s Scheme) String() string {
 	return "unknown"
 }
 
+// SchemeByName returns the scheme a -scheme name selects at the given
+// directory ratio: "sparse", "sharedonly", "sharedonly-skew", "inllc",
+// "inllc-tagext", "tiny" (the full DSTRA+gNRU+DynSpill stack), "mgd" or
+// "stash". The in-LLC schemes ignore ratio.
+func SchemeByName(name string, ratio float64) (Scheme, error) {
+	switch strings.ToLower(name) {
+	case "sparse":
+		return SparseDirectory(ratio), nil
+	case "sharedonly":
+		return SharedOnlyDirectory(ratio, false), nil
+	case "sharedonly-skew":
+		return SharedOnlyDirectory(ratio, true), nil
+	case "inllc":
+		return InLLC(false), nil
+	case "inllc-tagext":
+		return InLLC(true), nil
+	case "tiny":
+		return TinyDirectory(ratio, true, true), nil
+	case "mgd":
+		return MgD(ratio), nil
+	case "stash":
+		return Stash(ratio), nil
+	}
+	return Scheme{}, fmt.Errorf("unknown scheme %q", name)
+}
+
 // parseFormat maps an EntryFormat string to the dir-package format.
 func parseFormat(s string) dir.Format {
 	switch {
@@ -407,30 +433,32 @@ func RunAll(opts []Options, workers int) []Result {
 	if workers <= 0 {
 		workers = runtime.NumCPU()
 	}
-	if workers > len(opts) {
-		workers = len(opts)
-	}
+	parallelFor(len(opts), workers, func(i int) { results[i] = Run(opts[i]) })
+	return results
+}
+
+// parallelFor calls fn(i) for every i in [0, n) on at most workers
+// goroutines that claim indices in order; workers <= 1 runs serially on
+// the calling goroutine. It is the one bounded worker loop: RunAll and a
+// Suite's prefetch both run on it.
+func parallelFor(n, workers int, fn func(i int)) {
+	workers = min(workers, n)
 	if workers <= 1 {
-		for i, o := range opts {
-			results[i] = Run(o)
+		for i := 0; i < n; i++ {
+			fn(i)
 		}
-		return results
+		return
 	}
-	var next int64
+	var next atomic.Int64
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for {
-				i := int(atomic.AddInt64(&next, 1)) - 1
-				if i >= len(opts) {
-					return
-				}
-				results[i] = Run(opts[i])
+			for i := int(next.Add(1)) - 1; i < n; i = int(next.Add(1)) - 1 {
+				fn(i)
 			}
 		}()
 	}
 	wg.Wait()
-	return results
 }

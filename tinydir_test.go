@@ -61,6 +61,59 @@ func TestSuiteMemoizes(t *testing.T) {
 	}
 }
 
+// The suite caches by the store key, so schemes differing only in a knob
+// their legend name omits (the gNRU generation length, the spill window)
+// each simulate instead of sharing one cached run.
+func TestSuiteKeysEveryField(t *testing.T) {
+	s := NewSuite(ScaleTest)
+	s.Workers = 1
+	genlen := TinyDirectory(1.0/128, true, false)
+	genlen16 := genlen
+	genlen16.FixedGenLen = 16
+	window := TinyDirectory(1.0/256, true, true)
+	window1024 := window
+	window1024.SpillWindow = 1024
+	for _, sch := range []Scheme{genlen, genlen16, window, window1024} {
+		s.run(App("barnes"), sch)
+	}
+	if got := s.Runs(); got != 4 {
+		t.Fatalf("suite simulated %d runs for 4 distinct configurations", got)
+	}
+	// A repeat, and a spelling normalizeOptions maps to the same run (the
+	// window test scale defaults to), are served from the cache.
+	window512 := window
+	window512.SpillWindow = 512
+	s.run(App("barnes"), window)
+	s.run(App("barnes"), window512)
+	if got := s.Runs(); got != 4 {
+		t.Fatalf("suite re-simulated cached configurations: %d runs", got)
+	}
+}
+
+// Every -scheme name resolves to its scheme; an unknown one errors.
+func TestSchemeByName(t *testing.T) {
+	const r = 1.0 / 64
+	for name, want := range map[string]Scheme{
+		"sparse":          SparseDirectory(r),
+		"sharedonly":      SharedOnlyDirectory(r, false),
+		"sharedonly-skew": SharedOnlyDirectory(r, true),
+		"inllc":           InLLC(false),
+		"inllc-tagext":    InLLC(true),
+		"tiny":            TinyDirectory(r, true, true),
+		"mgd":             MgD(r),
+		"stash":           Stash(r),
+		"Sparse":          SparseDirectory(r),
+	} {
+		got, err := SchemeByName(name, r)
+		if err != nil || got != want {
+			t.Errorf("SchemeByName(%q) = %+v, %v; want %+v", name, got, err, want)
+		}
+	}
+	if _, err := SchemeByName("dense", r); err == nil {
+		t.Error("SchemeByName(\"dense\") should fail")
+	}
+}
+
 // buildFigure builds a table figure; the ids tests pass are literals, so
 // an unknown one is a bug in the test.
 func buildFigure(s *Suite, id string) Figure {
