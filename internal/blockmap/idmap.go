@@ -73,6 +73,18 @@ func (m *IDMap[V]) Delete(id int32) {
 	m.sparse[id] = -1
 }
 
+// Reset removes every entry, keeping the storage: the live ids are marked
+// absent in the direct-index array, and the entry list is truncated with
+// its values zeroed so none stays reachable.
+func (m *IDMap[V]) Reset() {
+	for _, id := range m.ids {
+		m.sparse[id] = -1
+	}
+	clear(m.vals)
+	m.ids = m.ids[:0]
+	m.vals = m.vals[:0]
+}
+
 // At returns the i-th entry (0 <= i < Len()) in unspecified order. It lets
 // callers scan a small map without closure overhead; the order is only
 // stable while the map is not mutated.

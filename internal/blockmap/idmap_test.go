@@ -76,3 +76,45 @@ func TestIDMapAgainstModel(t *testing.T) {
 		}
 	}
 }
+
+// TestIDMapResetLeavesNoStaleIDs: Reset on a map with live entries leaves
+// none behind — no id is present, re-inserted ids see no old value, and
+// the entry list holds only the new entries.
+func TestIDMapResetLeavesNoStaleIDs(t *testing.T) {
+	var m IDMap[*int]
+	vals := make([]int, 50)
+	for id := range vals {
+		m.Put(int32(id*2), &vals[id])
+	}
+	m.Delete(10)
+	m.Reset()
+	if m.Len() != 0 {
+		t.Fatalf("Len after Reset = %d, want 0", m.Len())
+	}
+	for id := int32(0); id < 120; id++ {
+		if m.Has(id) {
+			t.Fatalf("id %d still present after Reset", id)
+		}
+	}
+	for _, v := range m.vals[:cap(m.vals)] {
+		if v != nil {
+			t.Fatal("Reset left a value reachable from the entry list")
+		}
+	}
+	x := 7
+	m.Put(4, &x)
+	m.Put(99, &x)
+	if m.Len() != 2 {
+		t.Fatalf("Len after re-insert = %d, want 2", m.Len())
+	}
+	seen := 0
+	m.ForEach(func(id int32, v *int) {
+		if (id != 4 && id != 99) || v != &x {
+			t.Fatalf("stale entry %d after Reset", id)
+		}
+		seen++
+	})
+	if seen != 2 {
+		t.Fatalf("ForEach visited %d entries, want 2", seen)
+	}
+}

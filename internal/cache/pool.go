@@ -37,9 +37,10 @@ func (p *Pool[T]) bucket(g geom) *sync.Pool {
 // geometry is available. p may be nil (plain New).
 func NewIn[T any](p *Pool[T], sets, ways int, policy Policy) *Cache[T] {
 	if p != nil {
-		if s, ok := p.bucket(geom{sets, ways}).Get().(slab[T]); ok {
+		if s, ok := p.bucket(geom{sets, ways}).Get().(*slab[T]); ok {
 			c := &Cache[T]{sets: sets, ways: ways, policy: policy,
-				lines: s.lines, tags: s.tags, used: s.used[:0]}
+				lines: s.lines, tags: s.tags, used: s.used[:0], box: s}
+			*s = slab[T]{}
 			if sets&(sets-1) == 0 {
 				c.mask = uint64(sets - 1)
 			}
@@ -50,10 +51,10 @@ func NewIn[T any](p *Pool[T], sets, ways int, policy Policy) *Cache[T] {
 }
 
 // Release wipes c's mutable state back to the just-constructed baseline
-// and hands the storage to p for a later NewIn. The cache must not be
-// used afterwards. Caches that went through LoadState lost their
-// touched-line log and pay a full wipe; everything else wipes only the
-// lines ever touched.
+// and hands the storage to p for a later NewIn, in the pool entry it came
+// in when there is one. The cache must not be used afterwards. Caches
+// that went through LoadState lost their touched-line log and pay a full
+// wipe; everything else wipes only the lines ever touched.
 func (c *Cache[T]) Release(p *Pool[T]) {
 	if c.untracked {
 		for i := range c.lines {
@@ -68,7 +69,11 @@ func (c *Cache[T]) Release(p *Pool[T]) {
 			c.tags[i] = invalidTag
 		}
 	}
-	s := slab[T]{lines: c.lines, tags: c.tags, used: c.used[:0]}
-	c.lines, c.tags, c.used = nil, nil, nil
+	s := c.box
+	if s == nil {
+		s = &slab[T]{}
+	}
+	*s = slab[T]{lines: c.lines, tags: c.tags, used: c.used[:0]}
+	c.lines, c.tags, c.used, c.box = nil, nil, nil, nil
 	p.bucket(geom{c.sets, c.ways}).Put(s)
 }

@@ -161,11 +161,22 @@ func (t *InLLC) Metrics(m map[string]uint64) {
 	m["inllc.stateWrites"] += t.stateWrites
 	m["inllc.reconMsgs"] += t.reconMsgs
 	for i := 1; i < NumCategories; i++ {
-		m[catKey("stra.accessCat", i)] += t.catAccess[i]
-		m[catKey("stra.blockCat", i)] += t.catBlocks[i]
+		m[accessCatKeys[i]] += t.catAccess[i]
+		m[blockCatKeys[i]] += t.catBlocks[i]
 	}
 }
 
-func catKey(prefix string, i int) string {
-	return prefix + string(rune('0'+i))
+// accessCatKeys and blockCatKeys are the per-category metric names
+// ("stra.accessCat1", ...), built once instead of per bank per run.
+var (
+	accessCatKeys = catKeys("stra.accessCat")
+	blockCatKeys  = catKeys("stra.blockCat")
+)
+
+func catKeys(prefix string) [NumCategories]string {
+	var k [NumCategories]string
+	for i := range k {
+		k[i] = prefix + string(rune('0'+i))
+	}
+	return k
 }

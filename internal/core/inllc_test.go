@@ -121,7 +121,7 @@ func TestInLLCSTRACountersAndStats(t *testing.T) {
 	tr.Metrics(m)
 	var got uint64
 	for i := 1; i <= 7; i++ {
-		got += m[catKey("stra.accessCat", i)]
+		got += m[accessCatKeys[i]]
 	}
 	if got != 10 {
 		t.Fatalf("offending accesses binned %d, want 10", got)

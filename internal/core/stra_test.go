@@ -10,18 +10,18 @@ func TestCategoryBoundaries(t *testing.T) {
 		s, o uint8
 		want int
 	}{
-		{0, 0, 0},   // no shared reads
-		{0, 63, 0},  // ratio 0
-		{1, 1, 1},   // 1/2 is in (0, 1/2] -> C1
-		{1, 2, 1},   // 1/3 -> C1
-		{3, 1, 2},   // 3/4 in (1/2, 3/4] -> C2
-		{2, 1, 2},   // 2/3 in (1/2, 3/4] -> C2
-		{7, 1, 3},   // 7/8 -> C3
-		{15, 1, 4},  // 15/16 -> C4
-		{31, 1, 5},  // 31/32 -> C5
-		{63, 1, 6},  // 63/64 -> C6 (exact upper bound of C6)
-		{63, 0, 7},  // ratio 1 -> C7
-		{1, 0, 7},   // single shared read, nothing else -> ratio 1 -> C7
+		{0, 0, 0},  // no shared reads
+		{0, 63, 0}, // ratio 0
+		{1, 1, 1},  // 1/2 is in (0, 1/2] -> C1
+		{1, 2, 1},  // 1/3 -> C1
+		{3, 1, 2},  // 3/4 in (1/2, 3/4] -> C2
+		{2, 1, 2},  // 2/3 in (1/2, 3/4] -> C2
+		{7, 1, 3},  // 7/8 -> C3
+		{15, 1, 4}, // 15/16 -> C4
+		{31, 1, 5}, // 31/32 -> C5
+		{63, 1, 6}, // 63/64 -> C6 (exact upper bound of C6)
+		{63, 0, 7}, // ratio 1 -> C7
+		{1, 0, 7},  // single shared read, nothing else -> ratio 1 -> C7
 	}
 	for _, c := range cases {
 		if got := Category(c.s, c.o); got != c.want {

@@ -48,13 +48,13 @@ type Tiny struct {
 	win      winStats
 
 	// Metrics.
-	hits       uint64 // demand hits in the tiny directory (Fig. 16)
-	allocs     uint64 // entry fills (Fig. 17)
-	evictions  uint64
-	spills     uint64
-	spillSaved uint64 // shared reads answered thanks to a spilled entry (Fig. 19)
+	hits        uint64 // demand hits in the tiny directory (Fig. 16)
+	allocs      uint64 // entry fills (Fig. 17)
+	evictions   uint64
+	spills      uint64
+	spillSaved  uint64 // shared reads answered thanks to a spilled entry (Fig. 19)
 	stateWrites uint64
-	catAccess  [NumCategories]uint64
+	catAccess   [NumCategories]uint64
 }
 
 type tinyEntry struct {
@@ -65,9 +65,9 @@ type tinyEntry struct {
 }
 
 type winStats struct {
-	accesses, sharedReads              uint64
-	accSample, missSample              uint64
-	accOther, missOther                uint64
+	accesses, sharedReads uint64
+	accSample, missSample uint64
+	accOther, missOther   uint64
 }
 
 const (
@@ -632,6 +632,6 @@ func (t *Tiny) Metrics(m map[string]uint64) {
 	m["tiny.stateWrites"] += t.stateWrites
 	m["tiny.spillIdxSum"] += uint64(t.spillIdx)
 	for i := 1; i < NumCategories; i++ {
-		m[catKey("stra.accessCat", i)] += t.catAccess[i]
+		m[accessCatKeys[i]] += t.catAccess[i]
 	}
 }

@@ -54,11 +54,11 @@ func TestDirectoryBytesRounding(t *testing.T) {
 	cases := []struct {
 		entries, bits, want int
 	}{
-		{1, 7, 0},  // below one byte truncates to zero
-		{1, 8, 1},  // exactly one byte
-		{1, 9, 1},  // 9 bits still one byte
-		{3, 5, 1},  // 15 bits aggregate to one byte
-		{8, 1, 1},  // bits aggregate across entries before dividing
+		{1, 7, 0}, // below one byte truncates to zero
+		{1, 8, 1}, // exactly one byte
+		{1, 9, 1}, // 9 bits still one byte
+		{3, 5, 1}, // 15 bits aggregate to one byte
+		{8, 1, 1}, // bits aggregate across entries before dividing
 		{0, 187, 0},
 		{64 * 128, 155 + 32, 64 * 128 * 187 / 8},
 	}

@@ -12,11 +12,11 @@ import "math"
 // Constants anchored to CACTI-class values at 22 nm: a 32 KB 8-way SRAM
 // costs ~0.02 nJ per read and leaks ~15 mW; energies scale from there.
 const (
-	anchorBytes      = 32 * 1024
-	anchorReadNJ     = 0.020
-	anchorWriteNJ    = 0.024
-	anchorLeakWatts  = 0.015
-	tagFactorPerWay  = 0.004 // extra dynamic fraction per way of tag compare
+	anchorBytes     = 32 * 1024
+	anchorReadNJ    = 0.020
+	anchorWriteNJ   = 0.024
+	anchorLeakWatts = 0.015
+	tagFactorPerWay = 0.004 // extra dynamic fraction per way of tag compare
 )
 
 // Structure models one SRAM structure (an LLC bank data array, a tag

@@ -4,11 +4,13 @@
 // id-indexed storage (see blockmap.IDMap) instead of re-hashing the full
 // address on every probe.
 //
-// Lifetime rules: a Table belongs to one simulated machine (one run) and
-// ids are only meaningful against the Table that issued them. Ids are
-// never recycled — the table grows monotonically with the distinct-block
-// footprint of the trace, which is bounded and small compared to the
-// structures the ids index. First-touch assignment is deterministic
+// Lifetime rules: ids are per run and only meaningful against the Table
+// that issued them. Within a run ids are never recycled — the table grows
+// monotonically with the distinct-block footprint of the trace, which is
+// bounded and small compared to the structures the ids index. Between
+// runs a table may be Reset and handed to the next machine: ids restart
+// at 0 and are again assigned in first-touch order, exactly as a fresh
+// table would assign them. First-touch assignment is deterministic
 // because the simulator itself is: the same trace and configuration
 // produce the same event order, hence the same id for every address.
 // Snapshots store addresses, never ids, so a restored machine may
@@ -68,6 +70,14 @@ func (t *Table) Lookup(addr uint64) (int32, bool) {
 		}
 	}
 	return 0, false
+}
+
+// Reset empties the table for reuse by a later run, keeping its storage:
+// ids restart at 0 in first-touch order, and every Lookup misses until
+// the address is interned again.
+func (t *Table) Reset() {
+	clear(t.used)
+	t.addrs = t.addrs[:0]
 }
 
 // Addr returns the address interned as id. It panics on an id this table

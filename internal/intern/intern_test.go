@@ -78,3 +78,34 @@ func TestGrowthKeepsIDs(t *testing.T) {
 		}
 	}
 }
+
+// TestResetRestartsIDs: after Reset, a table that had grown through
+// several resizes answers like a fresh one — every Lookup misses, and ids
+// restart at 0 in first-touch order.
+func TestResetRestartsIDs(t *testing.T) {
+	var tb Table
+	for a := uint64(0); a < 1000; a++ {
+		tb.ID(a * 3)
+	}
+	tb.Reset()
+	if tb.Len() != 0 {
+		t.Fatalf("Len after Reset = %d, want 0", tb.Len())
+	}
+	for a := uint64(0); a < 1000; a++ {
+		if id, ok := tb.Lookup(a * 3); ok {
+			t.Fatalf("Lookup(%#x) after Reset = %d, want a miss", a*3, id)
+		}
+	}
+	var fresh Table
+	addrs := []uint64{2997, 42, 0, 1 << 40, 42, 3, 0}
+	for _, a := range addrs {
+		if got, want := tb.ID(a), fresh.ID(a); got != want {
+			t.Fatalf("ID(%#x) after Reset = %d, a fresh table says %d", a, got, want)
+		}
+	}
+	for id := int32(0); id < int32(fresh.Len()); id++ {
+		if tb.Addr(id) != fresh.Addr(id) {
+			t.Fatalf("Addr(%d) after Reset = %#x, a fresh table says %#x", id, tb.Addr(id), fresh.Addr(id))
+		}
+	}
+}

@@ -5,7 +5,10 @@
 // fully deterministic for a given input.
 package sim
 
-import "math/bits"
+import (
+	"math/bits"
+	"sync"
+)
 
 // Time is an absolute simulation time in core cycles.
 type Time uint64
@@ -59,6 +62,24 @@ type ringBucket struct {
 	head int
 }
 
+// queueStore is the calendar queue's storage: the ring buckets with their
+// grown event slices, the occupancy bitmap and the overflow heap's backing
+// array. A drained engine's store is empty in the exact sense a fresh one
+// is — every bucket at length 0 with head 0, every bitmap word zero, the
+// heap at length 0, every vacated event slot zeroed — so handing it to the
+// next engine cannot change any pop order.
+type queueStore struct {
+	ring []ringBucket
+	occ  []uint64
+	over []event
+}
+
+// queuePool recycles drained engines' stores across the process: a sweep
+// runs hundreds of short simulations back to back, and regrowing 1024
+// bucket slices from nil dominated each one's allocations. Idle stores are
+// reclaimed by the garbage collector (sync.Pool semantics).
+var queuePool sync.Pool // of *queueStore
+
 // Engine is a deterministic discrete-event scheduler.
 //
 // The zero value is ready to use. Events live in a two-tier calendar queue:
@@ -88,6 +109,9 @@ type Engine struct {
 	occ   []uint64     // occupancy bitmap, one bit per ring slot
 	ringN int          // events resident in the ring
 	over  []event      // overflow binary heap, (time, seq) ordered
+	// box is the pooled store ring, occ and over were taken from, kept so
+	// Release hands them back without allocating a new one.
+	box *queueStore
 }
 
 // Now returns the current simulation time.
@@ -106,8 +130,7 @@ func (e *Engine) Tiers() (ring, overflow int) { return e.ringN, len(e.over) }
 // so the unsigned difference is the true distance.
 func (e *Engine) push(ev event) {
 	if e.ring == nil {
-		e.ring = make([]ringBucket, ringHorizon)
-		e.occ = make([]uint64, ringHorizon/64)
+		e.acquire()
 	}
 	if ev.at-e.now < ringHorizon {
 		s := int(ev.at) & ringMask
@@ -118,6 +141,31 @@ func (e *Engine) push(ev event) {
 		return
 	}
 	e.pushOver(ev)
+}
+
+// acquire gives the engine queue storage: a drained engine's store from
+// queuePool when one is idle, fresh storage otherwise.
+func (e *Engine) acquire() {
+	st, _ := queuePool.Get().(*queueStore)
+	if st == nil {
+		st = &queueStore{ring: make([]ringBucket, ringHorizon), occ: make([]uint64, ringHorizon/64)}
+	}
+	e.ring, e.occ, e.over, e.box = st.ring, st.occ, st.over, st
+	*st = queueStore{}
+}
+
+// Release hands a drained engine's queue storage to the process-wide pool
+// for a later engine's first push. An engine with pending events keeps its
+// storage: releasing it would drop the events. The engine stays usable
+// either way; a push after a release takes storage again.
+func (e *Engine) Release() {
+	if e.ring == nil || e.Pending() {
+		return
+	}
+	st := e.box
+	*st = queueStore{ring: e.ring, occ: e.occ, over: e.over}
+	e.ring, e.occ, e.over, e.box = nil, nil, nil, nil
+	queuePool.Put(st)
 }
 
 // scanRing returns the slot of the earliest ring event. Ring events all

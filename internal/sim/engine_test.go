@@ -3,6 +3,7 @@ package sim
 import (
 	"math/rand"
 	"reflect"
+	"runtime"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -380,5 +381,60 @@ func BenchmarkEngineHandler(b *testing.B) {
 		r.times = r.times[:0]
 		e.ScheduleAfter(Time(i%64), r, 1, uint64(i), 0)
 		e.Step()
+	}
+}
+
+// TestReleaseKeepsPendingStorage: Release on an engine with pending events
+// is a no-op — every event still runs, in order — while a drained engine
+// gives its storage up and takes storage again on the next push.
+func TestReleaseKeepsPendingStorage(t *testing.T) {
+	var e Engine
+	r := &recorder{eng: &e}
+	e.ScheduleAt(3, r, 1, 0, 0)
+	e.ScheduleAt(3+2*ringHorizon, r, 2, 0, 0) // overflow tier
+	e.Run(1)
+	e.Release()
+	if e.ring == nil || !e.Pending() {
+		t.Fatal("Release dropped the storage of an engine with pending events")
+	}
+	e.Run(0)
+	if !reflect.DeepEqual(r.ops, []int{1, 2}) {
+		t.Fatalf("ops after a refused Release = %v, want [1 2]", r.ops)
+	}
+	e.Release()
+	if e.ring != nil || e.occ != nil || e.over != nil || e.box != nil {
+		t.Fatal("Release kept the storage of a drained engine")
+	}
+	e.ScheduleAfter(5, r, 3, 0, 0)
+	e.Run(0)
+	if !reflect.DeepEqual(r.ops, []int{1, 2, 3}) || e.Now() != 3+2*ringHorizon+5 {
+		t.Fatalf("engine after Release: ops %v at %d", r.ops, e.Now())
+	}
+}
+
+// TestReusedQueueMatchesFresh: an engine running on a store another
+// engine drained pops the same schedule in the same order as one running
+// on freshly allocated storage.
+func TestReusedQueueMatchesFresh(t *testing.T) {
+	schedule := func(e *Engine) *recorder {
+		r := &recorder{eng: e}
+		rng := rand.New(rand.NewSource(9))
+		for i := 0; i < 2000; i++ {
+			e.ScheduleAt(Time(rng.Intn(3*ringHorizon)), r, i, 0, 0)
+		}
+		e.Run(0)
+		return r
+	}
+	// Two collections empty queuePool, so fresh allocates its storage.
+	runtime.GC()
+	runtime.GC()
+	var fresh, first, reused Engine
+	fr := schedule(&fresh)
+	schedule(&first)
+	// Hand first's drained store over directly (sync.Pool may drop it).
+	reused.ring, reused.occ, reused.over, reused.box = first.ring, first.occ, first.over, first.box
+	rr := schedule(&reused)
+	if !reflect.DeepEqual(fr.ops, rr.ops) || !reflect.DeepEqual(fr.times, rr.times) {
+		t.Fatal("a reused queue store popped a different order than fresh storage")
 	}
 }

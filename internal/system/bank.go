@@ -2,6 +2,7 @@ package system
 
 import (
 	"fmt"
+	"sync"
 
 	"tinydir/internal/bitvec"
 	"tinydir/internal/blockmap"
@@ -52,16 +53,7 @@ type bankNode struct {
 	id      int
 	llc     *proto.LLC
 	tracker proto.Tracker
-	// itab interns this bank's block addresses into dense ids (per run,
-	// first-touch order); busy maps those ids to in-flight transactions.
-	// The busy table is probed on every message arrival, and the id key
-	// turns each probe into a direct array index (see blockmap.IDMap).
-	itab intern.Table
-	busy blockmap.IDMap[*txn]
-	// freeTxns pools released transaction records so the steady state
-	// allocates none; holdersBuf backs backInvalidate's holder list.
-	freeTxns   []*txn
-	holdersBuf []int
+	*bankScratch
 
 	// Fault-mode duplicate suppression (nil when faults are off): the
 	// highest request / evict-notice sequence number observed per core,
@@ -74,11 +66,37 @@ type bankNode struct {
 	txnGen uint64
 }
 
+// bankScratch is a bank's per-run working storage: tables that start
+// every run empty and grow with its footprint. Finished machines return
+// it to scratchPool (System.ReleaseStorage), so a sweep's next machine
+// starts with grown tables instead of regrowing them from nil.
+type bankScratch struct {
+	// itab interns this bank's block addresses into dense ids (per run,
+	// first-touch order); busy maps those ids to in-flight transactions.
+	// The busy table is probed on every message arrival, and the id key
+	// turns each probe into a direct array index (see blockmap.IDMap).
+	itab intern.Table
+	busy blockmap.IDMap[*txn]
+	// freeTxns pools released transaction records so the steady state
+	// allocates none; holdersBuf backs backInvalidate's holder list.
+	freeTxns   []*txn
+	holdersBuf []int
+}
+
+// scratchPool holds released banks' scratch, reset to the empty state a
+// fresh bankScratch has (see releaseScratch).
+var scratchPool sync.Pool // of *bankScratch
+
 func newBankNode(sys *System, id int) *bankNode {
+	sc, _ := scratchPool.Get().(*bankScratch)
+	if sc == nil {
+		sc = &bankScratch{}
+	}
 	b := &bankNode{
-		sys: sys,
-		id:  id,
-		llc: cache.NewIn(&llcPool, sys.cfg.LLCSets, sys.cfg.LLCWays, cache.LRU),
+		sys:         sys,
+		id:          id,
+		llc:         cache.NewIn(&llcPool, sys.cfg.LLCSets, sys.cfg.LLCWays, cache.LRU),
+		bankScratch: sc,
 	}
 	if sys.flt != nil {
 		b.reqSeen = make([]int32, sys.cfg.Cores)
@@ -168,6 +186,19 @@ func (b *bankNode) newTxn() *txn {
 func (b *bankNode) freeTxn(t *txn) {
 	*t = txn{}
 	b.freeTxns = append(b.freeTxns, t)
+}
+
+// releaseScratch resets the bank's scratch and hands it to scratchPool.
+// A reset table behaves exactly like a fresh one: ids restart at 0 in
+// first-touch order and the busy set is empty. Transactions still busy
+// (a run cut short by its event cap) are dropped, not recycled; pooled
+// records are already zeroed.
+func (b *bankNode) releaseScratch() {
+	sc := b.bankScratch
+	b.bankScratch = nil
+	sc.itab.Reset()
+	sc.busy.Reset()
+	scratchPool.Put(sc)
 }
 
 // bankEnv adapts bankNode to proto.BankEnv.

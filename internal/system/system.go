@@ -53,6 +53,10 @@ type System struct {
 
 	running int
 	metrics Metrics
+
+	// released marks a machine whose storage ReleaseStorage handed to the
+	// pools; its caches and tables may already belong to another run.
+	released bool
 }
 
 // New builds a system and loads the per-core traces.
@@ -214,12 +218,19 @@ func (s *System) Complete(maxEvents uint64) Metrics {
 	return s.metrics
 }
 
-// ReleaseStorage returns the machine's cache slabs to the process-wide
-// pools for reuse by a later System. Call it only when the machine is
-// finished and will not be touched again (metrics extracted, no pending
-// Save); the caches are unusable afterwards. Trackers that pool their
-// own tag arrays release them through the optional interface.
+// ReleaseStorage hands the machine's reusable storage to process-wide
+// pools for the next System built in this process: the cache and tracker
+// tag slabs, every bank's scratch tables (address interning, busy set,
+// transaction records) and the engine's event queue (kept if events are
+// still pending). Call it only when the machine is finished and will not
+// be touched again: metrics extracted, end-state checks done, no pending
+// Save. Reuse cannot change results, because each structure is reset to
+// exactly its freshly built state. Afterwards only Metrics may be called;
+// the end-state checks and DumpStall panic, since the storage they would
+// read may already hold another run's state.
 func (s *System) ReleaseStorage() {
+	s.mustLive("ReleaseStorage")
+	s.released = true
 	for _, c := range s.cores {
 		c.l1i.Release(&privPool)
 		c.l1d.Release(&privPool)
@@ -231,6 +242,15 @@ func (s *System) ReleaseStorage() {
 		if r, ok := b.tracker.(releaser); ok {
 			r.ReleaseStorage()
 		}
+		b.releaseScratch()
+	}
+	s.eng.Release()
+}
+
+// mustLive panics when the machine's storage has been released.
+func (s *System) mustLive(op string) {
+	if s.released {
+		panic("system: " + op + " on a System after ReleaseStorage")
 	}
 }
 
@@ -266,6 +286,7 @@ func (s *System) Metrics() Metrics { return s.metrics }
 // that deliberately drop private tracking). Returns a list of violation
 // descriptions (empty = coherent). Used by the invariant tests.
 func (s *System) CheckCoherence(allowUntrackedPrivate bool) []string {
+	s.mustLive("CheckCoherence")
 	var bad []string
 	// Gather actual state per block.
 	type holderInfo struct {
@@ -340,6 +361,7 @@ func (s *System) CheckCoherence(allowUntrackedPrivate bool) []string {
 // coarse-vector formats inflate sharer sets by design, and region-grain
 // or broadcast schemes reconstruct them lazily.
 func (s *System) CheckExactSharers() []string {
+	s.mustLive("CheckExactSharers")
 	var bad []string
 	actual := map[uint64]map[int]bool{}
 	for _, c := range s.cores {
@@ -380,6 +402,7 @@ func sprintf(format string, args ...interface{}) string {
 // request and every bank's busy transactions — the first thing to read
 // when a simulation hits its event cap.
 func (s *System) DumpStall() string {
+	s.mustLive("DumpStall")
 	var b []byte
 	add := func(f string, args ...interface{}) { b = append(b, sprintf(f, args...)...) }
 	for _, c := range s.cores {

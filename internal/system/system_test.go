@@ -225,3 +225,52 @@ func min(a, b int) int {
 	}
 	return b
 }
+
+// TestEndStateChecksNeedALiveMachine: the end-state checks read the
+// private caches. On a finished but unreleased machine they see its lines
+// (a planted ownership mismatch is reported); once ReleaseStorage has
+// handed the storage to the next run, they and DumpStall panic instead of
+// passing over emptied (or reused) caches.
+func TestEndStateChecksNeedALiveMachine(t *testing.T) {
+	cfg := sparseCfg(8, 2.0)
+	sys := New(cfg, testTraces(8, 500, "barnes"))
+	sys.Run(200_000_000)
+	if bad := sys.CheckCoherence(false); len(bad) > 0 {
+		t.Fatalf("clean run reports violations: %v", bad)
+	}
+	var planted *cacheLine
+	for _, c := range sys.cores {
+		c.l2.ForEach(func(l *cacheLine) {
+			if planted == nil {
+				planted = l
+			}
+		})
+	}
+	if planted == nil {
+		t.Fatal("finished machine holds no private L2 lines")
+	}
+	if planted.Meta.st == psS {
+		planted.Meta.st = psM
+	} else {
+		planted.Meta.st = psS
+	}
+	if bad := sys.CheckCoherence(false); len(bad) == 0 {
+		t.Fatal("CheckCoherence missed a planted ownership mismatch")
+	}
+	sys.ReleaseStorage()
+	for name, fn := range map[string]func(){
+		"CheckCoherence":    func() { sys.CheckCoherence(false) },
+		"CheckExactSharers": func() { sys.CheckExactSharers() },
+		"DumpStall":         func() { sys.DumpStall() },
+		"ReleaseStorage":    func() { sys.ReleaseStorage() },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s on a released System did not panic", name)
+				}
+			}()
+			fn()
+		}()
+	}
+}

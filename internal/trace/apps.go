@@ -273,7 +273,7 @@ func FamilyApps() []Profile {
 			// One ring per core pair, 32 slots, consumer lagging half a
 			// ring — pure pairwise producer-consumer migration.
 			Name: "ringbuf", Seed: 203, Family: FamilyRing,
-			FamSpan: 32,
+			FamSpan:       32,
 			PrivateBlocks: 300, PrivateReuse: 0.9, StreamBlocks: 100,
 			SharedFrac: 0.4, WriteFrac: 0.15, Gap: 4,
 		},
@@ -290,7 +290,7 @@ func FamilyApps() []Profile {
 			// Rate mode: per-core heterogeneous private programs plus a
 			// 320-block read/ifetch-only shared OS region.
 			Name: "multiprog", Seed: 205, Family: FamilyMultiprog,
-			FamSpan: 320,
+			FamSpan:       320,
 			PrivateBlocks: 500, PrivateReuse: 0.88, StreamBlocks: 600,
 			SharedFrac: 0.12, WriteFrac: 0.3, Gap: 6,
 		},

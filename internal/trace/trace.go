@@ -31,11 +31,11 @@ type Ref struct {
 // Address-space bases (virtual block addresses, disjoint by
 // construction).
 const (
-	privBase   = uint64(1) << 30
-	privStride = uint64(1) << 20
-	sharedBase = uint64(1) << 40
+	privBase    = uint64(1) << 30
+	privStride  = uint64(1) << 20
+	sharedBase  = uint64(1) << 40
 	groupStride = uint64(1) << 16
-	codeBase   = uint64(1) << 50
+	codeBase    = uint64(1) << 50
 )
 
 // pageBlocks is the translation grain: 4 KB pages of 64-byte blocks.
@@ -166,12 +166,12 @@ type groupInstance struct {
 
 // Gen generates per-core traces for a profile.
 type Gen struct {
-	p      Profile
-	cores  int
+	p     Profile
+	cores int
 	// noTranslate disables the virtual-to-physical page hash (used by
 	// tests that assert on the virtual layout).
 	noTranslate bool
-	groups []groupInstance
+	groups      []groupInstance
 	// eligible[i] lists group indices core i participates in, with
 	// cumulative weights for sampling.
 	eligible [][]int

@@ -186,7 +186,6 @@ func TestTraceLengthProperty(t *testing.T) {
 	}
 }
 
-
 // The page translation must be a collision-free injection over the
 // footprints in play and must scatter consecutive pages.
 func TestTranslateInjective(t *testing.T) {

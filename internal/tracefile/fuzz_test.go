@@ -90,8 +90,8 @@ func wrapSeed() []byte {
 	var tmp [binary.MaxVarintLen64]byte
 	n := binary.PutVarint(tmp[:], 5) // addr 0 -> 5
 	body.Write(tmp[:n])
-	body.WriteByte(0) // kind
-	body.WriteByte(0) // gap
+	body.WriteByte(0)                 // kind
+	body.WriteByte(0)                 // gap
 	n = binary.PutVarint(tmp[:], -10) // addr 5 - 10: wraps below zero
 	body.Write(tmp[:n])
 	body.WriteByte(0)

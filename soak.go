@@ -179,6 +179,9 @@ func soakOne(o Options) (retires uint64, stats fault.Stats, err error) {
 		} else if bad := sys.CheckCoherence(false); len(bad) > 0 {
 			err = fmt.Errorf("%d end-state violations, first: %s", len(bad), bad[0])
 		}
+		// Only now is the machine dead: the end-state check above reads
+		// its caches, which release hands to the next run.
+		sys.ReleaseStorage()
 	}); perr != nil {
 		return 0, fault.Stats{}, fmt.Errorf("run panicked: %w", perr)
 	}

@@ -335,6 +335,7 @@ func runWithStore(o Options, store *RunStore, resume bool) (Result, bool) {
 	start := time.Now()
 	sys := startSystem(o, nil)
 	m := completeBounded(sys, o, start)
+	sys.ReleaseStorage()
 	res := Result{App: o.App.Name, Scheme: o.Scheme.String(), Cores: o.Scale.Cores, Metrics: m}
 	if store != nil {
 		if err := store.PutResult(key, res); err != nil {
@@ -422,16 +423,12 @@ const deadlineChunk = 1 << 16
 // completeBounded finishes a started system, enforcing o's
 // wall-clock Timeout by checking the clock every deadlineChunk events. The
 // unbounded path is exactly Complete — one engine call, no added work in
-// the hot loop.
+// the hot loop. The caller releases the machine's storage once it has read
+// everything it needs; a timeout panic skips the release, and the
+// abandoned storage is simply collected.
 func completeBounded(sys *system.System, o Options, start time.Time) Metrics {
-	// The machine is dead after this function (its metrics are the only
-	// output), so its cache slabs go back to the construction pools. A
-	// timeout panic skips the release; the abandoned slabs are simply
-	// collected.
 	if o.Timeout <= 0 {
-		m := sys.Complete(o.MaxEvents)
-		sys.ReleaseStorage()
-		return m
+		return sys.Complete(o.MaxEvents)
 	}
 	for {
 		budget := uint64(deadlineChunk)
@@ -452,7 +449,5 @@ func completeBounded(sys *system.System, o Options, start time.Time) Metrics {
 				Elapsed: elapsed, Dump: sys.DumpStall()})
 		}
 	}
-	m := sys.Complete(o.MaxEvents)
-	sys.ReleaseStorage()
-	return m
+	return sys.Complete(o.MaxEvents)
 }
