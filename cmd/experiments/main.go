@@ -73,7 +73,7 @@ import (
 	_ "expvar" // -http serves /debug/vars (runtime memstats)
 	"flag"
 	"fmt"
-	"io"
+	"log/slog"
 	"net"
 	"net/http"
 	_ "net/http/pprof" // -http serves /debug/pprof/ for live sweeps
@@ -128,12 +128,21 @@ func main() {
 	)
 	flag.Parse()
 
-	lvl, err := telemetry.ParseLevel(*logLevel)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "experiments:", err)
+	// The fleet (coordinator, workers, store) logs through slog's default
+	// logger; the log package's output, such as net/http server errors,
+	// is bridged to it at warn so the default level keeps it.
+	var lvl slog.Level
+	if err := lvl.UnmarshalText([]byte(*logLevel)); err != nil {
+		fmt.Fprintln(os.Stderr, "experiments: -log-level:", err)
 		os.Exit(2)
 	}
-	logger := telemetry.NewLogger(os.Stderr, lvl, *logJSON)
+	hopts := &slog.HandlerOptions{Level: lvl}
+	var logHandler slog.Handler = slog.NewTextHandler(os.Stderr, hopts)
+	if *logJSON {
+		logHandler = slog.NewJSONHandler(os.Stderr, hopts)
+	}
+	slog.SetDefault(slog.New(logHandler))
+	slog.SetLogLoggerLevel(slog.LevelWarn)
 
 	requires := func(set, has bool, flag, req string) {
 		if set && !has {
@@ -153,7 +162,7 @@ func main() {
 		return
 	}
 	if *workerURL != "" {
-		runWorker(*workerURL, *workerName, *workerLRU, *runTimeout, *quiet, logger)
+		runWorker(*workerURL, *workerName, *workerLRU, *runTimeout)
 		return
 	}
 	if *serveMode && (*httpAddr == "" || *cacheDir == "") {
@@ -259,13 +268,9 @@ func main() {
 			os.Exit(1)
 		}
 		if *journalDir != "" {
-			logger.Info("sweep journal attached",
-				telemetry.F("dir", *journalDir), telemetry.F("epoch", svc.Coord.Epoch()))
+			slog.Info("sweep journal attached", "dir", *journalDir, "epoch", svc.Coord.Epoch())
 		}
 		svc.Coord.LeaseTTL = *leaseTTL
-		svc.Coord.Log = func(format string, args ...interface{}) {
-			logger.Info(fmt.Sprintf(format, args...))
-		}
 		svc.EnableTelemetry(reg)
 	}
 	if *httpAddr != "" {
@@ -417,20 +422,14 @@ func runStoreScrub(cacheDir string) {
 
 // runWorker joins a coordinator's fleet until the sweep completes or the
 // process is signalled.
-func runWorker(url, name string, cacheBytes int64, timeout time.Duration, quiet bool, logger *telemetry.Logger) {
+func runWorker(url, name string, cacheBytes int64, timeout time.Duration) {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-	var progress io.Writer
-	if !quiet {
-		progress = os.Stderr
-	}
 	err := tinydir.RunSweepWorker(ctx, tinydir.WorkerConfig{
 		Coordinator: url,
 		Name:        name,
 		CacheBytes:  cacheBytes,
 		RunTimeout:  timeout,
-		Progress:    progress,
-		Logger:      logger,
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "experiments: worker:", err)

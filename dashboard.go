@@ -311,7 +311,7 @@ function tick() {
       });
       var j = f.Journal || {};
       document.getElementById("journal").textContent = "journal: " + j.Dir + " — " + (j.Records || 0) +
-        " records, " + (j.Bytes || 0) + " bytes, " + (j.Fsyncs || 0) + " fsyncs, " + (j.Compactions || 0) + " compactions";
+        " records, " + (j.Bytes || 0) + " bytes, " + (j.Fsyncs || 0) + " fsyncs";
       setRows(document.getElementById("workers"),
         (f.Workers || []).map(function (w) {
           return [w.Name, (w.Active || "idle").slice(0, 12), ns(w.IdleFor), w.Completed, w.Failed,

@@ -22,7 +22,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
+	"log/slog"
 	"net/http"
 	"os"
 	"time"
@@ -190,11 +190,6 @@ type WorkerConfig struct {
 	// RunTimeout bounds each unit's wall clock like Suite.RunTimeout;
 	// a blown deadline is reported as the unit's failure.
 	RunTimeout time.Duration
-	// Progress, when set, receives per-unit log lines.
-	Progress io.Writer
-	// Logger, when set, receives structured retry/recovery lines from
-	// the claim loop's backoff.
-	Logger *telemetry.Logger
 	// Registry, when set, additionally registers the worker's own
 	// claim/exec/report latency series (worker_*) and its store backend
 	// series (backend=http/lru) on it. The self-telemetry report pushed
@@ -234,24 +229,16 @@ func RunSweepWorker(ctx context.Context, cfg WorkerConfig) error {
 	// writes and even locally-cached bytes verify on every read; its
 	// warnings and counters (runstore_integrity_*) flag a corrupt shared
 	// store from whichever worker trips over it first.
-	backend = sm.Instrument(verifyBackend(backend), "verified")
-	store := NewRunStoreWithBackend(backend)
-	logf := func(format string, args ...interface{}) {
-		if cfg.Progress != nil {
-			fmt.Fprintf(cfg.Progress, format+"\n", args...)
-		}
-	}
+	store := NewRunStoreWithBackend(sm.Instrument(runstore.NewVerified(backend), "verified"))
 	// Units run exactly as a local sweep's runs do: through Suite.attempt,
 	// under the panic guard and the deadline, with resume semantics (an
 	// already-stored result is served, not re-simulated: exact dedup is
 	// the point of the shared store).
 	local := &Suite{Store: store, Resume: true, RunTimeout: cfg.RunTimeout}
 	w := &sweepd.Worker{
-		Base:   cfg.Coordinator + "/sweepd",
-		Name:   cfg.Name,
-		Log:    logf,
-		Logger: cfg.Logger,
-		Tel:    tel,
+		Base: cfg.Coordinator + "/sweepd",
+		Name: cfg.Name,
+		Tel:  tel,
 		Run: func(key string, payload []byte) ([]byte, error) {
 			o, err := decodeUnit(payload)
 			if err != nil {
@@ -263,7 +250,8 @@ func RunSweepWorker(ctx context.Context, cfg WorkerConfig) error {
 				// post-mortem stays in this worker's log.
 				var p *runPanic
 				if errors.As(err, &p) {
-					logf("worker %s: unit %.12s post-mortem:\n%s\n%s", cfg.Name, key, p.dump, p.stack)
+					slog.Error("unit post-mortem", "unit", key, "worker", cfg.Name,
+						"dump", p.dump, "stack", string(p.stack))
 				}
 				return nil, err
 			}

@@ -20,8 +20,7 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
-	"fmt"
-	"os"
+	"log/slog"
 	"sync/atomic"
 )
 
@@ -84,9 +83,9 @@ type IntegrityCounters struct {
 // the same degree the inner backend is.
 type Verified struct {
 	inner Backend
-	// Warn reports non-fatal integrity events (quarantines and the
-	// deletes they make). Defaults to stderr.
-	Warn func(format string, args ...interface{})
+	// Logger receives non-fatal integrity events (quarantines and the
+	// deletes they make) at warn. Nil means slog.Default().
+	Logger *slog.Logger
 
 	verified, quarantined          atomic.Uint64
 	scrubScanned, scrubQuarantined atomic.Uint64
@@ -111,12 +110,11 @@ func (v *Verified) Counters() IntegrityCounters {
 	}
 }
 
-func (v *Verified) warnf(format string, args ...interface{}) {
-	if v.Warn != nil {
-		v.Warn(format, args...)
-		return
+func (v *Verified) log() *slog.Logger {
+	if v.Logger != nil {
+		return v.Logger
 	}
-	fmt.Fprintf(os.Stderr, "runstore: warning: "+format+"\n", args...)
+	return slog.Default()
 }
 
 // Get implements Backend: fetch, check and strip the seal,
@@ -146,13 +144,13 @@ func (v *Verified) verifyFetched(kind, key string, stored []byte) ([]byte, bool)
 func (v *Verified) quarantine(kind, key string, stored []byte) {
 	v.quarantined.Add(1)
 	if err := v.inner.Put(QuarantineKind(kind), key, stored, true); err != nil {
-		v.warnf("quarantine copy of %s %s failed: %v", kind, key, err)
+		v.log().Warn("quarantine copy failed", "kind", kind, "key", key, "err", err)
 	}
 	if err := v.inner.Delete(kind, key); err != nil {
-		v.warnf("deleting corrupt %s %s failed: %v", kind, key, err)
+		v.log().Warn("deleting corrupt entry failed", "kind", kind, "key", key, "err", err)
 	}
-	v.warnf("quarantined corrupt %s %s (%d bytes with a missing or mismatched seal); treating as a miss",
-		kind, key, len(stored))
+	v.log().Warn("quarantined corrupt entry (missing or mismatched seal), treating as a miss",
+		"kind", kind, "key", key, "bytes", len(stored))
 }
 
 // Put implements Backend: the sealed bytes in one inner Put. Identical
@@ -203,7 +201,7 @@ func (v *Verified) Scrub(kinds ...string) (ScrubStats, error) {
 			stored, ok, err := v.inner.Get(kind, info.Key)
 			if err != nil {
 				ks.Errors++
-				v.warnf("scrub: unreadable %s %s: %v", kind, info.Key, err)
+				v.log().Warn("scrub: unreadable entry", "kind", kind, "key", info.Key, "err", err)
 				continue
 			}
 			if !ok {

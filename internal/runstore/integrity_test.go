@@ -6,6 +6,7 @@ package runstore
 
 import (
 	"bytes"
+	"log/slog"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -13,11 +14,9 @@ import (
 	"testing"
 )
 
-// quietWarn swallows expected integrity warnings, returning a counter.
-func quietWarn(v *Verified) *int {
-	n := new(int)
-	v.Warn = func(string, ...interface{}) { *n++ }
-	return n
+// quietWarn swallows expected integrity warnings.
+func quietWarn(v *Verified) {
+	v.Logger = slog.New(slog.DiscardHandler)
 }
 
 // TestVerifiedQuarantine: bytes corrupted underneath the integrity

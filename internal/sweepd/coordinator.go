@@ -32,10 +32,12 @@
 package sweepd
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
+	"log/slog"
 	"net/http"
 	"sort"
 	"sync"
@@ -70,20 +72,6 @@ const (
 	stateDone
 	stateFailed
 )
-
-func (s unitState) String() string {
-	switch s {
-	case statePending:
-		return "pending"
-	case stateLeased:
-		return "leased"
-	case stateDone:
-		return "done"
-	case stateFailed:
-		return "failed"
-	}
-	return "unknown"
-}
 
 type record struct {
 	unit      Unit
@@ -120,9 +108,10 @@ type Coordinator struct {
 	// LeaseTTL and MaxExpiries default to the package constants when 0.
 	LeaseTTL    time.Duration
 	MaxExpiries int
-	// Log, when set, receives one line per lease-layer event (expiry
-	// requeues, refused duplicates). No per-claim chatter.
-	Log func(format string, args ...interface{})
+	// Logger receives the lease-layer events: claims and completions at
+	// debug, expiries and fencing at info, refused duplicates at warn,
+	// failed units at error. Nil means slog.Default().
+	Logger *slog.Logger
 	// StragglerFactor defaults to DefaultStragglerFactor when 0.
 	StragglerFactor float64
 
@@ -176,58 +165,36 @@ func RecoverCoordinator(dir string) (*Coordinator, error) {
 	// Pending units in their journaled claim order, then the requeued
 	// leases in deterministic key order (their relative claim ages died
 	// with the old incarnation's clock).
-	inQueue := map[string]bool{}
-	for _, key := range st.queue {
-		inQueue[key] = true
-	}
+	c.queue = st.queue
 	var requeued []string
 	for _, key := range sortedUnitKeys(st.units) {
 		u := st.units[key]
 		r := &record{
-			unit:     Unit{Key: u.Key, Payload: u.Payload},
-			worker:   u.Worker,
-			expiries: u.Expiries,
+			unit:     Unit{Key: key, Payload: u.payload},
+			st:       u.st,
+			worker:   u.worker,
+			expiries: u.expiries,
+			result:   u.result,
+			errmsg:   u.err,
 			done:     make(chan struct{}),
 		}
-		switch u.State {
-		case "done":
-			r.st = stateDone
-			r.result = u.Result
+		switch u.st {
+		case stateDone, stateFailed:
 			close(r.done)
-		case "failed":
-			r.st = stateFailed
-			r.errmsg = u.Err
-			close(r.done)
-		case "leased":
+		case stateLeased:
 			r.st = statePending
-			if !inQueue[key] {
-				requeued = append(requeued, key)
-			}
-		default:
-			r.st = statePending
-			if !inQueue[key] {
-				// A pending unit missing from the queue (snapshot damage
-				// degraded to WAL-only recovery) still has to be served.
-				requeued = append(requeued, key)
-			}
+			requeued = append(requeued, key)
 		}
 		c.recs[key] = r
-	}
-	for _, key := range st.queue {
-		if r := c.recs[key]; r != nil && r.st == statePending {
-			c.queue = append(c.queue, key)
-		}
 	}
 	c.queue = append(c.queue, requeued...)
 
 	// The epoch bump must be durable before any lease is granted under
 	// it — otherwise a second crash could reissue an already-fenced
 	// epoch.
-	if err := j.append(journalRecord{T: "epoch", Epoch: c.epoch}); err == nil {
+	err = j.append(journalRecord{T: "epoch", Epoch: c.epoch})
+	if err == nil {
 		err = j.sync()
-	} else {
-		j.Close()
-		return nil, err
 	}
 	if err != nil {
 		j.Close()
@@ -246,52 +213,18 @@ func (c *Coordinator) Epoch() uint64 {
 // Journal exposes the coordinator's journal (nil when in-memory).
 func (c *Coordinator) Journal() *Journal { return c.journal }
 
-// journalLocked appends one record, compacting when due. Journal damage
-// (disk full, I/O error) must not wedge a live sweep: the coordinator
-// keeps serving and logs that it is no longer crash-safe. Callers hold mu.
+// journalLocked appends one record. Journal damage (disk full, I/O
+// error) must not wedge a live sweep: the coordinator keeps serving and
+// logs that it is no longer crash-safe. Callers hold mu.
 func (c *Coordinator) journalLocked(rec journalRecord) {
 	if c.journal == nil {
 		return
 	}
 	if err := c.journal.append(rec); err != nil {
-		c.logf("sweepd: journal append failed (coordinator no longer crash-safe): %v", err)
+		c.log().Warn("journal append failed, coordinator no longer crash-safe", "err", err)
 		return
 	}
 	c.tel.journalAppends.Inc()
-	if c.journal.shouldCompact() {
-		if err := c.journal.compact(c.snapshotLocked()); err != nil {
-			c.logf("sweepd: journal compaction failed: %v", err)
-		}
-	}
-}
-
-// snapshotLocked serializes the full unit state for a compacted
-// snapshot. Callers hold mu.
-func (c *Coordinator) snapshotLocked() journalState {
-	st := journalState{Epoch: c.epoch}
-	for _, key := range c.queue {
-		if r := c.recs[key]; r != nil && r.st == statePending {
-			st.Queue = append(st.Queue, key)
-		}
-	}
-	keys := make([]string, 0, len(c.recs))
-	for k := range c.recs {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, key := range keys {
-		r := c.recs[key]
-		st.Units = append(st.Units, journalUnit{
-			Key:      key,
-			State:    r.st.String(),
-			Payload:  r.unit.Payload,
-			Worker:   r.worker,
-			Expiries: r.expiries,
-			Result:   r.result,
-			Err:      r.errmsg,
-		})
-	}
-	return st
 }
 
 func (c *Coordinator) leaseTTL() time.Duration {
@@ -308,10 +241,23 @@ func (c *Coordinator) maxExpiries() int {
 	return DefaultMaxExpiries
 }
 
-func (c *Coordinator) logf(format string, args ...interface{}) {
-	if c.Log != nil {
-		c.Log(format, args...)
+func (c *Coordinator) log() *slog.Logger {
+	if c.Logger != nil {
+		return c.Logger
 	}
+	return slog.Default()
+}
+
+// logUnit logs one per-unit event tagged with the full unit key and the
+// worker, the pair that joins coordinator and worker logs. It checks
+// the level first and passes typed attributes, so a disabled level
+// costs no allocation.
+func logUnit(l *slog.Logger, lv slog.Level, msg, unit, worker string, attrs ...slog.Attr) {
+	ctx := context.Background()
+	if !l.Enabled(ctx, lv) {
+		return
+	}
+	l.LogAttrs(ctx, lv, msg, append([]slog.Attr{slog.String("unit", unit), slog.String("worker", worker)}, attrs...)...)
 }
 
 // Close shuts the coordinator down: pending Do calls return ErrClosed,
@@ -324,7 +270,7 @@ func (c *Coordinator) Close() {
 		close(c.closeCh)
 		if c.journal != nil {
 			if err := c.journal.Close(); err != nil {
-				c.logf("sweepd: journal close: %v", err)
+				c.log().Warn("journal close failed", "err", err)
 			}
 		}
 	}
@@ -380,13 +326,13 @@ func (c *Coordinator) expireLocked(now time.Time) {
 			r.errmsg = fmt.Sprintf("lease expired %d times (last worker %s)", r.expiries, r.worker)
 			c.tel.unitFailures.Inc()
 			close(r.done)
-			c.logf("sweepd: unit %.12s FAILED: %s", key, r.errmsg)
+			logUnit(c.log(), slog.LevelError, "unit failed", key, r.worker, slog.String("err", r.errmsg))
 			c.journalLocked(journalRecord{T: "expire", Key: key, Terminal: true, Err: r.errmsg})
 			continue
 		}
 		r.st = statePending
 		c.queue = append(c.queue, key)
-		c.logf("sweepd: unit %.12s lease by %s expired, requeued", key, r.worker)
+		logUnit(c.log(), slog.LevelInfo, "lease expired, requeued", key, r.worker, slog.Int("expiries", r.expiries))
 		c.journalLocked(journalRecord{T: "expire", Key: key})
 	}
 }
@@ -418,6 +364,7 @@ func (c *Coordinator) claim(worker string, rep *WorkerReport) (u Unit, ttl time.
 		r.claimedAt = now
 		c.workers[worker].Active = key
 		c.tel.claims.Inc()
+		logUnit(c.log(), slog.LevelDebug, "unit leased", key, worker)
 		c.journalLocked(journalRecord{T: "claim", Key: key, Worker: worker})
 		return r.unit, c.leaseTTL(), c.epoch, true, false
 	}
@@ -445,15 +392,17 @@ func (c *Coordinator) heartbeat(worker, key string, epoch uint64, rep *WorkerRep
 	c.touchLocked(worker, now, rep)
 	c.tel.heartbeats.Inc()
 	if c.fencedLocked(epoch) {
-		c.logf("sweepd: fencing stale-epoch heartbeat from %s for %.12s (lease epoch %d, current %d)", worker, key, epoch, c.epoch)
+		logUnit(c.log(), slog.LevelInfo, "fenced stale-epoch heartbeat", key, worker,
+			slog.Uint64("lease_epoch", epoch), slog.Uint64("epoch", c.epoch))
 		return 0, false, true
 	}
 	r := c.recs[key]
 	if r == nil || r.st != stateLeased || r.worker != worker || now.After(r.leaseExp) {
 		return 0, false, false
 	}
+	// Lease times are not journaled: recovery requeues every lease
+	// anyway (the old holders are epoch-fenced).
 	r.leaseExp = now.Add(c.leaseTTL())
-	c.journalLocked(journalRecord{T: "extend", Key: key, Worker: worker})
 	return c.leaseTTL(), true, false
 }
 
@@ -474,7 +423,8 @@ func (c *Coordinator) complete(worker, key string, epoch uint64, result []byte, 
 		// The lease predates this incarnation: refuse the completion so
 		// the unit re-runs (and store-serves) under the current epoch,
 		// keeping recovered sweeps on one coherent lease generation.
-		c.logf("sweepd: fencing stale-epoch completion from %s for %.12s (lease epoch %d, current %d)", worker, key, epoch, c.epoch)
+		logUnit(c.log(), slog.LevelInfo, "fenced stale-epoch completion", key, worker,
+			slog.Uint64("lease_epoch", epoch), slog.Uint64("epoch", c.epoch))
 		return errFencedEpoch
 	}
 	w := c.workers[worker]
@@ -492,7 +442,7 @@ func (c *Coordinator) complete(worker, key string, epoch uint64, result []byte, 
 			return nil // duplicate of the recorded result: idempotent
 		}
 		c.tel.conflicts.Inc()
-		c.logf("sweepd: refusing conflicting duplicate completion of %.12s from %s", key, worker)
+		logUnit(c.log(), slog.LevelWarn, "refused conflicting duplicate completion", key, worker)
 		return fmt.Errorf("sweepd: unit %s already complete with different outcome (nondeterministic worker or key collision)", key)
 	case stateFailed:
 		return nil // outcome already terminal; late result discarded
@@ -514,6 +464,7 @@ func (c *Coordinator) complete(worker, key string, epoch uint64, result []byte, 
 		w.Failed++
 		c.tel.unitFailures.Inc()
 		close(r.done)
+		logUnit(c.log(), slog.LevelError, "unit failed", key, worker, slog.String("err", errmsg))
 		c.journalLocked(journalRecord{T: "fail", Key: key, Worker: worker, Err: r.errmsg})
 		return nil
 	}
@@ -523,6 +474,7 @@ func (c *Coordinator) complete(worker, key string, epoch uint64, result []byte, 
 	w.Completed++
 	c.tel.completions.Inc()
 	close(r.done)
+	logUnit(c.log(), slog.LevelDebug, "unit done", key, worker)
 	c.journalLocked(journalRecord{T: "done", Key: key, Worker: worker, Result: result})
 	return nil
 }

@@ -1,34 +1,25 @@
 package sweepd
 
 // The coordinator's write-ahead journal (DESIGN.md §14): an append-only,
-// CRC-framed record stream of unit lifecycle transitions plus periodic
-// compacted snapshots, so a coordinator that dies mid-sweep — kill -9,
-// OOM, power loss — restarts into the exact queue/lease/done state it
-// held, instead of losing the sweep.
+// CRC-framed record stream of unit lifecycle transitions, so a
+// coordinator that dies mid-sweep — kill -9, OOM, power loss — restarts
+// into the exact queue/lease/done state it held, instead of losing the
+// sweep.
 //
-// Layout of a journal directory:
+// A journal directory holds one file, wal.log: an 8-byte magic followed
+// by frames of [len u32][crc32 u32][payload]. It is never compacted: a
+// sweep journals about three records per unit (enq, claim, done), so
+// even the ~620 units of `-fig all` write about 2,000.
 //
-//	state.snap — the last compacted snapshot: one CRC-framed JSON blob
-//	             of the full coordinator state, written atomically
-//	             (temp + rename), never appended to.
-//	wal.log    — records appended since that snapshot: an 8-byte magic
-//	             followed by frames of [len u32][crc32 u32][payload].
+// Recovery replays the WAL, truncating at the first invalid frame: a
+// torn tail from a crash mid-append costs exactly the records after the
+// last complete fsync, each of which only re-does deterministic work.
+// Damage earlier in the file is handled the same way, with a warning:
+// the prefix before the bad frame is recovered, the rest is dropped.
 //
-// Recovery loads the snapshot (a corrupt or missing snapshot degrades,
-// loudly, to an empty one — determinism makes re-running lost units
-// safe, and their results are still in the run store), then replays the
-// WAL, truncating at the first invalid frame: a torn tail from a crash
-// mid-append costs exactly the records after the last complete fsync,
-// each of which only re-does deterministic work.
-//
-// Records carry monotonic sequence numbers and the snapshot records the
-// last one it absorbed, so a crash between "snapshot renamed" and "WAL
-// truncated" never replays pre-snapshot records on top of post-snapshot
-// state.
-//
-// Appends are group-committed: the file is fsynced every SyncEvery
-// records (and always at epoch bumps, compactions and Close). Losing an
-// unsynced suffix is safe for the same reason a torn tail is.
+// Appends are group-committed: the file is fsynced every syncEvery
+// records (and always at epoch bumps and Close). Losing an unsynced
+// suffix is safe for the same reason a torn tail is.
 
 import (
 	"bufio"
@@ -37,6 +28,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"log/slog"
 	"os"
 	"path/filepath"
 	"sort"
@@ -44,29 +36,26 @@ import (
 )
 
 const (
-	walMagic  = "tdwal001"
-	snapMagic = "tdsnap01"
-	walName   = "wal.log"
-	snapName  = "state.snap"
+	walMagic = "tdwal001"
+	walName  = "wal.log"
+
+	// legacySnapName is the snapshot file compacting journals wrote
+	// next to the WAL; a directory holding one is refused.
+	legacySnapName = "state.snap"
 
 	// maxJournalRecord bounds one frame's payload; anything larger in
 	// the length field is framing damage, not a record.
 	maxJournalRecord = 16 << 20
 
-	// DefaultSyncEvery is the group-commit batch: fsync once per this
-	// many appended records.
-	DefaultSyncEvery = 16
-
-	// DefaultCompactEvery rewrites the snapshot and truncates the WAL
-	// after this many records, bounding both recovery time and disk.
-	DefaultCompactEvery = 4096
+	// syncEvery is the group-commit batch: fsync once per this many
+	// appended records.
+	syncEvery = 16
 )
 
 // journalRecord is one WAL frame's payload: a unit lifecycle transition
 // (or an epoch bump) in the order the coordinator committed it.
 type journalRecord struct {
-	Seq uint64 // monotonic; snapshots record the last absorbed Seq
-	T   string // epoch | enq | claim | extend | expire | done | fail
+	T string // epoch | enq | claim | expire | done | fail
 
 	Key      string `json:",omitempty"`
 	Worker   string `json:",omitempty"`
@@ -77,82 +66,62 @@ type journalRecord struct {
 	Terminal bool   `json:",omitempty"` // expire that failed the unit terminally
 }
 
-// journalUnit is one unit's row in a snapshot.
+// journalUnit is one unit's recovered state.
 type journalUnit struct {
-	Key      string
-	State    string // pending | leased | done | failed
-	Payload  []byte `json:",omitempty"`
-	Worker   string `json:",omitempty"`
-	Expiries int    `json:",omitempty"`
-	Result   []byte `json:",omitempty"`
-	Err      string `json:",omitempty"`
+	st       unitState
+	payload  []byte
+	worker   string
+	expiries int
+	result   []byte
+	err      string
 }
 
-// journalState is the full persisted coordinator state: the snapshot
-// payload, and the in-memory accumulator WAL replay applies records to.
-type journalState struct {
-	Seq   uint64 // last record sequence absorbed
-	Epoch uint64 // incarnation counter (bumped by each recovery)
-	Queue []string
-	Units []journalUnit
-}
-
-// recovered is journalState with the units indexed for replay.
+// recovered is the coordinator state WAL replay rebuilds.
 type recovered struct {
-	seq   uint64
-	epoch uint64
+	epoch uint64 // incarnation counter (bumped by each recovery)
 	queue []string
 	units map[string]*journalUnit
 }
 
 func (st *recovered) apply(rec journalRecord) {
-	if rec.Seq <= st.seq {
-		return // pre-snapshot record surviving an interrupted compaction
-	}
-	st.seq = rec.Seq
 	u := st.units[rec.Key]
 	switch rec.T {
 	case "epoch":
 		st.epoch = rec.Epoch
 	case "enq":
 		if u == nil {
-			st.units[rec.Key] = &journalUnit{Key: rec.Key, State: "pending", Payload: rec.Payload}
+			st.units[rec.Key] = &journalUnit{st: statePending, payload: rec.Payload}
 			st.queue = append(st.queue, rec.Key)
 		}
 	case "claim":
 		if u != nil {
-			u.State = "leased"
-			u.Worker = rec.Worker
+			u.st = stateLeased
+			u.worker = rec.Worker
 			st.dequeue(rec.Key)
 		}
-	case "extend":
-		// Lease wall-clock times are not persisted — recovery requeues
-		// every lease anyway (the old holders are epoch-fenced) — so an
-		// extension changes no recovered state. It stays in the journal
-		// as the audit trail of the lease layer.
 	case "expire":
 		if u != nil {
-			u.Expiries++
+			u.expiries++
 			if rec.Terminal {
-				u.State = "failed"
-				u.Err = rec.Err
+				u.st = stateFailed
+				u.err = rec.Err
 			} else {
-				u.State = "pending"
+				u.st = statePending
 				st.queue = append(st.queue, rec.Key)
 			}
 		}
 	case "done":
 		if u != nil {
-			u.State = "done"
-			u.Worker = rec.Worker
-			u.Result = rec.Result
+			u.st = stateDone
+			u.worker = rec.Worker
+			u.result = rec.Result
 			st.dequeue(rec.Key)
 		}
 	case "fail":
 		if u != nil {
-			u.State = "failed"
-			u.Worker = rec.Worker
-			u.Err = rec.Err
+			u.st = stateFailed
+			u.worker = rec.Worker
+			u.err = rec.Err
 			st.dequeue(rec.Key)
 		}
 	}
@@ -174,90 +143,50 @@ type Journal struct {
 	dir string
 	f   *os.File
 	w   *bufio.Writer
-	seq uint64
 
-	// SyncEvery and CompactEvery default to the package constants when
-	// 0; tests shrink them to exercise the rotation paths.
-	SyncEvery    int
-	CompactEvery int
-	// Warn receives non-fatal journal damage reports (corrupt snapshot,
-	// torn tail truncation). Defaults to stderr.
-	Warn func(format string, args ...interface{})
+	pendingSync int
+	broken      bool // a failed append poisons the stream; stop writing
 
-	pendingSync  int
-	sinceCompact int
-	broken       bool // a failed append poisons the stream; stop writing
-
-	records, bytes, fsyncs, compactions uint64 // atomics (telemetry)
-}
-
-func (j *Journal) warnf(format string, args ...interface{}) {
-	if j.Warn != nil {
-		j.Warn(format, args...)
-		return
-	}
-	fmt.Fprintf(os.Stderr, "sweepd: journal: "+format+"\n", args...)
+	records, bytes, fsyncs uint64 // atomics (telemetry)
 }
 
 // JournalStatus is the journal's live counter block (Status, dashboard).
 type JournalStatus struct {
-	Dir         string
-	Records     uint64
-	Bytes       uint64
-	Fsyncs      uint64
-	Compactions uint64
+	Dir     string
+	Records uint64
+	Bytes   uint64
+	Fsyncs  uint64
 }
 
 // Status snapshots the journal counters. Safe to call concurrently with
 // appends (counters are atomics).
 func (j *Journal) Status() JournalStatus {
 	return JournalStatus{
-		Dir:         j.dir,
-		Records:     atomic.LoadUint64(&j.records),
-		Bytes:       atomic.LoadUint64(&j.bytes),
-		Fsyncs:      atomic.LoadUint64(&j.fsyncs),
-		Compactions: atomic.LoadUint64(&j.compactions),
+		Dir:     j.dir,
+		Records: atomic.LoadUint64(&j.records),
+		Bytes:   atomic.LoadUint64(&j.bytes),
+		Fsyncs:  atomic.LoadUint64(&j.fsyncs),
 	}
 }
 
 // openJournal opens (creating if needed) the journal in dir, recovering
-// the persisted state: snapshot first, then the WAL replayed on top with
-// the torn tail truncated away.
+// the persisted state by replaying the WAL with its torn tail truncated
+// away.
 func openJournal(dir string) (*Journal, *recovered, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, nil, fmt.Errorf("sweepd: journal: %w", err)
 	}
-	j := &Journal{dir: dir}
-	st := &recovered{units: map[string]*journalUnit{}}
-
-	// Snapshot: atomically written, so damage means disk trouble. Start
-	// empty with a loud warning rather than refusing — every lost unit
-	// is deterministic work the sweep simply re-does (and the run store
-	// still holds its result).
-	if snap, err := readSnapshot(filepath.Join(dir, snapName)); err != nil {
-		if !os.IsNotExist(err) {
-			j.warnf("unreadable snapshot %s (%v): recovering from WAL alone", snapName, err)
-		}
-	} else {
-		st.seq = snap.Seq
-		st.epoch = snap.Epoch
-		st.queue = append(st.queue, snap.Queue...)
-		for i := range snap.Units {
-			u := snap.Units[i]
-			st.units[u.Key] = &u
-		}
+	// Journals once compacted into state.snap and truncated the WAL
+	// behind it; replaying such a WAL alone would silently drop every
+	// unit the snapshot held, so refuse it instead.
+	if _, err := os.Stat(filepath.Join(dir, legacySnapName)); err == nil {
+		return nil, nil, fmt.Errorf("sweepd: journal: %s holds %s from a compacting coordinator and cannot be resumed; start a fresh journal directory", dir, legacySnapName)
 	}
-
+	st := &recovered{units: map[string]*journalUnit{}}
 	walPath := filepath.Join(dir, walName)
-	validLen, lastSeq, err := j.replayWAL(walPath, st)
+	validLen, err := replayWAL(walPath, st)
 	if err != nil {
 		return nil, nil, err
-	}
-	if lastSeq > j.seq {
-		j.seq = lastSeq
-	}
-	if st.seq > j.seq {
-		j.seq = st.seq
 	}
 
 	f, err := os.OpenFile(walPath, os.O_CREATE|os.O_RDWR, 0o644)
@@ -265,7 +194,7 @@ func openJournal(dir string) (*Journal, *recovered, error) {
 		return nil, nil, fmt.Errorf("sweepd: journal: %w", err)
 	}
 	if validLen == 0 {
-		// Fresh (or fully torn) WAL: stamp the magic.
+		// Fresh (or headerless) WAL: stamp the magic.
 		if err := f.Truncate(0); err == nil {
 			_, err = f.WriteAt([]byte(walMagic), 0)
 		}
@@ -285,41 +214,35 @@ func openJournal(dir string) (*Journal, *recovered, error) {
 		f.Close()
 		return nil, nil, fmt.Errorf("sweepd: journal: %w", err)
 	}
-	j.f = f
-	j.w = bufio.NewWriter(f)
-	return j, st, nil
+	return &Journal{dir: dir, f: f, w: bufio.NewWriter(f)}, st, nil
 }
 
 // replayWAL applies every valid frame in the WAL to st and reports the
-// byte offset after the last valid frame plus the last sequence seen. A
-// missing WAL is an empty one.
-func (j *Journal) replayWAL(path string, st *recovered) (validLen int64, lastSeq uint64, err error) {
+// byte offset after the last valid frame. A missing WAL is an empty one.
+func replayWAL(path string, st *recovered) (validLen int64, err error) {
 	b, err := os.ReadFile(path)
 	if os.IsNotExist(err) {
-		return 0, 0, nil
+		return 0, nil
 	}
 	if err != nil {
-		return 0, 0, fmt.Errorf("sweepd: journal: %w", err)
+		return 0, fmt.Errorf("sweepd: journal: %w", err)
 	}
 	if len(b) < len(walMagic) || string(b[:len(walMagic)]) != walMagic {
 		if len(b) > 0 {
-			j.warnf("WAL %s has no valid header (%d bytes): starting it over", walName, len(b))
+			slog.Warn("journal WAL has no valid header, starting it over", "path", path, "bytes", len(b))
 		}
-		return 0, 0, nil
+		return 0, nil
 	}
 	off := int64(len(walMagic))
 	for {
 		rec, next, ok := decodeFrame(b, off)
 		if !ok {
-			if next := int64(len(b)); next != off {
-				j.warnf("torn WAL tail: truncating %d trailing bytes at offset %d", next-off, off)
+			if end := int64(len(b)); end != off {
+				slog.Warn("journal WAL damaged, truncating", "path", path, "offset", off, "dropped_bytes", end-off)
 			}
-			return off, lastSeq, nil
+			return off, nil
 		}
 		st.apply(rec)
-		if rec.Seq > lastSeq {
-			lastSeq = rec.Seq
-		}
 		off = next
 	}
 }
@@ -345,20 +268,6 @@ func decodeFrame(b []byte, off int64) (rec journalRecord, next int64, ok bool) {
 	return rec, off + 8 + n, true
 }
 
-func (j *Journal) syncEvery() int {
-	if j.SyncEvery > 0 {
-		return j.SyncEvery
-	}
-	return DefaultSyncEvery
-}
-
-func (j *Journal) compactEvery() int {
-	if j.CompactEvery > 0 {
-		return j.CompactEvery
-	}
-	return DefaultCompactEvery
-}
-
 // append frames one record onto the WAL, fsyncing per the group-commit
 // policy. A write error poisons the journal (a half-written frame means
 // everything after it would be unreadable anyway); the coordinator keeps
@@ -367,8 +276,6 @@ func (j *Journal) append(rec journalRecord) error {
 	if j.broken {
 		return fmt.Errorf("sweepd: journal poisoned by an earlier write error")
 	}
-	j.seq++
-	rec.Seq = j.seq
 	payload, err := json.Marshal(rec)
 	if err != nil {
 		return fmt.Errorf("sweepd: journal: %w", err)
@@ -386,8 +293,7 @@ func (j *Journal) append(rec journalRecord) error {
 	atomic.AddUint64(&j.records, 1)
 	atomic.AddUint64(&j.bytes, uint64(8+len(payload)))
 	j.pendingSync++
-	j.sinceCompact++
-	if j.pendingSync >= j.syncEvery() {
+	if j.pendingSync >= syncEvery {
 		return j.sync()
 	}
 	return nil
@@ -411,56 +317,6 @@ func (j *Journal) sync() error {
 	return nil
 }
 
-// shouldCompact reports whether enough records accumulated since the
-// last snapshot to warrant one.
-func (j *Journal) shouldCompact() bool {
-	return !j.broken && j.sinceCompact >= j.compactEvery()
-}
-
-// compact atomically replaces the snapshot with st and starts the WAL
-// over. Crash-ordering: the snapshot rename happens before the WAL
-// truncation, and snapshot.Seq makes surviving pre-snapshot WAL records
-// no-ops on replay.
-func (j *Journal) compact(st journalState) error {
-	if j.broken {
-		return fmt.Errorf("sweepd: journal poisoned")
-	}
-	st.Seq = j.seq
-	if err := j.sync(); err != nil {
-		return err
-	}
-	payload, err := json.Marshal(st)
-	if err != nil {
-		return fmt.Errorf("sweepd: journal: %w", err)
-	}
-	if err := writeSnapshot(filepath.Join(j.dir, snapName), payload); err != nil {
-		return err
-	}
-	// Start the WAL over: truncate in place and restamp the magic. A
-	// crash right here leaves either the old records (skipped by Seq on
-	// replay) or the fresh header.
-	if err := j.f.Truncate(0); err != nil {
-		j.broken = true
-		return fmt.Errorf("sweepd: journal: %w", err)
-	}
-	if _, err := j.f.Seek(0, io.SeekStart); err != nil {
-		j.broken = true
-		return fmt.Errorf("sweepd: journal: %w", err)
-	}
-	if _, err := j.f.Write([]byte(walMagic)); err != nil {
-		j.broken = true
-		return fmt.Errorf("sweepd: journal: %w", err)
-	}
-	if err := j.f.Sync(); err != nil {
-		j.broken = true
-		return fmt.Errorf("sweepd: journal: %w", err)
-	}
-	j.w.Reset(j.f)
-	j.sinceCompact = 0
-	atomic.AddUint64(&j.compactions, 1)
-	return nil
-}
-
 // Close flushes, fsyncs and releases the WAL handle.
 func (j *Journal) Close() error {
 	err := j.sync()
@@ -468,70 +324,6 @@ func (j *Journal) Close() error {
 		err = cerr
 	}
 	return err
-}
-
-// writeSnapshot frames payload (magic + len + crc + payload) into path
-// via temp + rename, fsyncing file then directory.
-func writeSnapshot(path string, payload []byte) error {
-	tmp, err := os.CreateTemp(filepath.Dir(path), "."+filepath.Base(path)+".tmp*")
-	if err != nil {
-		return fmt.Errorf("sweepd: journal: %w", err)
-	}
-	var hdr [8]byte
-	binary.LittleEndian.PutUint32(hdr[:], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(hdr[4:], crc32.ChecksumIEEE(payload))
-	_, werr := tmp.Write([]byte(snapMagic))
-	if werr == nil {
-		_, werr = tmp.Write(hdr[:])
-	}
-	if werr == nil {
-		_, werr = tmp.Write(payload)
-	}
-	if werr == nil {
-		werr = tmp.Sync()
-	}
-	cerr := tmp.Close()
-	if werr != nil || cerr != nil {
-		os.Remove(tmp.Name())
-		if werr == nil {
-			werr = cerr
-		}
-		return fmt.Errorf("sweepd: journal: %w", werr)
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("sweepd: journal: %w", err)
-	}
-	if d, err := os.Open(filepath.Dir(path)); err == nil {
-		d.Sync()
-		d.Close()
-	}
-	return nil
-}
-
-// readSnapshot loads and CRC-checks a snapshot file.
-func readSnapshot(path string) (journalState, error) {
-	var st journalState
-	b, err := os.ReadFile(path)
-	if err != nil {
-		return st, err
-	}
-	if len(b) < len(snapMagic)+8 || string(b[:len(snapMagic)]) != snapMagic {
-		return st, fmt.Errorf("bad snapshot header")
-	}
-	n := int64(binary.LittleEndian.Uint32(b[len(snapMagic):]))
-	sum := binary.LittleEndian.Uint32(b[len(snapMagic)+4:])
-	payload := b[len(snapMagic)+8:]
-	if n != int64(len(payload)) {
-		return st, fmt.Errorf("snapshot length mismatch: header %d, body %d", n, len(payload))
-	}
-	if crc32.ChecksumIEEE(payload) != sum {
-		return st, fmt.Errorf("snapshot CRC mismatch")
-	}
-	if err := json.Unmarshal(payload, &st); err != nil {
-		return st, fmt.Errorf("snapshot decode: %w", err)
-	}
-	return st, nil
 }
 
 // sortedUnitKeys returns the recovered unit keys in deterministic order.

@@ -2,10 +2,9 @@ package sweepd
 
 // Journal + recovery tests (DESIGN.md §14): a recovered coordinator must
 // hold the exact queue/lease/done state its predecessor journaled, a
-// torn WAL tail must truncate cleanly at the last valid record, an
-// interrupted compaction must never replay stale records onto fresh
-// state, and a restarted coordinator must fence its predecessor's
-// leases by epoch.
+// torn WAL tail must truncate cleanly at the last valid record, the
+// journal directory must hold nothing but the WAL, and a restarted
+// coordinator must fence its predecessor's leases by epoch.
 
 import (
 	"bytes"
@@ -16,6 +15,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -270,79 +270,62 @@ func TestTornMiddleCorruption(t *testing.T) {
 	}
 }
 
-// TestCompactionRoundTrip: with an aggressive compaction threshold the
-// journal rotates mid-sweep; recovery reads snapshot + short WAL and
-// still reproduces every unit.
-func TestCompactionRoundTrip(t *testing.T) {
+// TestJournalIsOneFile: heartbeats extend leases without journaling
+// anything (recovery requeues every lease regardless), and after a
+// sweep the journal directory holds the WAL and nothing else.
+func TestJournalIsOneFile(t *testing.T) {
 	dir := t.TempDir()
-	c1 := recover1(t, dir)
-	c1.journal.SyncEvery = 1
-	c1.journal.CompactEvery = 5
-	const n = 12
-	for i := 0; i < n; i++ {
-		key := fmt.Sprintf("c%02d", i)
-		submitWait(t, c1, Unit{Key: key, Payload: []byte{byte(i)}})
-		if u, _, _, ok, _ := c1.claim("w", nil); !ok || u.Key != key {
+	c := recover1(t, dir)
+	c.LeaseTTL = time.Minute
+	for i := 0; i < 3; i++ {
+		key := fmt.Sprintf("h%d", i)
+		submitWait(t, c, Unit{Key: key, Payload: []byte{byte(i)}})
+		if u, _, _, ok, _ := c.claim("w", nil); !ok || u.Key != key {
 			t.Fatalf("claim %s failed", key)
 		}
-		if err := c1.complete("w", key, 1, []byte("r"+key), ""); err != nil {
+		before := c.Status().Journal.Records
+		for hb := 0; hb < 5; hb++ {
+			if _, ok, _ := c.heartbeat("w", key, c.Epoch(), nil); !ok {
+				t.Fatalf("heartbeat %d on %s refused", hb, key)
+			}
+		}
+		if after := c.Status().Journal.Records; after != before {
+			t.Fatalf("5 heartbeats appended %d journal records, want 0", after-before)
+		}
+		if err := c.complete("w", key, c.Epoch(), []byte("r"), ""); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if got := c1.journal.Status().Compactions; got == 0 {
-		t.Fatal("no compaction happened despite threshold 5")
+	c.Close()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
 	}
-	c1.Close()
-	if _, err := os.Stat(filepath.Join(dir, snapName)); err != nil {
-		t.Fatalf("no snapshot on disk: %v", err)
+	var names []string
+	for _, e := range entries {
+		names = append(names, e.Name())
 	}
-
-	c2 := recover1(t, dir)
-	defer c2.Close()
-	for i := 0; i < n; i++ {
-		key := fmt.Sprintf("c%02d", i)
-		if b, err := c2.Do(Unit{Key: key}); err != nil || string(b) != "r"+key {
-			t.Fatalf("unit %s after compacted recovery: %q, %v", key, b, err)
-		}
+	if len(names) != 1 || names[0] != walName {
+		t.Fatalf("journal directory holds %q, want only %s", names, walName)
 	}
 }
 
-// TestCorruptSnapshotDegrades: snapshot damage (flipped byte) must not
-// refuse recovery — the journal warns and recovers from the WAL alone,
-// losing only pre-snapshot state, which determinism makes re-runnable.
-func TestCorruptSnapshotDegrades(t *testing.T) {
+// TestRefusesCompactedJournal: a directory left by a coordinator that
+// compacted into state.snap holds only the WAL suffix after the
+// snapshot, so recovery refuses it rather than drop the snapshot's units.
+func TestRefusesCompactedJournal(t *testing.T) {
 	dir := t.TempDir()
-	c1 := recover1(t, dir)
-	c1.journal.CompactEvery = 2
-	for i := 0; i < 4; i++ {
-		key := fmt.Sprintf("s%d", i)
-		submitWait(t, c1, Unit{Key: key, Payload: nil})
-		if u, _, _, ok, _ := c1.claim("w", nil); !ok || u.Key != key {
-			t.Fatalf("claim %s failed", key)
-		}
-		if err := c1.complete("w", key, 1, []byte("r"), ""); err != nil {
-			t.Fatal(err)
-		}
-	}
-	c1.Close()
-
-	snap, err := os.ReadFile(filepath.Join(dir, snapName))
-	if err != nil {
+	c := recover1(t, dir)
+	submitWait(t, c, Unit{Key: "kept", Payload: []byte("p")})
+	c.Close()
+	if err := os.WriteFile(filepath.Join(dir, legacySnapName), []byte("{}"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	snap[len(snap)/2] ^= 0xff
-	if err := os.WriteFile(filepath.Join(dir, snapName), snap, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	c2, err := RecoverCoordinator(dir)
-	if err != nil {
-		t.Fatalf("corrupt snapshot refused recovery: %v", err)
-	}
-	defer c2.Close()
-	// Post-snapshot WAL records still applied; the coordinator serves.
-	submitWait(t, c2, Unit{Key: "after", Payload: nil})
-	if u, _, _, ok, _ := c2.claim("w", nil); !ok || u.Key != "after" {
-		t.Fatal("degraded coordinator cannot serve")
+	if c2, err := RecoverCoordinator(dir); err == nil {
+		c2.Close()
+		t.Fatal("recovered a journal directory holding state.snap")
+	} else if !strings.Contains(err.Error(), legacySnapName) {
+		t.Fatalf("refusal %q does not name %s", err, legacySnapName)
 	}
 }
 

@@ -77,9 +77,6 @@ func (c *Coordinator) EnableMetrics(reg *telemetry.Registry) {
 		reg.CounterFunc("sweepd_journal_fsyncs_total", "group-commit fsyncs of the WAL", func() uint64 {
 			return j.Status().Fsyncs
 		})
-		reg.CounterFunc("sweepd_journal_compactions_total", "snapshot compactions (WAL truncations)", func() uint64 {
-			return j.Status().Compactions
-		})
 	}
 	count := func(st unitState) func() float64 {
 		return func() float64 {

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"log/slog"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -261,7 +262,7 @@ func TestWorkerBackoffReconnect(t *testing.T) {
 	var logBuf bytes.Buffer
 	w := &Worker{
 		Base: srv.URL, Name: "w-retry", Poll: 5 * time.Millisecond, BackoffMax: 40 * time.Millisecond,
-		Logger: telemetry.NewLogger(&logBuf, telemetry.LevelInfo, true),
+		Logger: slog.New(slog.NewJSONHandler(&logBuf, &slog.HandlerOptions{Level: slog.LevelInfo})),
 		Run:    func(key string, payload []byte) ([]byte, error) { return []byte("ok"), nil },
 	}
 
@@ -350,6 +351,57 @@ func TestCoordinatorOffAllocSteadyState(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("heartbeat with telemetry off allocates %.1f/op, want 0", allocs)
+	}
+}
+
+// TestLeaseExpiryLogAttrs: a lapsed lease is logged as one structured
+// record carrying the full unit key and the worker that lost it, the
+// attributes that join the coordinator's log with the worker's.
+func TestLeaseExpiryLogAttrs(t *testing.T) {
+	var logBuf bytes.Buffer
+	clk := newClock()
+	c := New()
+	c.now = clk.Now
+	c.LeaseTTL = time.Second
+	c.Logger = slog.New(slog.NewJSONHandler(&logBuf, nil))
+	key := strings.Repeat("9f", 32) // a full-length store key
+	enqueue(c, key)
+	if u, _, _, ok, _ := c.claim("w-slow", nil); !ok || u.Key != key {
+		t.Fatalf("claim: %+v ok=%v", u, ok)
+	}
+	clk.Advance(2 * time.Second)
+	if st := c.Status(); st.Pending != 1 {
+		t.Fatalf("lease did not expire: %+v", st)
+	}
+	var expiries int
+	for _, line := range strings.Split(strings.TrimSpace(logBuf.String()), "\n") {
+		var m map[string]interface{}
+		if err := json.Unmarshal([]byte(line), &m); err != nil {
+			t.Fatalf("log line not JSON: %q", line)
+		}
+		if m["msg"] != "lease expired, requeued" {
+			continue
+		}
+		expiries++
+		if m["level"] != "INFO" || m["unit"] != key || m["worker"] != "w-slow" {
+			t.Fatalf("expiry record lacks level/unit/worker: %q", line)
+		}
+	}
+	if expiries != 1 {
+		t.Fatalf("expiry records = %d, want 1\n%s", expiries, logBuf.String())
+	}
+}
+
+// TestUnitLogOffAllocFree: a per-unit line below the handler's level
+// costs no allocation, so debug claim/done lines are free by default.
+func TestUnitLogOffAllocFree(t *testing.T) {
+	l := slog.New(slog.NewJSONHandler(&bytes.Buffer{}, &slog.HandlerOptions{Level: slog.LevelWarn}))
+	key := strings.Repeat("ab", 32)
+	allocs := testing.AllocsPerRun(500, func() {
+		logUnit(l, slog.LevelDebug, "unit done", key, "w", slog.Int("attempt", 1))
+	})
+	if allocs != 0 {
+		t.Fatalf("disabled per-unit log line allocates %.1f/op, want 0", allocs)
 	}
 }
 

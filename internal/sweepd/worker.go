@@ -6,11 +6,10 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"log/slog"
 	"net/http"
 	"sync/atomic"
 	"time"
-
-	"tinydir/internal/telemetry"
 )
 
 // Worker is the pull loop of one fleet member: claim a unit, execute it
@@ -39,11 +38,10 @@ type Worker struct {
 	// minutes of coordinator outage — a restart, not a disappearance —
 	// before giving up.
 	BackoffMax time.Duration
-	// Log, when set, receives one line per unit and per lease event.
-	Log func(format string, args ...interface{})
-	// Logger, when set, receives structured retry/recovery lines (one
-	// per backoff attempt, satellite of the fleet-telemetry work).
-	Logger *telemetry.Logger
+	// Logger receives the worker's events: per-unit claim and done
+	// lines at debug, lease and epoch events at info, transport retries
+	// at warn, failed units at error. Nil means slog.Default().
+	Logger *slog.Logger
 	// Tel, when set, records claim/execute/report latencies and pushes
 	// a WorkerReport with every claim and heartbeat. Nil means off: no
 	// report field on the wire, byte-identical requests to old workers.
@@ -102,10 +100,11 @@ func (w *Worker) hc() *http.Client {
 	return http.DefaultClient
 }
 
-func (w *Worker) logf(format string, args ...interface{}) {
-	if w.Log != nil {
-		w.Log(format, args...)
+func (w *Worker) log() *slog.Logger {
+	if w.Logger != nil {
+		return w.Logger
 	}
+	return slog.Default()
 }
 
 // Units returns how many units this worker has completed (success or
@@ -131,28 +130,24 @@ func (w *Worker) Loop(ctx context.Context) error {
 			// through the StatusGone arm below.
 			errs++
 			if errs >= w.maxErrors() {
-				w.Logger.Error("giving up on coordinator",
-					telemetry.F("worker", w.Name), telemetry.F("attempts", errs), telemetry.F("err", err))
+				w.log().Error("giving up on coordinator", "worker", w.Name, "attempts", errs, "err", err)
 				return fmt.Errorf("sweepd: worker %s: coordinator unreachable after %d attempts: %w", w.Name, errs, err)
 			}
 			wait := w.backoff(errs)
-			w.Logger.Warn("coordinator unreachable, backing off",
-				telemetry.F("worker", w.Name), telemetry.F("attempt", errs),
-				telemetry.F("max_attempts", w.maxErrors()), telemetry.F("backoff", wait),
-				telemetry.F("err", err))
+			w.log().Warn("coordinator unreachable, backing off", "worker", w.Name, "attempt", errs,
+				"max_attempts", w.maxErrors(), "backoff", wait, "err", err)
 			if !sleepCtx(ctx, wait) {
 				return ctx.Err()
 			}
 			continue
 		}
 		if errs > 0 {
-			w.Logger.Info("coordinator reachable again",
-				telemetry.F("worker", w.Name), telemetry.F("failed_attempts", errs))
+			w.log().Info("coordinator reachable again", "worker", w.Name, "failed_attempts", errs)
 		}
 		errs = 0
 		switch status {
 		case http.StatusGone:
-			w.logf("worker %s: sweep complete, exiting", w.Name)
+			w.log().Info("sweep complete, worker exiting", "worker", w.Name)
 			return nil
 		case http.StatusNoContent:
 			if !sleepCtx(ctx, w.poll()) {
@@ -177,7 +172,7 @@ const reportAttempts = 3
 
 // process executes one claimed unit under a heartbeat.
 func (w *Worker) process(ctx context.Context, cl claimResponse) {
-	w.logf("worker %s: claimed %.12s", w.Name, cl.Key)
+	logUnit(w.log(), slog.LevelDebug, "unit claimed", cl.Key, w.Name)
 	hbCtx, stopHB := context.WithCancel(ctx)
 	hbDone := make(chan struct{})
 	go func() {
@@ -196,9 +191,9 @@ func (w *Worker) process(ctx context.Context, cl claimResponse) {
 	errmsg := ""
 	if err != nil {
 		errmsg = err.Error()
-		w.logf("worker %s: unit %.12s FAILED: %v", w.Name, cl.Key, err)
+		logUnit(w.log(), slog.LevelError, "unit failed", cl.Key, w.Name, slog.String("err", errmsg))
 	} else {
-		w.logf("worker %s: unit %.12s done", w.Name, cl.Key)
+		logUnit(w.log(), slog.LevelDebug, "unit done", cl.Key, w.Name)
 	}
 	// Report even after a lost lease: the coordinator's exactly-once
 	// merge acknowledges identical duplicates and refuses divergent
@@ -213,9 +208,8 @@ func (w *Worker) process(ctx context.Context, cl claimResponse) {
 		if derr == nil || derr == errGone || derr == errFenced || attempt >= reportAttempts {
 			break
 		}
-		w.Logger.Warn("done report failed, retrying",
-			telemetry.F("worker", w.Name), telemetry.F("unit", cl.Key),
-			telemetry.F("attempt", attempt), telemetry.F("err", derr))
+		logUnit(w.log(), slog.LevelWarn, "done report failed, retrying", cl.Key, w.Name,
+			slog.Int("attempt", attempt), slog.Any("err", derr))
 		if !sleepCtx(repCtx, w.backoff(attempt)) {
 			break
 		}
@@ -229,9 +223,9 @@ func (w *Worker) process(ctx context.Context, cl claimResponse) {
 		// The coordinator restarted since this lease was granted; the
 		// unit re-runs under the new epoch (and is served from the run
 		// store, so nothing is recomputed).
-		w.logf("worker %s: completion of %.12s fenced (coordinator restarted); unit re-claims under new epoch", w.Name, cl.Key)
+		logUnit(w.log(), slog.LevelInfo, "completion fenced by epoch bump, unit re-claims", cl.Key, w.Name)
 	default:
-		w.logf("worker %s: reporting %.12s: %v", w.Name, cl.Key, derr)
+		logUnit(w.log(), slog.LevelWarn, "done report failed", cl.Key, w.Name, slog.Any("err", derr))
 	}
 }
 
@@ -256,23 +250,21 @@ func (w *Worker) heartbeatLoop(ctx context.Context, cl claimResponse) {
 			// Lease lost (expired or completed elsewhere). The unit
 			// cannot be aborted mid-simulation; finish and let the
 			// idempotent completion sort it out.
-			w.logf("worker %s: lease on %.12s lost", w.Name, cl.Key)
+			logUnit(w.log(), slog.LevelInfo, "lease lost", cl.Key, w.Name)
 			return
 		case err == errFenced:
 			// Coordinator restarted: this lease belongs to its previous
 			// incarnation. Drop it — the recovered coordinator already
 			// requeued the unit — and let the run finish for the store's
 			// benefit; the completion will fence too, harmlessly.
-			w.logf("worker %s: lease on %.12s fenced by coordinator epoch bump", w.Name, cl.Key)
-			w.Logger.Info("lease fenced by epoch bump",
-				telemetry.F("worker", w.Name), telemetry.F("unit", cl.Key), telemetry.F("lease_epoch", cl.Epoch))
+			logUnit(w.log(), slog.LevelInfo, "lease fenced by epoch bump", cl.Key, w.Name,
+				slog.Uint64("lease_epoch", cl.Epoch))
 			return
 		case err != nil && ctx.Err() != nil:
 			return // torn down mid-request; not a heartbeat failure
 		case err != nil:
-			w.logf("worker %s: heartbeat %.12s: %v", w.Name, cl.Key, err)
-			w.Logger.Warn("heartbeat failed, lease still ticking",
-				telemetry.F("worker", w.Name), telemetry.F("unit", cl.Key), telemetry.F("err", err))
+			logUnit(w.log(), slog.LevelWarn, "heartbeat failed, lease still ticking", cl.Key, w.Name,
+				slog.Any("err", err))
 		}
 	}
 }
@@ -290,9 +282,7 @@ func (w *Worker) claim(ctx context.Context) (cl claimResponse, status int, err e
 	}
 	if status == http.StatusOK && cl.Epoch != w.epoch {
 		if w.epoch != 0 {
-			w.logf("worker %s: coordinator epoch %d -> %d (restart observed)", w.Name, w.epoch, cl.Epoch)
-			w.Logger.Info("coordinator epoch bump observed",
-				telemetry.F("worker", w.Name), telemetry.F("from", w.epoch), telemetry.F("to", cl.Epoch))
+			w.log().Info("coordinator epoch bump observed", "worker", w.Name, "from", w.epoch, "to", cl.Epoch)
 		}
 		w.epoch = cl.Epoch
 	}

@@ -1,7 +1,7 @@
 // Package telemetry is the fleet-wide metrics layer of the sweep
 // service: a dependency-free registry of counters, gauges and
-// log2-bucketed histograms with Prometheus text-format exposition, plus
-// a small leveled structured logger (logger.go).
+// log2-bucketed histograms with Prometheus text-format exposition. The
+// fleet's logs go through the standard library's log/slog.
 //
 // The in-sim observability layer (internal/obs, DESIGN.md §9) answers
 // "what did this simulation do, cycle by cycle"; telemetry answers

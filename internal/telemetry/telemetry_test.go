@@ -1,13 +1,11 @@
 package telemetry
 
 import (
-	"encoding/json"
 	"io"
 	"net/http/httptest"
 	"strings"
 	"sync"
 	"testing"
-	"time"
 )
 
 func TestNilInstrumentsAreNoOps(t *testing.T) {
@@ -208,64 +206,3 @@ func TestConcurrentObserve(t *testing.T) {
 		t.Fatalf("hist count: %d", s.Count)
 	}
 }
-
-func TestLoggerLevelsAndQuietDefault(t *testing.T) {
-	var nilLogger *Logger
-	nilLogger.Info("dropped") // must not panic
-	nilLogger.With(F("a", 1)).Warn("dropped")
-	if nilLogger.Enabled(LevelError) {
-		t.Fatal("nil logger enabled")
-	}
-
-	var b strings.Builder
-	l := NewLogger(&b, LevelWarn, false)
-	l.Debug("nope")
-	l.Info("nope")
-	l.Warn("yes", F("k", "v"))
-	out := b.String()
-	if strings.Contains(out, "nope") || !strings.Contains(out, "WARN  yes k=v") {
-		t.Fatalf("output: %q", out)
-	}
-}
-
-func TestLoggerJSONShape(t *testing.T) {
-	var b strings.Builder
-	l := NewLogger(&b, LevelDebug, true)
-	l.now = func() time.Time { return time.Unix(1700000000, 0).UTC() }
-	l.With(F("worker", "w1")).Info("claimed",
-		F("key", "abc"), F("attempt", 3), F("err", errFake{}), F("backoff", 1500*time.Millisecond))
-	var m map[string]interface{}
-	if err := json.Unmarshal([]byte(b.String()), &m); err != nil {
-		t.Fatalf("not one JSON object per line: %v\n%q", err, b.String())
-	}
-	for k, want := range map[string]interface{}{
-		"level": "info", "msg": "claimed", "worker": "w1",
-		"key": "abc", "attempt": float64(3), "err": "fake failure", "backoff": "1.5s",
-	} {
-		if m[k] != want {
-			t.Errorf("field %s = %v, want %v", k, m[k], want)
-		}
-	}
-	if !strings.HasPrefix(b.String(), `{"ts":"2023-11-14T`) {
-		t.Fatalf("ts not leading: %q", b.String())
-	}
-}
-
-func TestParseLevel(t *testing.T) {
-	for in, want := range map[string]Level{
-		"debug": LevelDebug, "INFO": LevelInfo, "warn": LevelWarn,
-		"warning": LevelWarn, "Error": LevelError,
-	} {
-		got, err := ParseLevel(in)
-		if err != nil || got != want {
-			t.Errorf("ParseLevel(%q) = %v, %v", in, got, err)
-		}
-	}
-	if _, err := ParseLevel("loud"); err == nil {
-		t.Fatal("bad level accepted")
-	}
-}
-
-type errFake struct{}
-
-func (errFake) Error() string { return "fake failure" }

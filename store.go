@@ -27,7 +27,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"os"
+	"log/slog"
 	"runtime/debug"
 	"time"
 
@@ -73,15 +73,7 @@ func NewRunStore(dir string) (*RunStore, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &RunStore{b: verifyBackend(b)}, nil
-}
-
-// verifyBackend wraps b in the integrity layer, routing its warnings
-// through storeWarn (late-bound: tests swap the var after construction).
-func verifyBackend(b runstore.Backend) *runstore.Verified {
-	v := runstore.NewVerified(b)
-	v.Warn = func(format string, args ...interface{}) { storeWarn(format, args...) }
-	return v
+	return &RunStore{b: runstore.NewVerified(b)}, nil
 }
 
 // NewRunStoreWithBackend wraps an arbitrary blob backend — an LRU tier,
@@ -167,11 +159,6 @@ func runKey(o Options) string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-// storeWarn reports non-fatal store damage (swapped out by tests).
-var storeWarn = func(format string, args ...interface{}) {
-	fmt.Fprintf(os.Stderr, "runstore: warning: "+format+"\n", args...)
-}
-
 // GetResult returns the stored result for key, if present. An unreadable
 // or corrupt (e.g. hand-damaged) entry is a cache miss with a warning,
 // never a sweep failure: the run simply re-simulates and PutResult
@@ -179,7 +166,7 @@ var storeWarn = func(format string, args ...interface{}) {
 func (s *RunStore) GetResult(key string) (Result, bool, error) {
 	b, ok, err := s.b.Get(runstore.KindResults, key)
 	if err != nil {
-		storeWarn("unreadable result %s, treating as a miss: %v", key, err)
+		slog.Warn("unreadable result, treating as a miss", "key", key, "err", err)
 		return Result{}, false, nil
 	}
 	if !ok {
@@ -187,7 +174,7 @@ func (s *RunStore) GetResult(key string) (Result, bool, error) {
 	}
 	var r Result
 	if err := json.Unmarshal(b, &r); err != nil {
-		storeWarn("corrupt result %s (%v), treating as a miss", key, err)
+		slog.Warn("corrupt result, treating as a miss", "key", key, "err", err)
 		return Result{}, false, nil
 	}
 	return r, true, nil
@@ -219,7 +206,7 @@ func (s *RunStore) PutResult(key string, r Result) error {
 			return fmt.Errorf("runstore: refusing to overwrite %s: stored result differs from the new run (key collision or nondeterministic simulation)", key)
 		}
 	}
-	storeWarn("replacing corrupt result %s", key)
+	slog.Warn("replacing corrupt result", "key", key)
 	return s.b.Put(runstore.KindResults, key, data, true)
 }
 

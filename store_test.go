@@ -2,7 +2,9 @@ package tinydir
 
 import (
 	"bytes"
-	"fmt"
+	"encoding/json"
+	"log"
+	"log/slog"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
@@ -63,7 +65,7 @@ func TestRunStoreStacks(t *testing.T) {
 			}
 			srv := httptest.NewServer(runstore.NewServer(remote))
 			t.Cleanup(srv.Close)
-			return NewRunStoreWithBackend(verifyBackend(runstore.NewLRU(runstore.NewClient(srv.URL), 1<<20)))
+			return NewRunStoreWithBackend(runstore.NewVerified(runstore.NewLRU(runstore.NewClient(srv.URL), 1<<20)))
 		}, false},
 		{"verified-dir-obs", func(t *testing.T, root string) *RunStore {
 			s, err := NewRunStore(root)
@@ -222,11 +224,7 @@ func TestRunStoreTruncatedResultIsMiss(t *testing.T) {
 	if err := os.WriteFile(resultFile(dir, key), full[:len(full)/2], 0o644); err != nil {
 		t.Fatal(err)
 	}
-	var warnings []string
-	defer func(orig func(string, ...interface{})) { storeWarn = orig }(storeWarn)
-	storeWarn = func(format string, args ...interface{}) {
-		warnings = append(warnings, fmt.Sprintf(format, args...))
-	}
+	logBuf := captureDefaultLog(t)
 
 	got, ok, gerr := store.GetResult(key)
 	if gerr != nil {
@@ -235,8 +233,18 @@ func TestRunStoreTruncatedResultIsMiss(t *testing.T) {
 	if ok {
 		t.Fatalf("truncated result served as a hit: %+v", got)
 	}
-	if len(warnings) != 1 || !strings.Contains(warnings[0], "corrupt result") {
-		t.Fatalf("no corruption warning on the miss: %q", warnings)
+	var warnings []map[string]interface{}
+	for _, line := range strings.Split(strings.TrimSpace(logBuf.String()), "\n") {
+		var m map[string]interface{}
+		if err := json.Unmarshal([]byte(line), &m); err != nil {
+			t.Fatalf("log line not JSON: %q", line)
+		}
+		if m["level"] == "WARN" && m["key"] == key {
+			warnings = append(warnings, m)
+		}
+	}
+	if len(warnings) != 1 || !strings.Contains(warnings[0]["msg"].(string), "corrupt") {
+		t.Fatalf("want one corruption warning naming the key on the miss, got %v\n%s", warnings, logBuf)
 	}
 
 	// The re-run's PutResult replaces the debris (no collision guard — the
@@ -258,6 +266,22 @@ func TestRunStoreTruncatedResultIsMiss(t *testing.T) {
 	if res.Metrics.Cycles == 0 {
 		t.Fatalf("resumed run over truncated entry produced no simulation: %+v", res)
 	}
+}
+
+// captureDefaultLog routes slog's default logger into a JSON buffer for
+// the rest of the test, then restores it and the log package's output
+// (which slog.SetDefault redirects). Only non-parallel tests may call it.
+func captureDefaultLog(t *testing.T) *bytes.Buffer {
+	t.Helper()
+	var buf bytes.Buffer
+	old, w, flags := slog.Default(), log.Writer(), log.Flags()
+	t.Cleanup(func() {
+		slog.SetDefault(old)
+		log.SetOutput(w)
+		log.SetFlags(flags)
+	})
+	slog.SetDefault(slog.New(slog.NewJSONHandler(&buf, nil)))
+	return &buf
 }
 
 // TestSuiteStoreSweepIdentical: a small figure sweep through a store —

@@ -47,7 +47,7 @@ func RegisterSweepMetrics(reg *telemetry.Registry, mon *Reporter) {
 func (s *RunStore) EnableTelemetry(reg *telemetry.Registry, kind string) {
 	m := runstore.NewMetrics(reg)
 	if v, ok := s.b.(*runstore.Verified); ok && m != nil {
-		s.b = m.Instrument(verifyBackend(m.Instrument(v.Unwrap(), kind)), "verified")
+		s.b = m.Instrument(runstore.NewVerified(m.Instrument(v.Unwrap(), kind)), "verified")
 		return
 	}
 	s.b = m.Instrument(s.b, kind)
