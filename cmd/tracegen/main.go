@@ -22,7 +22,7 @@ import (
 func main() {
 	var (
 		appName = flag.String("app", "", "restrict to one application")
-		cores   = flag.Int("cores", 32, "core count (sharer sets clamp to it)")
+		cores   = flag.Int("cores", 32, "core count (sharer sets clamp to it); the simulator accepts at most 128 cores")
 		refs    = flag.Int("refs", 4000, "references per core to sample")
 		dump    = flag.Int("dump", 0, "print the first N references of core 0")
 		write   = flag.String("write", "", "write the generated trace (requires -app) to this file and print its digest")

@@ -1,7 +1,7 @@
 // Package bitvec implements the full-map sharer bitvector used by every
 // directory organization in this repository. The paper assumes a full-map
-// vector per entry (128 bits for 128 cores); the type supports any core
-// count so that unit tests can run small systems.
+// vector per entry (128 bits for 128 cores); a Vec holds exactly that, so
+// simulated machines are capped at 128 cores.
 package bitvec
 
 import (
@@ -10,39 +10,45 @@ import (
 	"strings"
 )
 
-// Vec is a fixed-capacity bitvector. The zero value of a Vec created by New
-// has all bits clear. Vec values are small (a slice header) and are shared
-// when assigned; use Clone for an independent copy.
+// MaxBits is the largest vector New accepts: the paper's 128-core
+// full-map width.
+const MaxBits = 128
+
+// Vec is a fixed-capacity bitvector of at most MaxBits bits, stored
+// inline. It is a plain value: assigning a Vec copies it, so two
+// variables never share bits, and nothing allocates. The zero Vec has
+// length 0.
 type Vec struct {
 	n     int
-	words []uint64
+	words [MaxBits / 64]uint64
 }
 
-// New returns an empty vector with capacity for n bits.
+// New returns an empty vector with capacity for n bits. It panics when n
+// is negative or above MaxBits.
 func New(n int) Vec {
-	if n < 0 {
-		panic("bitvec: negative size")
+	if n < 0 || n > MaxBits {
+		panic(fmt.Sprintf("bitvec: size %d outside [0,%d]", n, MaxBits))
 	}
-	return Vec{n: n, words: make([]uint64, (n+63)/64)}
+	return Vec{n: n}
 }
 
 // Len returns the capacity in bits.
 func (v Vec) Len() int { return v.n }
 
-func (v Vec) check(i int) {
+func (v *Vec) check(i int) {
 	if i < 0 || i >= v.n {
 		panic(fmt.Sprintf("bitvec: index %d out of range [0,%d)", i, v.n))
 	}
 }
 
 // Set sets bit i.
-func (v Vec) Set(i int) {
+func (v *Vec) Set(i int) {
 	v.check(i)
 	v.words[i/64] |= 1 << (uint(i) % 64)
 }
 
 // Clear clears bit i.
-func (v Vec) Clear(i int) {
+func (v *Vec) Clear(i int) {
 	v.check(i)
 	v.words[i/64] &^= 1 << (uint(i) % 64)
 }
@@ -55,29 +61,19 @@ func (v Vec) Test(i int) bool {
 
 // Count returns the number of set bits (the sharer count).
 func (v Vec) Count() int {
-	c := 0
-	for _, w := range v.words {
-		c += bits.OnesCount64(w)
-	}
-	return c
+	return bits.OnesCount64(v.words[0]) + bits.OnesCount64(v.words[1])
 }
 
 // Empty reports whether no bits are set.
-func (v Vec) Empty() bool {
-	for _, w := range v.words {
-		if w != 0 {
-			return false
-		}
-	}
-	return true
-}
+func (v Vec) Empty() bool { return v.words[0]|v.words[1] == 0 }
 
 // First returns the index of the lowest set bit, or -1 if none.
 func (v Vec) First() int {
-	for wi, w := range v.words {
-		if w != 0 {
-			return wi*64 + bits.TrailingZeros64(w)
-		}
+	switch {
+	case v.words[0] != 0:
+		return bits.TrailingZeros64(v.words[0])
+	case v.words[1] != 0:
+		return 64 + bits.TrailingZeros64(v.words[1])
 	}
 	return -1
 }
@@ -90,14 +86,11 @@ func (v Vec) Next(i int) int {
 		return -1
 	}
 	wi := i / 64
-	w := v.words[wi] >> (uint(i) % 64)
-	if w != 0 {
+	if w := v.words[wi] >> (uint(i) % 64); w != 0 {
 		return i + bits.TrailingZeros64(w)
 	}
-	for wi++; wi < len(v.words); wi++ {
-		if v.words[wi] != 0 {
-			return wi*64 + bits.TrailingZeros64(v.words[wi])
-		}
+	if wi == 0 && v.words[1] != 0 {
+		return 64 + bits.TrailingZeros64(v.words[1])
 	}
 	return -1
 }
@@ -110,31 +103,15 @@ func (v Vec) ForEach(fn func(i int)) {
 }
 
 // Reset clears all bits in place.
-func (v Vec) Reset() {
-	for i := range v.words {
-		v.words[i] = 0
-	}
-}
+func (v *Vec) Reset() { v.words = [MaxBits / 64]uint64{} }
 
-// Clone returns an independent copy.
-func (v Vec) Clone() Vec {
-	c := Vec{n: v.n, words: make([]uint64, len(v.words))}
-	copy(c.words, v.words)
-	return c
-}
+// Clone returns v. Plain assignment already copies a Vec, and no code in
+// this module calls Clone; it stays only because the bench module still
+// does.
+func (v Vec) Clone() Vec { return v }
 
 // Equal reports whether v and o have identical length and contents.
-func (v Vec) Equal(o Vec) bool {
-	if v.n != o.n {
-		return false
-	}
-	for i := range v.words {
-		if v.words[i] != o.words[i] {
-			return false
-		}
-	}
-	return true
-}
+func (v Vec) Equal(o Vec) bool { return v == o }
 
 // String renders the vector as a set, e.g. "{0,5,17}".
 func (v Vec) String() string {

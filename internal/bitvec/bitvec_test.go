@@ -36,8 +36,8 @@ func TestBasic(t *testing.T) {
 }
 
 func TestIteration(t *testing.T) {
-	v := New(200)
-	want := []int{3, 64, 65, 128, 199}
+	v := New(128)
+	want := []int{3, 63, 64, 65, 127}
 	for _, i := range want {
 		v.Set(i)
 	}
@@ -54,7 +54,7 @@ func TestIteration(t *testing.T) {
 			t.Fatalf("ForEach visited %v, want %v", got, want)
 		}
 	}
-	if v.Next(199) != -1 {
+	if v.Next(127) != -1 {
 		t.Fatal("Next past the end should be -1")
 	}
 }
@@ -69,6 +69,91 @@ func TestOutOfRangePanics(t *testing.T) {
 				}
 			}()
 			f()
+		}()
+	}
+}
+
+// TestValueSemantics pins that a Vec is a value: changing a copy, whether
+// made by assignment, by storing it in a struct or by passing it to a
+// function, leaves the original untouched.
+func TestValueSemantics(t *testing.T) {
+	v := New(128)
+	v.Set(5)
+	v.Set(100)
+	c := v
+	c.Set(6)
+	c.Clear(100)
+	if v.Test(6) || !v.Test(100) {
+		t.Fatalf("changing a copy changed the original: %v", v)
+	}
+	type entry struct{ s Vec }
+	e := entry{s: v}
+	e.s.Reset()
+	if v.Count() != 2 {
+		t.Fatalf("resetting a struct's copy changed the original: %v", v)
+	}
+	func(w Vec) { w.Set(7) }(v)
+	if v.Test(7) {
+		t.Fatal("a callee's copy changed the caller's vector")
+	}
+	if !c.Test(5) || c.Test(100) || !c.Test(6) {
+		t.Fatalf("copy lost its own changes: %v", c)
+	}
+}
+
+// TestWordBoundaries sets, tests, iterates and clears the bits on either
+// side of the 64-bit word boundary and at the top of the vector, for every
+// length around those boundaries.
+func TestWordBoundaries(t *testing.T) {
+	for _, n := range []int{63, 64, 65, 127, 128} {
+		for _, i := range []int{0, 62, 63, 64, 65, 126, 127} {
+			if i >= n {
+				continue
+			}
+			v := New(n)
+			v.Set(i)
+			if !v.Test(i) || v.Count() != 1 || v.First() != i || v.Next(i) != -1 {
+				t.Fatalf("New(%d) with bit %d: Test %v Count %d First %d Next %d",
+					n, i, v.Test(i), v.Count(), v.First(), v.Next(i))
+			}
+			if i > 0 && v.Next(i-1) != i {
+				t.Fatalf("New(%d): Next(%d) = %d, want %d", n, i-1, v.Next(i-1), i)
+			}
+			if got := FromWords(n, v.Words()); !got.Equal(v) {
+				t.Fatalf("New(%d) bit %d: word round trip gave %v", n, i, got)
+			}
+			v.Clear(i)
+			if !v.Empty() {
+				t.Fatalf("New(%d): Clear(%d) left %v", n, i, v)
+			}
+		}
+		v := New(n)
+		for i := 0; i < n; i++ {
+			v.Set(i)
+		}
+		if v.Count() != n {
+			t.Fatalf("New(%d) full: Count = %d", n, v.Count())
+		}
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("New(%d).Set(%d) did not panic", n, n)
+				}
+			}()
+			v.Set(n)
+		}()
+	}
+}
+
+func TestNewPanicsAboveMaxBits(t *testing.T) {
+	for _, n := range []int{MaxBits + 1, 256, -1} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("New(%d) did not panic", n)
+				}
+			}()
+			New(n)
 		}()
 	}
 }
@@ -113,7 +198,7 @@ func TestResetAndZeroLen(t *testing.T) {
 func TestModelEquivalence(t *testing.T) {
 	f := func(seed int64, nOps uint8) bool {
 		rng := rand.New(rand.NewSource(seed))
-		n := 1 + rng.Intn(300)
+		n := 1 + rng.Intn(MaxBits)
 		v := New(n)
 		model := map[int]bool{}
 		for op := 0; op < int(nOps); op++ {
@@ -153,9 +238,9 @@ func TestModelEquivalence(t *testing.T) {
 // bits.
 func TestIterationProperty(t *testing.T) {
 	f := func(raw []uint16) bool {
-		v := New(1 << 12)
+		v := New(MaxBits)
 		for _, r := range raw {
-			v.Set(int(r) % (1 << 12))
+			v.Set(int(r) % MaxBits)
 		}
 		prev := -1
 		n := 0

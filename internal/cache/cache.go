@@ -89,10 +89,17 @@ type Cache[T any] struct {
 // New returns a cache with the given geometry. sets and ways must be
 // positive; a fully-associative structure is sets == 1.
 func New[T any](sets, ways int, policy Policy) *Cache[T] {
+	c := new(Cache[T])
+	c.init(sets, ways, policy)
+	return c
+}
+
+// init sets c up as New would, allocating fresh storage.
+func (c *Cache[T]) init(sets, ways int, policy Policy) {
 	if sets <= 0 || ways <= 0 {
 		panic("cache: non-positive geometry")
 	}
-	c := &Cache[T]{sets: sets, ways: ways, policy: policy}
+	*c = Cache[T]{sets: sets, ways: ways, policy: policy}
 	if sets&(sets-1) == 0 {
 		c.mask = uint64(sets - 1)
 	}
@@ -105,7 +112,6 @@ func New[T any](sets, ways int, policy Policy) *Cache[T] {
 			c.tags[s*ways+w] = invalidTag
 		}
 	}
-	return c
 }
 
 // setTag keeps the tag side-array in sync with l's identity. Install
@@ -154,17 +160,6 @@ func (c *Cache[T]) SetIndex(addr uint64) int {
 		return int(a & c.mask)
 	}
 	return int(a % uint64(c.sets))
-}
-
-// SetLines returns the lines of set s (all ways, valid or not), in physical
-// way order. Callers must not retain the slice across Insert calls on other
-// caches but may mutate Meta in place.
-func (c *Cache[T]) SetLines(s int) []*Line[T] {
-	out := make([]*Line[T], c.ways)
-	for w := 0; w < c.ways; w++ {
-		out[w] = &c.lines[s*c.ways+w]
-	}
-	return out
 }
 
 // LinesIn returns the backing lines of addr's set (all ways, valid or

@@ -36,18 +36,26 @@ func (p *Pool[T]) bucket(g geom) *sync.Pool {
 // NewIn is New, drawing storage from p when a retired slab of the same
 // geometry is available. p may be nil (plain New).
 func NewIn[T any](p *Pool[T], sets, ways int, policy Policy) *Cache[T] {
+	c := new(Cache[T])
+	c.InitIn(p, sets, ways, policy)
+	return c
+}
+
+// InitIn is NewIn for a cache header the caller holds by value (a field
+// of a larger node): it sets c up in place, overwriting whatever c held.
+func (c *Cache[T]) InitIn(p *Pool[T], sets, ways int, policy Policy) {
 	if p != nil {
 		if s, ok := p.bucket(geom{sets, ways}).Get().(*slab[T]); ok {
-			c := &Cache[T]{sets: sets, ways: ways, policy: policy,
+			*c = Cache[T]{sets: sets, ways: ways, policy: policy,
 				lines: s.lines, tags: s.tags, used: s.used[:0], box: s}
 			*s = slab[T]{}
 			if sets&(sets-1) == 0 {
 				c.mask = uint64(sets - 1)
 			}
-			return c
+			return
 		}
 	}
-	return New[T](sets, ways, policy)
+	c.init(sets, ways, policy)
 }
 
 // Release wipes c's mutable state back to the just-constructed baseline

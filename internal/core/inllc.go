@@ -35,6 +35,13 @@ type InLLC struct {
 	// catBlocks[i] counts block residencies by final STRA category
 	// (Fig. 8); only categories >= 1 are reported.
 	catBlocks [NumCategories]uint64
+
+	// reconBuf and victimBuf back the one-element lists of returned
+	// Effects: a Commit reconstructs at most one block and an LLC victim
+	// back-invalidates at most one, and the bank consumes each Effects
+	// before its next call (see effectsBuf).
+	reconBuf  []int
+	victimBuf []proto.Victim
 }
 
 // NewInLLC returns the §III tracker. tagExtended selects the
@@ -101,7 +108,8 @@ func (t *InLLC) Commit(addr uint64, kind proto.ReqKind, from int, next proto.Ent
 				// via a special eviction acknowledgement. PutM carries the
 				// whole block anyway.
 				if kind == proto.PutE || kind == proto.PutS {
-					eff.ReconFromCores = append(eff.ReconFromCores, from)
+					t.reconBuf = append(t.reconBuf[:0], from)
+					eff.ReconFromCores = t.reconBuf
 					t.reconMsgs++
 				}
 				eff.LLCStateWrites++
@@ -135,7 +143,8 @@ func (t *InLLC) OnLLCVictim(l *proto.LLCLine) proto.Effects {
 	var eff proto.Effects
 	if t.tracked(l) {
 		// Reconstruct-and-invalidate: all private copies die with the line.
-		eff.BackInvals = append(eff.BackInvals, proto.Victim{Addr: l.Addr, E: l.Meta.Track})
+		t.victimBuf = append(t.victimBuf[:0], proto.Victim{Addr: l.Addr, E: l.Meta.Track})
+		eff.BackInvals = t.victimBuf
 		t.retireBlockStats(l)
 	}
 	return eff

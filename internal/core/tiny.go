@@ -55,6 +55,32 @@ type Tiny struct {
 	spillSaved  uint64 // shared reads answered thanks to a spilled entry (Fig. 19)
 	stateWrites uint64
 	catAccess   [NumCategories]uint64
+
+	// effBuf backs the lists of returned Effects.
+	effBuf effectsBuf
+}
+
+// effectsBuf is the scratch backing a tracker reuses for the lists of the
+// Effects it returns, so steady-state calls allocate none. The home bank
+// consumes each returned Effects before its next call into the tracker
+// (bank.apply runs synchronously and never re-enters it), so one backing
+// serves every call: a returned Effects is valid until the next start.
+type effectsBuf struct {
+	backInvals []proto.Victim
+	recon      []int
+	writebacks []uint64
+}
+
+// start returns an empty Effects whose lists append into the buffer.
+func (b *effectsBuf) start() proto.Effects {
+	return proto.Effects{BackInvals: b.backInvals[:0], ReconFromCores: b.recon[:0], LLCWritebacks: b.writebacks[:0]}
+}
+
+// keep retains e's lists, grown by its appends, for the next start and
+// returns e.
+func (b *effectsBuf) keep(e proto.Effects) proto.Effects {
+	b.backInvals, b.recon, b.writebacks = e.BackInvals, e.ReconFromCores, e.LLCWritebacks
+	return e
 }
 
 type tinyEntry struct {
@@ -207,8 +233,13 @@ func (t *Tiny) Begin(addr uint64, kind proto.ReqKind, llcHit bool) proto.View {
 
 // Commit implements proto.Tracker.
 func (t *Tiny) Commit(addr uint64, kind proto.ReqKind, from int, next proto.Entry) proto.Effects {
+	eff := t.effBuf.start()
+	t.commit(addr, kind, from, next, &eff)
+	return t.effBuf.keep(eff)
+}
+
+func (t *Tiny) commit(addr uint64, kind proto.ReqKind, from int, next proto.Entry, eff *proto.Effects) {
 	t.genTick()
-	var eff proto.Effects
 	db, sp := t.findLines(addr)
 	dl := t.tags.Lookup(addr)
 
@@ -231,19 +262,19 @@ func (t *Tiny) Commit(addr uint64, kind proto.ReqKind, from int, next proto.Entr
 			}
 			db.Meta.STRAC, db.Meta.OAC = 0, 0
 		}
-		return eff
+		return
 	}
 
 	if dl != nil {
 		dl.Meta.e = next
-		return eff
+		return
 	}
 	if sp != nil {
 		if next.State == proto.Shared {
 			sp.Meta.Track = next
 			eff.LLCStateWrites++
 			t.stateWrites++
-			return eff
+			return
 		}
 		// Read-exclusive or upgrade: EB is invalidated and the state
 		// moves into B as corrupted-exclusive (§IV-B1).
@@ -257,7 +288,7 @@ func (t *Tiny) Commit(addr uint64, kind proto.ReqKind, from int, next proto.Entr
 		db.Meta.STRAC, db.Meta.OAC = strac, oac
 		eff.LLCStateWrites++
 		t.stateWrites++
-		return eff
+		return
 	}
 
 	wasCorrupted := db != nil && db.Meta.Corrupted
@@ -269,16 +300,16 @@ func (t *Tiny) Commit(addr uint64, kind proto.ReqKind, from int, next proto.Entr
 	// (§IV): a read to a block in corrupted state, or an instruction
 	// read to an unowned block.
 	tryAlloc := (kind.IsRead() && wasCorrupted) || (kind == proto.GetI && !wasCorrupted)
-	if tryAlloc && t.allocate(addr, cat, next, db, &eff) {
-		return eff
+	if tryAlloc && t.allocate(addr, cat, next, db, eff) {
+		return
 	}
 	// The spill policy is invoked when the allocation policy declines a
 	// demand request's block (§IV-B2 situation i); eviction notices only
 	// update state.
 	if t.cfg.Spill && !kind.IsEvict() && next.State == proto.Shared && db != nil &&
 		!t.sampledSet(db.Set()) && cat >= t.spillIdx &&
-		t.spillInto(addr, next, db, db.Meta.STRAC, db.Meta.OAC, &eff) {
-		return eff
+		t.spillInto(addr, next, db, db.Meta.STRAC, db.Meta.OAC, eff) {
+		return
 	}
 	if db == nil {
 		panic("tiny: commit without an LLC line")
@@ -287,24 +318,24 @@ func (t *Tiny) Commit(addr uint64, kind proto.ReqKind, from int, next proto.Entr
 	db.Meta.Track = next
 	eff.LLCStateWrites++
 	t.stateWrites++
-	return eff
 }
 
 // allocate runs the DSTRA / DSTRA+gNRU allocation policy (§IV-A) and, on
 // success, installs the entry and reconstructs the LLC block.
 func (t *Tiny) allocate(addr uint64, cat int, next proto.Entry, db *proto.LLCLine, eff *proto.Effects) bool {
-	set := t.tags.SetIndex(addr)
+	ways := t.tags.LinesIn(addr)
 	var victim *cache.Line[tinyEntry]
-	for _, w := range t.tags.SetLines(set) {
-		if !w.Valid {
-			victim = w
+	for i := range ways {
+		if !ways[i].Valid {
+			victim = &ways[i]
 			break
 		}
 	}
 	if victim == nil {
 		// Way with the lowest STRA category; under gNRU, ways with the
 		// eviction-priority bit set win ties, then the lowest way id.
-		for _, w := range t.tags.SetLines(set) {
+		for i := range ways {
+			w := &ways[i]
 			if t.env.IsBusy(w.Addr) {
 				continue
 			}
@@ -394,7 +425,7 @@ func (t *Tiny) spillInto(addr uint64, e proto.Entry, db *proto.LLCLine, strac, o
 		return false
 	}
 	if v.Valid {
-		eff.Merge(t.OnLLCVictim(v))
+		t.onLLCVictim(v, eff)
 		if !v.Meta.Spill && !v.Meta.Corrupted && v.Meta.Dirty {
 			eff.LLCWritebacks = append(eff.LLCWritebacks, v.Addr)
 		}
@@ -444,7 +475,13 @@ func (t *Tiny) reconstruct(db *proto.LLCLine, eff *proto.Effects) {
 
 // OnLLCVictim implements proto.Tracker.
 func (t *Tiny) OnLLCVictim(l *proto.LLCLine) proto.Effects {
-	var eff proto.Effects
+	eff := t.effBuf.start()
+	t.onLLCVictim(l, &eff)
+	return t.effBuf.keep(eff)
+}
+
+// onLLCVictim appends the effects of evicting LLC line l to eff.
+func (t *Tiny) onLLCVictim(l *proto.LLCLine, eff *proto.Effects) {
 	switch {
 	case l.Meta.Spill:
 		// Transfer the tracking state back into the data block.
@@ -468,7 +505,6 @@ func (t *Tiny) OnLLCVictim(l *proto.LLCLine) proto.Effects {
 			t.env.LLC().InvalidateLine(sp)
 		}
 	}
-	return eff
 }
 
 // Lookup implements proto.Tracker.

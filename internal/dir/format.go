@@ -63,7 +63,7 @@ func (FullMap) Bits(cores int) int { return cores }
 
 // Encode implements Format.
 func (FullMap) Encode(s bitvec.Vec) EncodedSharers {
-	return EncodedSharers{mask: s.Clone(), coarse: 1}
+	return EncodedSharers{mask: s, coarse: 1}
 }
 
 // Decode implements Format.
@@ -71,7 +71,7 @@ func (FullMap) Decode(e EncodedSharers, cores int) bitvec.Vec {
 	if e.mask.Len() == 0 {
 		return bitvec.New(cores)
 	}
-	return e.mask.Clone()
+	return e.mask
 }
 
 // LimitedPtr is the Dir_K pointer format with coarse-vector overflow.

@@ -31,6 +31,10 @@ type Stash struct {
 	victims    uint64
 	drops      uint64
 	broadcasts uint64
+
+	// victimBuf backs the BackInvals slice of returned Effects, as in
+	// Sparse: a Commit displaces at most one entry.
+	victimBuf []proto.Victim
 }
 
 // NewStash builds a Stash directory slice with the given entry count.
@@ -110,12 +114,17 @@ func (d *Stash) Commit(addr uint64, kind proto.ReqKind, from int, next proto.Ent
 			d.untracked[ev.Addr] = true
 		} else {
 			d.victims++
-			eff.BackInvals = append(eff.BackInvals, proto.Victim{Addr: ev.Addr, E: ev.Meta})
+			d.victimBuf = append(d.victimBuf[:0], proto.Victim{Addr: ev.Addr, E: ev.Meta})
+			eff.BackInvals = d.victimBuf
 		}
 	}
 	l.Meta = next
 	return eff
 }
+
+// ReleaseStorage returns the tag array to the pool (see
+// System.ReleaseStorage); the directory is unusable afterwards.
+func (d *Stash) ReleaseStorage() { d.tags.Release(&dirTagPool) }
 
 // OnLLCVictim implements proto.Tracker.
 func (d *Stash) OnLLCVictim(l *proto.LLCLine) proto.Effects { return proto.Effects{} }

@@ -6,6 +6,7 @@ package proto
 // bump.
 
 import (
+	"fmt"
 	"sort"
 
 	"tinydir/internal/bitvec"
@@ -33,10 +34,15 @@ func PutVec(w *snapshot.Writer, v bitvec.Vec) {
 }
 
 // GetVec reads a sharer bitvector. A zero-length vector decodes to the zero
-// Vec (indistinguishable from bitvec.New(0) for every operation).
+// Vec (indistinguishable from bitvec.New(0) for every operation); one wider
+// than bitvec.MaxBits fails the reader.
 func GetVec(r *snapshot.Reader) bitvec.Vec {
 	n := r.Int()
 	if n <= 0 {
+		return bitvec.Vec{}
+	}
+	if n > bitvec.MaxBits {
+		r.Fail(fmt.Errorf("snapshot: %d-bit sharer vector exceeds %d bits", n, bitvec.MaxBits))
 		return bitvec.Vec{}
 	}
 	words := make([]uint64, (n+63)/64)

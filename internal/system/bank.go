@@ -47,11 +47,12 @@ type txn struct {
 	gen uint64
 }
 
-// bankNode is one LLC bank with its coherence-tracking slice.
+// bankNode is one LLC bank with its coherence-tracking slice. Like the
+// cores, the banks live in one slice of the System, LLC header included.
 type bankNode struct {
 	sys     *System
 	id      int
-	llc     *proto.LLC
+	llc     proto.LLC
 	tracker proto.Tracker
 	*bankScratch
 
@@ -87,17 +88,14 @@ type bankScratch struct {
 // fresh bankScratch has (see releaseScratch).
 var scratchPool sync.Pool // of *bankScratch
 
-func newBankNode(sys *System, id int) *bankNode {
+// init sets up b, a zero bankNode in its System's slab, as bank id.
+func (b *bankNode) init(sys *System, id int) {
 	sc, _ := scratchPool.Get().(*bankScratch)
 	if sc == nil {
 		sc = &bankScratch{}
 	}
-	b := &bankNode{
-		sys:         sys,
-		id:          id,
-		llc:         cache.NewIn(&llcPool, sys.cfg.LLCSets, sys.cfg.LLCWays, cache.LRU),
-		bankScratch: sc,
-	}
+	b.sys, b.id, b.bankScratch = sys, id, sc
+	b.llc.InitIn(&llcPool, sys.cfg.LLCSets, sys.cfg.LLCWays, cache.LRU)
 	if sys.flt != nil {
 		b.reqSeen = make([]int32, sys.cfg.Cores)
 		b.evictSeen = make([]int32, sys.cfg.Cores)
@@ -109,7 +107,6 @@ func newBankNode(sys *System, id int) *bankNode {
 	b.llc.SetIndexShift(sys.cfg.bankShift())
 	b.tracker = sys.cfg.NewTracker(id)
 	b.tracker.Attach((*bankEnv)(b))
-	return b
 }
 
 // busyScanMax bounds the linear busy-set probe: up to this many in-flight
@@ -179,10 +176,8 @@ func (b *bankNode) newTxn() *txn {
 	return &txn{}
 }
 
-// freeTxn recycles a released transaction record. Every field is dropped,
-// including the Entry and fwdExcl bitvectors: committed sharer sets are
-// owned by the tracker after Commit, so retaining their backing here
-// would alias live state.
+// freeTxn recycles a released transaction record, zeroing every field so
+// the next newTxn sees a fresh record.
 func (b *bankNode) freeTxn(t *txn) {
 	*t = txn{}
 	b.freeTxns = append(b.freeTxns, t)
@@ -204,7 +199,7 @@ func (b *bankNode) releaseScratch() {
 // bankEnv adapts bankNode to proto.BankEnv.
 type bankEnv bankNode
 
-func (e *bankEnv) LLC() *proto.LLC         { return e.llc }
+func (e *bankEnv) LLC() *proto.LLC         { return &e.llc }
 func (e *bankEnv) Cores() int              { return e.sys.cfg.Cores }
 func (e *bankEnv) Now() sim.Time           { return e.sys.eng.Now() }
 func (e *bankEnv) BankID() int             { return e.id }
@@ -256,7 +251,7 @@ func (b *bankNode) handleReq(addr uint64, kind proto.ReqKind, c int, seq uint16)
 	}
 	if b.busyHas(addr) {
 		m.Nacks++
-		b.sys.net.SendEvent(b.id, c, mesh.CtrlBytes, mesh.Processor, b.sys.cores[c], copNack, addr, 0)
+		b.sys.net.SendEvent(b.id, c, mesh.CtrlBytes, mesh.Processor, &b.sys.cores[c], copNack, addr, 0)
 		return
 	}
 	dl := b.dataLine(addr)
@@ -268,7 +263,7 @@ func (b *bankNode) handleReq(addr uint64, kind proto.ReqKind, c int, seq uint16)
 		// NACK the requester and invalidate-and-refetch (never proceed
 		// silently on corrupted state).
 		m.Nacks++
-		b.sys.net.SendEvent(b.id, c, mesh.CtrlBytes, mesh.Processor, b.sys.cores[c], copNack, addr, 0)
+		b.sys.net.SendEvent(b.id, c, mesh.CtrlBytes, mesh.Processor, &b.sys.cores[c], copNack, addr, 0)
 		b.eccRecover(addr, kind, c)
 		return
 	}
@@ -366,10 +361,7 @@ func (b *bankNode) dispatchRead(addr uint64, kind proto.ReqKind, c int, view pro
 		b.forward(addr, kind, c, e.Owner, false)
 	case proto.Shared:
 		next := e
-		next.Sharers = e.Sharers.Clone()
-		if !next.Sharers.Test(c) {
-			next.Sharers.Set(c)
-		}
+		next.Sharers.Set(c)
 		dl := b.dataLine(addr)
 		if dl != nil && !view.SupplyFromLLC {
 			// Corrupted-shared: elect a sharer to supply (three hops).
@@ -451,7 +443,7 @@ func (b *bankNode) dispatchWrite(addr uint64, kind proto.ReqKind, c int, view pr
 			}
 			withData := s == elect
 			b.sys.net.SendEvent(b.id, s, mesh.CtrlBytes, mesh.Coherence,
-				b.sys.cores[s], copInv, addr, pk(int16(c), -1, b2i(withData), 0))
+				&b.sys.cores[s], copInv, addr, pk(int16(c), -1, b2i(withData), 0))
 		})
 	}
 }
@@ -536,7 +528,7 @@ func (b *bankNode) memFetchDone(addr uint64) {
 			b.reqSeen[t.requester] = int32(uint16(b.reqSeen[t.requester]) - 1)
 		}
 		b.sys.net.SendEvent(b.id, t.requester, mesh.CtrlBytes, mesh.Processor,
-			b.sys.cores[t.requester], copNack, addr, 0)
+			&b.sys.cores[t.requester], copNack, addr, 0)
 		b.freeTxn(t)
 		return
 	}
@@ -551,7 +543,7 @@ func (b *bankNode) memFetchDone(addr uint64) {
 func (b *bankNode) forward(addr uint64, kind proto.ReqKind, c, owner int, lengthened bool) {
 	b.sys.metrics.Forwards++
 	b.sys.net.SendEvent(b.id, owner, mesh.CtrlBytes, mesh.Coherence,
-		b.sys.cores[owner], copFwd, addr, pk(int16(kind), int16(c), int16(b.id), b2i(lengthened)))
+		&b.sys.cores[owner], copFwd, addr, pk(int16(kind), int16(c), int16(b.id), b2i(lengthened)))
 }
 
 // respond sends the home bank's grant to the requester. viaMem marks data
@@ -562,7 +554,7 @@ func (b *bankNode) respond(addr uint64, c int, grant privState, dataMode, wantAc
 	if dataMode == 1 {
 		bytes = mesh.DataBytes
 	}
-	b.sys.net.SendEvent(b.id, c, bytes, mesh.Processor, b.sys.cores[c], copGrant, addr,
+	b.sys.net.SendEvent(b.id, c, bytes, mesh.Processor, &b.sys.cores[c], copGrant, addr,
 		pk(int16(grant), int16(dataMode), int16(wantAcks), b2i(notify)|b2i(viaMem)<<1))
 }
 
@@ -628,7 +620,7 @@ func (b *bankNode) onBusyClear(addr uint64, retained, copybackDirty bool) {
 		v := bitvec.New(b.sys.cfg.Cores)
 		switch t.pre.State {
 		case proto.Shared:
-			v = t.pre.Sharers.Clone()
+			v = t.pre.Sharers
 		case proto.Exclusive:
 			if retained {
 				v.Set(t.pre.Owner)
@@ -716,7 +708,7 @@ func (b *bankNode) backInvalidate(v proto.Victim) {
 	b.busyPut(v.Addr, t)
 	for _, h := range holders {
 		b.sys.net.SendEvent(b.id, h, mesh.CtrlBytes, mesh.Coherence,
-			b.sys.cores[h], copInv, v.Addr, pk(-1, int16(b.id), 0, 0))
+			&b.sys.cores[h], copInv, v.Addr, pk(-1, int16(b.id), 0, 0))
 	}
 }
 
@@ -760,7 +752,7 @@ func (b *bankNode) eccRecover(addr uint64, kind proto.ReqKind, c int) {
 	b.busyPut(addr, t)
 	for i := 0; i < cores; i++ {
 		b.sys.net.SendEvent(b.id, i, mesh.CtrlBytes, mesh.Coherence,
-			b.sys.cores[i], copInv, addr, pk(-1, int16(b.id), 0, 0))
+			&b.sys.cores[i], copInv, addr, pk(-1, int16(b.id), 0, 0))
 	}
 }
 
@@ -795,7 +787,7 @@ func (b *bankNode) handleEvict(addr uint64, kind proto.ReqKind, c int, seq uint1
 	if b.busyHas(addr) {
 		m.Nacks++
 		b.sys.net.SendEvent(b.id, c, mesh.CtrlBytes, mesh.Writeback,
-			b.sys.cores[c], copEvictNack, addr, 0)
+			&b.sys.cores[c], copEvictNack, addr, 0)
 		return
 	}
 	dl := b.dataLine(addr)
@@ -807,7 +799,7 @@ func (b *bankNode) handleEvict(addr uint64, kind proto.ReqKind, c int, seq uint1
 	if holds {
 		var next proto.Entry
 		if e.State == proto.Shared {
-			v := e.Sharers.Clone()
+			v := e.Sharers
 			v.Clear(c)
 			if v.Empty() {
 				next = proto.Entry{State: proto.Unowned}
@@ -837,7 +829,7 @@ func (b *bankNode) handleEvict(addr uint64, kind proto.ReqKind, c int, seq uint1
 	// sequence number: the core only trusts acks for its latest
 	// transmission.
 	b.sys.net.SendEvent(b.id, c, mesh.CtrlBytes, mesh.Writeback,
-		b.sys.cores[c], copEvictAck, addr, pk(int16(seq), 0, 0, 0))
+		&b.sys.cores[c], copEvictAck, addr, pk(int16(seq), 0, 0, 0))
 }
 
 // fill allocates an LLC line for addr (fill on miss / writeback

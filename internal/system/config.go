@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"math/bits"
 
+	"tinydir/internal/bitvec"
 	"tinydir/internal/fault"
 	"tinydir/internal/obs"
 	"tinydir/internal/proto"
@@ -15,7 +16,8 @@ import (
 )
 
 // Config describes one simulated machine. Cores must be a power of two
-// (the mesh is Cores tiles, one LLC bank + tracker slice per tile).
+// no larger than MaxCores (the mesh is Cores tiles, one LLC bank +
+// tracker slice per tile).
 type Config struct {
 	Cores int
 
@@ -105,9 +107,16 @@ func (c Config) DirEntriesPerSlice(ratio float64) int {
 	return n
 }
 
+// MaxCores is the largest machine the simulator builds: the paper's
+// 128-core system, whose full-map sharer vector is one bitvec.Vec.
+const MaxCores = bitvec.MaxBits
+
 func (c Config) validate() error {
 	if c.Cores < 2 || c.Cores&(c.Cores-1) != 0 {
 		return fmt.Errorf("system: cores must be a power of two >= 2, got %d", c.Cores)
+	}
+	if c.Cores > MaxCores {
+		return fmt.Errorf("system: %d cores exceed the %d-core limit of the full-map sharer vector", c.Cores, MaxCores)
 	}
 	if c.NewTracker == nil {
 		return fmt.Errorf("system: NewTracker is required")

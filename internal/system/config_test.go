@@ -1,6 +1,7 @@
 package system
 
 import (
+	"strings"
 	"testing"
 
 	"tinydir/internal/dir"
@@ -82,6 +83,15 @@ func TestConfigValidation(t *testing.T) {
 	bad.MemChannels = 0
 	if err := bad.validate(); err == nil {
 		t.Error("zero channels accepted")
+	}
+	bad = ok
+	bad.Cores = MaxCores
+	if err := bad.validate(); err != nil {
+		t.Errorf("%d cores rejected: %v", MaxCores, err)
+	}
+	bad.Cores = 2 * MaxCores
+	if err := bad.validate(); err == nil || !strings.Contains(err.Error(), "128-core limit") {
+		t.Errorf("%d cores: err = %v, want the 128-core limit", bad.Cores, err)
 	}
 }
 

@@ -56,13 +56,15 @@ type outstanding struct {
 	viaMem     bool
 }
 
-// coreNode is one tile's core plus its private cache hierarchy.
+// coreNode is one tile's core plus its private cache hierarchy. The
+// System holds every coreNode in one slice and the cache headers are
+// fields, so a machine's cores are one allocation, not four per core.
 type coreNode struct {
 	sys  *System
 	id   int
-	l1i  *cache.Cache[privMeta]
-	l1d  *cache.Cache[privMeta]
-	l2   *cache.Cache[privMeta]
+	l1i  cache.Cache[privMeta]
+	l1d  cache.Cache[privMeta]
+	l2   cache.Cache[privMeta]
 	refs []trace.Ref
 	pos  int
 
@@ -118,17 +120,14 @@ type evictEntry struct {
 	xmits uint8
 }
 
-func newCoreNode(sys *System, id int, refs []trace.Ref) *coreNode {
+// init sets up c, a zero coreNode in its System's slab, as core id
+// replaying refs.
+func (c *coreNode) init(sys *System, id int, refs []trace.Ref) {
 	cfg := sys.cfg
-	c := &coreNode{
-		sys:  sys,
-		id:   id,
-		l1i:  cache.NewIn(&privPool, cfg.L1Sets, cfg.L1Ways, cache.LRU),
-		l1d:  cache.NewIn(&privPool, cfg.L1Sets, cfg.L1Ways, cache.LRU),
-		l2:   cache.NewIn(&privPool, cfg.L2Sets, cfg.L2Ways, cache.LRU),
-		refs: refs,
-	}
-	return c
+	c.sys, c.id, c.refs = sys, id, refs
+	c.l1i.InitIn(&privPool, cfg.L1Sets, cfg.L1Ways, cache.LRU)
+	c.l1d.InitIn(&privPool, cfg.L1Sets, cfg.L1Ways, cache.LRU)
+	c.l2.InitIn(&privPool, cfg.L2Sets, cfg.L2Ways, cache.LRU)
 }
 
 // step replays trace references. Private-cache hits are batched inside a
@@ -146,9 +145,9 @@ func (c *coreNode) step() {
 		}
 		ref := c.refs[c.pos]
 		elapsed += sim.Time(ref.Gap)
-		l1 := c.l1d
+		l1 := &c.l1d
 		if ref.Kind == trace.Ifetch {
-			l1 = c.l1i
+			l1 = &c.l1i
 		}
 		if l := l1.Lookup(ref.Addr); l != nil {
 			if ref.Kind != trace.Store || l.Meta.st == psM || l.Meta.st == psE {
@@ -400,9 +399,9 @@ func (c *coreNode) fill(addr uint64, st privState, ifetch bool) {
 		panic("core: L2 insert failed")
 	}
 	l2l.Meta.st = st
-	l1 := c.l1d
+	l1 := &c.l1d
 	if ifetch {
-		l1 = c.l1i
+		l1 = &c.l1i
 	}
 	l1l, _, _ := l1.Insert(addr)
 	l1l.Meta.st = st
@@ -519,7 +518,7 @@ func (c *coreNode) onFwd(addr uint64, kind proto.ReqKind, requester, bank int, l
 		// lands, the copy is gone. Ask the home bank to re-evaluate the
 		// transaction against its now-current state.
 		c.sys.net.SendEvent(c.id, bank, mesh.CtrlBytes, mesh.Coherence,
-			c.sys.banks[bank], bopFwdMiss, addr, pk(int16(kind), int16(requester), int16(c.id), 0))
+			&c.sys.banks[bank], bopFwdMiss, addr, pk(int16(kind), int16(requester), int16(c.id), 0))
 		return
 	}
 
@@ -528,7 +527,7 @@ func (c *coreNode) onFwd(addr uint64, kind proto.ReqKind, requester, bank int, l
 		grant = psM
 	}
 	c.sys.net.SendEvent(c.id, requester, mesh.DataBytes, mesh.Processor,
-		c.sys.cores[requester], copOwnerData, addr, pk(int16(grant), b2i(lengthened), 0, 0))
+		&c.sys.cores[requester], copOwnerData, addr, pk(int16(grant), b2i(lengthened), 0, 0))
 	// Busy-clear to the home bank; an M->S downgrade ships the dirty data
 	// back to the LLC with it.
 	dirty := st == psM && kind.IsRead()
@@ -537,7 +536,7 @@ func (c *coreNode) onFwd(addr uint64, kind proto.ReqKind, requester, bank int, l
 		bytes = mesh.DataBytes
 	}
 	c.sys.net.SendEvent(c.id, bank, bytes, mesh.Coherence,
-		c.sys.banks[bank], bopBusyClear, addr, pk(b2i(retained), b2i(dirty), 0, 0))
+		&c.sys.banks[bank], bopBusyClear, addr, pk(b2i(retained), b2i(dirty), 0, 0))
 }
 
 // onInv invalidates this core's copy. ackTo >= 0 directs the
@@ -577,7 +576,7 @@ func (c *coreNode) onInv(addr uint64, ackTo, ackBank int, withData bool) {
 	if wasM && ackBank >= 0 {
 		// Dirty data retrieved by a back-invalidation.
 		c.sys.net.SendEvent(c.id, ackBank, mesh.DataBytes, mesh.Writeback,
-			c.sys.banks[ackBank], bopWbData, addr, 0)
+			&c.sys.banks[ackBank], bopWbData, addr, 0)
 	}
 	switch {
 	case ackTo >= 0:
@@ -586,10 +585,10 @@ func (c *coreNode) onInv(addr uint64, ackTo, ackBank int, withData bool) {
 			bytes = mesh.DataBytes
 		}
 		c.sys.net.SendEvent(c.id, ackTo, bytes, mesh.Coherence,
-			c.sys.cores[ackTo], copInvAck, addr, pk(b2i(withData), 0, 0, 0))
+			&c.sys.cores[ackTo], copInvAck, addr, pk(b2i(withData), 0, 0, 0))
 	case ackBank >= 0:
 		c.sys.net.SendEvent(c.id, ackBank, mesh.CtrlBytes, mesh.Coherence,
-			c.sys.banks[ackBank], bopBackInvAck, addr, 0)
+			&c.sys.banks[ackBank], bopBackInvAck, addr, 0)
 	}
 }
 

@@ -61,7 +61,8 @@ func (s *System) StateDigest() [32]byte {
 		fmt.Fprintf(h, "faults=%+v\n", cfg.Faults)
 	}
 	var buf [11]byte
-	for _, c := range s.cores {
+	for i := range s.cores {
+		c := &s.cores[i]
 		binary.LittleEndian.PutUint64(buf[:8], uint64(len(c.refs)))
 		h.Write(buf[:8])
 		for _, ref := range c.refs {
@@ -97,9 +98,9 @@ func (s *System) handlerByID(id uint64) (sim.Handler, error) {
 	n := uint64(s.cfg.Cores)
 	switch {
 	case id < n:
-		return s.cores[id], nil
+		return &s.cores[id], nil
 	case id < 2*n:
-		return s.banks[id-n], nil
+		return &s.banks[id-n], nil
 	case id == 2*n:
 		return s.mem, nil
 	}
@@ -182,12 +183,14 @@ func (s *System) Save(out io.Writer) error {
 	w.U64(dst.Stats.RowMisses)
 
 	w.Section(secCores)
-	for _, c := range s.cores {
+	for i := range s.cores {
+		c := &s.cores[i]
 		c.saveState(w)
 	}
 
 	w.Section(secBanks)
-	for _, b := range s.banks {
+	for i := range s.banks {
+		b := &s.banks[i]
 		b.saveState(w)
 	}
 
@@ -279,14 +282,16 @@ func (s *System) Restore(in io.Reader) error {
 	}
 
 	r.Section(secCores)
-	for _, c := range s.cores {
+	for i := range s.cores {
+		c := &s.cores[i]
 		if err := c.loadState(r); err != nil {
 			return fmt.Errorf("system: core %d: %w", c.id, err)
 		}
 	}
 
 	r.Section(secBanks)
-	for _, b := range s.banks {
+	for i := range s.banks {
+		b := &s.banks[i]
 		if err := b.loadState(r); err != nil {
 			return fmt.Errorf("system: bank %d: %w", b.id, err)
 		}
@@ -399,9 +404,9 @@ func (c *coreNode) saveState(w *snapshot.Writer) {
 	}
 	w.Int(int(c.reqSeq))
 	w.Int(int(c.evictSeq))
-	cache.SaveState(w, c.l1i, putPrivMeta)
-	cache.SaveState(w, c.l1d, putPrivMeta)
-	cache.SaveState(w, c.l2, putPrivMeta)
+	cache.SaveState(w, &c.l1i, putPrivMeta)
+	cache.SaveState(w, &c.l1d, putPrivMeta)
+	cache.SaveState(w, &c.l2, putPrivMeta)
 	w.Int(c.evictBuf.Len())
 	for _, a := range sortedBlockmapAddrs(&c.evictBuf) {
 		e, _ := c.evictBuf.Get(a)
@@ -458,13 +463,13 @@ func (c *coreNode) loadState(r *snapshot.Reader) error {
 	}
 	c.reqSeq = uint16(r.Int())
 	c.evictSeq = uint16(r.Int())
-	if err := cache.LoadState(r, c.l1i, getPrivMeta); err != nil {
+	if err := cache.LoadState(r, &c.l1i, getPrivMeta); err != nil {
 		return err
 	}
-	if err := cache.LoadState(r, c.l1d, getPrivMeta); err != nil {
+	if err := cache.LoadState(r, &c.l1d, getPrivMeta); err != nil {
 		return err
 	}
-	if err := cache.LoadState(r, c.l2, getPrivMeta); err != nil {
+	if err := cache.LoadState(r, &c.l2, getPrivMeta); err != nil {
 		return err
 	}
 	clearBlockmap(&c.evictBuf)
@@ -494,7 +499,7 @@ func (c *coreNode) loadState(r *snapshot.Reader) error {
 }
 
 func (b *bankNode) saveState(w *snapshot.Writer) {
-	cache.SaveState(w, b.llc, proto.PutLLCMeta)
+	cache.SaveState(w, &b.llc, proto.PutLLCMeta)
 	w.Int(b.busy.Len())
 	for _, a := range sortedBusyAddrs(b) {
 		t := b.busyGet(a)
@@ -525,7 +530,7 @@ func (b *bankNode) saveState(w *snapshot.Writer) {
 }
 
 func (b *bankNode) loadState(r *snapshot.Reader) error {
-	if err := cache.LoadState(r, b.llc, proto.GetLLCMeta); err != nil {
+	if err := cache.LoadState(r, &b.llc, proto.GetLLCMeta); err != nil {
 		return err
 	}
 	for _, a := range sortedBusyAddrs(b) {

@@ -31,8 +31,8 @@ type System struct {
 	eng   *sim.Engine
 	net   *mesh.Mesh
 	mem   *dram.Memory
-	cores []*coreNode
-	banks []*bankNode
+	cores []coreNode
+	banks []bankNode
 
 	memTiles []int
 	maxDist  int
@@ -85,11 +85,15 @@ func New(cfg Config, traces [][]trace.Ref) *System {
 	for ch := 0; ch < cfg.MemChannels; ch++ {
 		s.memTiles = append(s.memTiles, ch*(cfg.Cores/cfg.MemChannels))
 	}
-	for i := 0; i < cfg.Cores; i++ {
-		s.banks = append(s.banks, newBankNode(s, i))
+	// Nodes are built in place: trackers and event handlers keep
+	// pointers into these slabs, which therefore never grow.
+	s.banks = make([]bankNode, cfg.Cores)
+	for i := range s.banks {
+		s.banks[i].init(s, i)
 	}
-	for i := 0; i < cfg.Cores; i++ {
-		s.cores = append(s.cores, newCoreNode(s, i, traces[i]))
+	s.cores = make([]coreNode, cfg.Cores)
+	for i := range s.cores {
+		s.cores[i].init(s, i, traces[i])
 	}
 	s.attachObs()
 	return s
@@ -105,7 +109,7 @@ func (s *System) FaultInjector() *fault.Injector { return s.flt }
 
 // bankOf returns the home bank of a block address.
 func (s *System) bankOf(addr uint64) *bankNode {
-	return s.banks[int(addr%uint64(s.cfg.Cores))]
+	return &s.banks[int(addr%uint64(s.cfg.Cores))]
 }
 
 // memTile returns the tile of the memory controller owning addr.
@@ -125,7 +129,8 @@ func (s *System) memTile(addr uint64) int {
 func (s *System) findHolders(addr uint64) proto.Entry {
 	var sharers []int
 	bufOwner := -1
-	for _, c := range s.cores {
+	for i := range s.cores {
+		c := &s.cores[i]
 		st, buffered := c.probe(addr)
 		switch st {
 		case psE, psM:
@@ -161,7 +166,8 @@ func (s *System) coreFinished() {
 		// Execution time is set when the last core retires; remaining
 		// events (writebacks in flight) drain afterwards.
 		last := s.cores[0].finishAt
-		for _, c := range s.cores {
+		for i := range s.cores {
+			c := &s.cores[i]
 			if c.finishAt > last {
 				last = c.finishAt
 			}
@@ -188,7 +194,8 @@ func (s *System) Run(maxEvents uint64) Metrics {
 // state already includes the started cores.
 func (s *System) Start() {
 	s.running = s.cfg.Cores
-	for _, c := range s.cores {
+	for i := range s.cores {
+		c := &s.cores[i]
 		c.step()
 	}
 }
@@ -231,13 +238,15 @@ func (s *System) Complete(maxEvents uint64) Metrics {
 func (s *System) ReleaseStorage() {
 	s.mustLive("ReleaseStorage")
 	s.released = true
-	for _, c := range s.cores {
+	for i := range s.cores {
+		c := &s.cores[i]
 		c.l1i.Release(&privPool)
 		c.l1d.Release(&privPool)
 		c.l2.Release(&privPool)
 	}
 	type releaser interface{ ReleaseStorage() }
-	for _, b := range s.banks {
+	for i := range s.banks {
+		b := &s.banks[i]
 		b.llc.Release(&llcPool)
 		if r, ok := b.tracker.(releaser); ok {
 			r.ReleaseStorage()
@@ -257,11 +266,13 @@ func (s *System) mustLive(op string) {
 func (s *System) collect() {
 	s.flushObs()
 	m := &s.metrics
-	for _, b := range s.banks {
+	for i := range s.banks {
+		b := &s.banks[i]
 		b.finalHarvest()
 	}
 	m.Tracker = map[string]uint64{}
-	for _, b := range s.banks {
+	for i := range s.banks {
+		b := &s.banks[i]
 		b.tracker.Metrics(m.Tracker)
 	}
 	if s.flt != nil {
@@ -294,7 +305,8 @@ func (s *System) CheckCoherence(allowUntrackedPrivate bool) []string {
 		sharers []int
 	}
 	actual := map[uint64]*holderInfo{}
-	for _, c := range s.cores {
+	for i := range s.cores {
+		c := &s.cores[i]
 		c.l2.ForEach(func(l *cacheLine) {
 			hi := actual[l.Addr]
 			if hi == nil {
@@ -364,7 +376,8 @@ func (s *System) CheckExactSharers() []string {
 	s.mustLive("CheckExactSharers")
 	var bad []string
 	actual := map[uint64]map[int]bool{}
-	for _, c := range s.cores {
+	for i := range s.cores {
+		c := &s.cores[i]
 		c.l2.ForEach(func(l *cacheLine) {
 			if actual[l.Addr] == nil {
 				actual[l.Addr] = map[int]bool{}
@@ -405,7 +418,8 @@ func (s *System) DumpStall() string {
 	s.mustLive("DumpStall")
 	var b []byte
 	add := func(f string, args ...interface{}) { b = append(b, sprintf(f, args...)...) }
-	for _, c := range s.cores {
+	for i := range s.cores {
+		c := &s.cores[i]
 		if c.finished {
 			continue
 		}
@@ -419,7 +433,8 @@ func (s *System) DumpStall() string {
 		}
 		add("\n")
 	}
-	for _, bk := range s.banks {
+	for i := range s.banks {
+		bk := &s.banks[i]
 		for _, addr := range sortedAddrs(bk.busy.Len(), func(fn func(uint64)) {
 			bk.busy.ForEach(func(id int32, _ *txn) { fn(bk.itab.Addr(id)) })
 		}) {

@@ -239,7 +239,8 @@ func TestEndStateChecksNeedALiveMachine(t *testing.T) {
 		t.Fatalf("clean run reports violations: %v", bad)
 	}
 	var planted *cacheLine
-	for _, c := range sys.cores {
+	for i := range sys.cores {
+		c := &sys.cores[i]
 		c.l2.ForEach(func(l *cacheLine) {
 			if planted == nil {
 				planted = l

@@ -325,8 +325,9 @@ func (ps *privStream) ref(gap uint8) Ref {
 	return Ref{Addr: ps.g.phys(addr), Kind: kind, Gap: gap}
 }
 
-// familyTrace generates n references of core id for the profile's family.
-func (g *Gen) familyTrace(id, n int) []Ref {
+// familyTrace appends n references of core id for the profile's family to
+// refs, which must be empty.
+func (g *Gen) familyTrace(id, n int, refs []Ref) []Ref {
 	f := g.famInit()
 	p := g.p
 	r := newRng(p.Seed*0x100003 + uint64(id)*0x9e37 + 1)
@@ -349,7 +350,6 @@ func (g *Gen) familyTrace(id, n int) []Ref {
 	if p.StreamBlocks > 0 {
 		ps.streamPos = r.intn(p.StreamBlocks)
 	}
-	refs := make([]Ref, 0, n)
 	switch p.Family {
 	case FamilyFalseSharing:
 		for len(refs) < n {

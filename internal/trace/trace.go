@@ -172,10 +172,12 @@ type Gen struct {
 	// tests that assert on the virtual layout).
 	noTranslate bool
 	groups      []groupInstance
-	// eligible[i] lists group indices core i participates in, with
-	// cumulative weights for sampling.
-	eligible [][]int
-	cumW     [][]float64
+	// eligible[eligOff[i]:eligOff[i+1]] lists the group indices core i
+	// participates in, ascending, and cumW the same range's cumulative
+	// weights for sampling.
+	eligible []int
+	cumW     []float64
+	eligOff  []int
 	// fam holds the specialized family tables (lazily built so tests may
 	// flip noTranslate after NewGen); stats holds the generator-side
 	// trace.* measurements of the last Traces call.
@@ -188,49 +190,71 @@ type Gen struct {
 // (k*7+j) mod cores for j in 0..s-1, spreading participation evenly.
 func NewGen(p Profile, cores int) *Gen {
 	g := &Gen{p: p, cores: cores}
+	groupSize := func(sg SharedGroup) int { return min(max(sg.Sharers, 1), cores) }
+	var instances, total int
+	for _, sg := range p.Groups {
+		instances += sg.Count
+		total += sg.Count * groupSize(sg)
+	}
+	// Every instance's sharer list is carved from one backing array; the
+	// full slice expression caps each so no append can run into the next.
+	backing := make([]int, 0, total)
+	g.groups = make([]groupInstance, 0, instances)
+	seen := make([]bool, cores)
 	idx := 0
 	for _, sg := range p.Groups {
+		n := groupSize(sg)
 		for c := 0; c < sg.Count; c++ {
-			n := sg.Sharers
-			if n > cores {
-				n = cores
-			}
-			if n < 1 {
-				n = 1
-			}
-			inst := groupInstance{
-				base:   sharedBase + uint64(idx)*groupStride,
-				blocks: sg.Blocks,
-				weight: sg.Weight,
-			}
 			start := (idx * 7) % cores
 			// Odd stride: coprime with the power-of-two core count, so
 			// the walk visits every core.
 			stride := 1 + 2*(idx%4)
-			seen := map[int]bool{}
-			for j := 0; len(inst.sharers) < n; j++ {
+			first := len(backing)
+			for j := 0; len(backing)-first < n; j++ {
 				core := (start + j*stride) % cores
 				if !seen[core] {
 					seen[core] = true
-					inst.sharers = append(inst.sharers, core)
+					backing = append(backing, core)
 				}
 			}
-			g.groups = append(g.groups, inst)
+			sharers := backing[first:len(backing):len(backing)]
+			for _, core := range sharers {
+				seen[core] = false
+			}
+			g.groups = append(g.groups, groupInstance{
+				base:    sharedBase + uint64(idx)*groupStride,
+				blocks:  sg.Blocks,
+				sharers: sharers,
+				weight:  sg.Weight,
+			})
 			idx++
 		}
 	}
-	g.eligible = make([][]int, cores)
-	g.cumW = make([][]float64, cores)
-	for gi, inst := range g.groups {
+	// Counting sort of (core, group) pairs by core keeps each core's
+	// groups in ascending index order.
+	g.eligOff = make([]int, cores+1)
+	for _, inst := range g.groups {
 		for _, c := range inst.sharers {
-			g.eligible[c] = append(g.eligible[c], gi)
+			g.eligOff[c+1]++
 		}
 	}
 	for c := 0; c < cores; c++ {
+		g.eligOff[c+1] += g.eligOff[c]
+	}
+	g.eligible = make([]int, total)
+	next := append([]int(nil), g.eligOff[:cores]...)
+	for gi, inst := range g.groups {
+		for _, c := range inst.sharers {
+			g.eligible[next[c]] = gi
+			next[c]++
+		}
+	}
+	g.cumW = make([]float64, total)
+	for c := 0; c < cores; c++ {
 		sum := 0.0
-		for _, gi := range g.eligible[c] {
-			sum += g.groups[gi].weight
-			g.cumW[c] = append(g.cumW[c], sum)
+		for i := g.eligOff[c]; i < g.eligOff[c+1]; i++ {
+			sum += g.groups[g.eligible[i]].weight
+			g.cumW[i] = sum
 		}
 	}
 	return g
@@ -240,13 +264,15 @@ func NewGen(p Profile, cores int) *Gen {
 func (g *Gen) Groups() int { return len(g.groups) }
 
 // CoreTrace generates n references for core id.
-func (g *Gen) CoreTrace(id, n int) []Ref {
+func (g *Gen) CoreTrace(id, n int) []Ref { return g.coreTrace(id, n, make([]Ref, 0, n)) }
+
+// coreTrace appends core id's n references to refs, which must be empty.
+func (g *Gen) coreTrace(id, n int, refs []Ref) []Ref {
 	if g.p.Family != "" {
-		return g.familyTrace(id, n)
+		return g.familyTrace(id, n, refs)
 	}
 	p := g.p
 	r := newRng(p.Seed*0x100003 + uint64(id)*0x9e37 + 1)
-	refs := make([]Ref, 0, n)
 	streamPos := r.intn(max(p.StreamBlocks, 1))
 	privBaseAddr := privBase + uint64(id)*privStride
 	gap := func() uint8 {
@@ -267,7 +293,7 @@ func (g *Gen) CoreTrace(id, n int) []Ref {
 			// Shared code: sequential-ish fetch with jumps.
 			addr := codeBase + uint64(r.intn(p.CodeBlocks))
 			refs = append(refs, Ref{Addr: g.phys(addr), Kind: Ifetch, Gap: gap()})
-		case x < p.CodeFrac+p.SharedFrac && len(g.eligible[id]) > 0:
+		case x < p.CodeFrac+p.SharedFrac && g.eligOff[id+1] > g.eligOff[id]:
 			gi := g.pickGroup(id, r)
 			inst := g.groups[gi]
 			var addr uint64
@@ -326,22 +352,26 @@ func (g *Gen) phys(vaddr uint64) uint64 {
 }
 
 func (g *Gen) pickGroup(id int, r *rng) int {
-	cw := g.cumW[id]
+	lo, hi := g.eligOff[id], g.eligOff[id+1]
+	cw := g.cumW[lo:hi]
 	total := cw[len(cw)-1]
 	x := r.float() * total
 	for i, w := range cw {
 		if x <= w {
-			return g.eligible[id][i]
+			return g.eligible[lo+i]
 		}
 	}
-	return g.eligible[id][len(cw)-1]
+	return g.eligible[hi-1]
 }
 
-// Traces generates n-reference traces for every core.
+// Traces generates n-reference traces for every core. All cores' refs
+// are carved from one backing array, each capped by a full slice
+// expression so an append can never run into the next core's refs.
 func (g *Gen) Traces(n int) [][]Ref {
 	out := make([][]Ref, g.cores)
+	backing := make([]Ref, g.cores*n)
 	for c := 0; c < g.cores; c++ {
-		out[c] = g.CoreTrace(c, n)
+		out[c] = g.coreTrace(c, n, backing[c*n:c*n:(c+1)*n])
 	}
 	g.stats = g.measure(out)
 	return out

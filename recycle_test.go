@@ -105,10 +105,10 @@ func TestRecycledMachineIdentical(t *testing.T) {
 	}
 }
 
-// shortRunAllocsGate is the CI bar for short 128-core runs: the target of
-// 1.5 allocs/ref for units as small as soak and fleet units, whose cost is
-// dominated by machine construction and teardown.
-const shortRunAllocsGate = 1.5
+// shortRunAllocsGate is the CI bar for short 128-core runs, units as small
+// as soak and fleet units, whose cost is dominated by machine construction
+// and teardown: 0.168 allocs/ref measured, plus about 15%.
+const shortRunAllocsGate = 0.195
 
 // TestShortRunAllocsGate fails the build when short runs stop reusing the
 // storage of the runs before them. It runs the 17 applications under the
@@ -131,12 +131,11 @@ func TestShortRunAllocsGate(t *testing.T) {
 		}
 		return uint64(len(opts)) * uint64(recycleScale.Cores) * uint64(recycleScale.Refs)
 	}
-	pass()
-	m := measureHotpath(hotpathCase{name: "ShortRuns128", run: pass})
-	t.Logf("%s: %.4f allocs/ref (gate %.2f), %.1f B/ref, %.1f ns/ref",
+	m := measureGated(hotpathCase{name: "ShortRuns128", run: pass})
+	t.Logf("%s: %.4f allocs/ref (gate %.3f), %.1f B/ref, %.1f ns/ref",
 		m.Name, m.AllocsPerRef, shortRunAllocsGate, m.BytesPerRef, m.NsPerRef)
 	if m.AllocsPerRef > shortRunAllocsGate {
-		t.Errorf("%s allocates %.4f/ref, above the %.2f gate: short runs no longer reuse released storage",
+		t.Errorf("%s allocates %.4f/ref, above the %.3f gate: short runs no longer reuse released storage",
 			m.Name, m.AllocsPerRef, shortRunAllocsGate)
 	}
 }

@@ -102,8 +102,8 @@ func LoadTraceFile(path string) (*TraceInput, error) {
 	if err != nil {
 		return nil, err
 	}
-	if c := len(tf.Traces); c < 2 || c&(c-1) != 0 {
-		return nil, fmt.Errorf("tinydir: trace file %s has %d cores; the machine needs a power of two >= 2", path, c)
+	if c := len(tf.Traces); c < 2 || c&(c-1) != 0 || c > system.MaxCores {
+		return nil, fmt.Errorf("tinydir: trace file %s has %d cores; the machine needs a power of two from 2 to %d", path, c, system.MaxCores)
 	}
 	return &TraceInput{Name: tf.Name, Digest: tf.Digest, Stats: tf.Stats, Traces: tf.Traces}, nil
 }

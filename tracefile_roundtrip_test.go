@@ -3,6 +3,7 @@ package tinydir
 import (
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"tinydir/internal/trace"
@@ -86,5 +87,28 @@ func TestTraceDigestInStoreKey(t *testing.T) {
 	gen := store.Key(Options{App: app, Scheme: scheme, Scale: Scale{Name: "t", Cores: 8, Refs: 100}})
 	if gen == keyA {
 		t.Error("generator-path key collides with trace-path key")
+	}
+}
+
+// TestTraceFileAboveCoreLimit pins the 128-core cap at the trace-file
+// entry points. Loading a 256-core trace file fails with an error naming
+// the limit. A run handed 256 in-memory streams fails with the machine's
+// own validation error (caught by guard, as in a sweep), not with a
+// crash deep inside the sharer vectors.
+func TestTraceFileAboveCoreLimit(t *testing.T) {
+	const cores = 256
+	g := trace.NewGen(App("barnes"), cores)
+	tf := &tracefile.File{Name: "barnes", Traces: g.Traces(8), Stats: g.Stats()}
+	path := filepath.Join(t.TempDir(), "barnes256.trace")
+	if _, err := tracefile.WriteFile(path, tf); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := LoadTraceFile(path); err == nil || !strings.Contains(err.Error(), "128") {
+		t.Fatalf("LoadTraceFile of a %d-core trace: err = %v, want an error naming the 128-core limit", cores, err)
+	}
+	tr := &TraceInput{Name: tf.Name, Traces: tf.Traces, Stats: tf.Stats}
+	err := guard(func() { Run(Options{Trace: tr, Scheme: SparseDirectory(2)}) })
+	if err == nil || !strings.Contains(err.Error(), "exceed the 128-core limit") {
+		t.Fatalf("Run of a %d-core trace: err = %v, want the 128-core validation error", cores, err)
 	}
 }
