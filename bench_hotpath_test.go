@@ -153,20 +153,17 @@ func measureRun(c hotpathCase) hotpathMeasurement {
 }
 
 // measureGated measures c for an allocation gate, so that the count
-// repeats from run to run. One unmeasured run fills the pools, so the
-// count does not depend on how many workers each built a first machine
-// from fresh storage (about 16k allocations at 128 cores). Both runs use
-// one processor with the collector held off: a sync.Pool keeps storage
-// per processor and moves it to a victim cache at each collection, and
-// whether a Get then finds it depends on where the goroutine runs, which
-// would add a random fraction of a machine to the count. The memory
-// limit still collects if a regression makes every run allocate fresh
-// slabs.
+// repeats from run to run. One unmeasured run fills the free lists, so
+// the count leaves out the fresh storage of the first machines each
+// worker built (about 16k allocations at 128 cores). Both runs use one
+// processor with the collector held off, because the standard library
+// still recycles through sync.Pool (fmt's printers, per processor and
+// emptied by each collection) and the runtime allocates after each
+// collection: the number of collections and where goroutines ran would
+// otherwise add a few allocations. The memory limit still collects if a
+// regression makes every run allocate fresh slabs.
 func measureGated(c hotpathCase) hotpathMeasurement {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	// Two collections empty every pool, victim caches included.
-	runtime.GC()
-	runtime.GC()
 	defer debug.SetMemoryLimit(debug.SetMemoryLimit(1 << 30))
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	c.run()
@@ -183,7 +180,7 @@ const allocsPerRefGate = 0.0143
 
 // TestAllocsPerRefGate fails the build when the hot path regresses past
 // the allocation budget. It runs the same full Fig. 1 sweep the JSON
-// trajectory records, once to fill the pools and once measured (see
+// trajectory records, once to fill the free lists and once measured (see
 // measureGated).
 func TestAllocsPerRefGate(t *testing.T) {
 	if testing.Short() {
@@ -212,7 +209,7 @@ const trackerAllocsGate = 0.042
 // reconstruction messages, back-invalidation lists and Stash's dropped
 // entries. It runs the five generator families under the tiny directory
 // at 1/64x with gNRU and spilling and under Stash at 1/32x, on the
-// 128-core machine with 400 references per core, once to fill the pools
+// 128-core machine with 400 references per core, once to fill the free lists
 // and once measured (see measureGated).
 func TestTrackerAllocsGate(t *testing.T) {
 	if testing.Short() {
@@ -256,8 +253,8 @@ func TestHotPathJSON(t *testing.T) {
 		Comment: "Cost per simulated trace reference. 'before' is the pre-overhaul seed " +
 			"(boxed closure heap + map state) and 'pooled_events' the first overhaul " +
 			"(pooled Handler events, open-addressed tables), both pinned in " +
-			"bench_hotpath_test.go; 'after' is the calendar-queue engine with interned " +
-			"addresses and pooled cache slabs, regenerated by " +
+			"bench_hotpath_test.go; 'after' is the calendar-queue engine with address-keyed " +
+			"tables and recycled cache slabs, regenerated by " +
 			"`go test -run TestHotPathJSON -hotpath.json BENCH_hotpath.json .`. " +
 			"allocs/ref and bytes/ref are deterministic; ns/ref depends on the machine.",
 		GoVersion:    runtime.Version(),

@@ -111,6 +111,16 @@ func (m *Map[V]) Delete(addr uint64) {
 	}
 }
 
+// Reset removes every entry, keeping the storage: keys, values and used
+// flags are zeroed, so no value stays reachable and the emptied table
+// behaves like a fresh one that has already grown.
+func (m *Map[V]) Reset() {
+	clear(m.keys)
+	clear(m.vals)
+	clear(m.used)
+	m.n = 0
+}
+
 func (m *Map[V]) grow() {
 	newCap := minCap
 	if len(m.keys) > 0 {

@@ -97,6 +97,46 @@ func TestAgainstBuiltinMap(t *testing.T) {
 	}
 }
 
+// TestMapResetLeavesNoStaleKeys: Reset on a grown table with live entries
+// leaves none behind — no key is present, no value stays reachable, the
+// storage is kept, and re-inserted keys see no old value.
+func TestMapResetLeavesNoStaleKeys(t *testing.T) {
+	var m Map[*int]
+	vals := make([]int, 50)
+	for i := range vals {
+		m.Put(uint64(i)*128, &vals[i])
+	}
+	m.Delete(10 * 128)
+	size := len(m.keys)
+	m.Reset()
+	if m.Len() != 0 || len(m.keys) != size {
+		t.Fatalf("after Reset: Len %d, %d slots; want 0, %d", m.Len(), len(m.keys), size)
+	}
+	for i := range vals {
+		if m.Has(uint64(i) * 128) {
+			t.Fatalf("key %d still present after Reset", i*128)
+		}
+	}
+	for i, v := range m.vals {
+		if v != nil || m.keys[i] != 0 || m.used[i] {
+			t.Fatalf("Reset left slot %d set", i)
+		}
+	}
+	x := 7
+	m.Put(4*128, &x)
+	m.Put(99*128, &x)
+	seen := 0
+	m.ForEach(func(addr uint64, v *int) {
+		if (addr != 4*128 && addr != 99*128) || v != &x {
+			t.Fatalf("stale entry %#x after Reset", addr)
+		}
+		seen++
+	})
+	if seen != 2 || m.Len() != 2 {
+		t.Fatalf("ForEach visited %d entries, Len %d; want 2, 2", seen, m.Len())
+	}
+}
+
 func TestGrowth(t *testing.T) {
 	var m Map[uint64]
 	const n = 10000

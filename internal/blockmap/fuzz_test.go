@@ -7,15 +7,16 @@ import (
 
 // applyOps replays an operation stream against both a Map and a builtin
 // map, failing the moment they disagree. Each op consumes 9 bytes: one
-// opcode byte and an 8-byte key. Keys are used raw, so the fuzzer can craft
-// colliding-slot and wrap-around patterns the hash would otherwise bury.
+// opcode byte and an 8-byte key (ignored by reset). Keys are used raw, so
+// the fuzzer can craft colliding-slot and wrap-around patterns the hash
+// would otherwise bury.
 func applyOps(t *testing.T, data []byte) {
 	t.Helper()
 	var m Map[uint64]
 	ref := map[uint64]uint64{}
 	var step uint64
 	for len(data) >= 9 {
-		op := data[0] % 3
+		op := data[0] % 4
 		key := binary.LittleEndian.Uint64(data[1:9])
 		data = data[9:]
 		step++
@@ -27,6 +28,9 @@ func applyOps(t *testing.T, data []byte) {
 			m.Delete(key)
 			delete(ref, key)
 		case 2: // lookup only
+		case 3: // reset
+			m.Reset()
+			clear(ref)
 		}
 		got, ok := m.Get(key)
 		want, wok := ref[key]
@@ -58,7 +62,7 @@ func applyOps(t *testing.T, data []byte) {
 }
 
 // FuzzMap cross-checks the open-addressed table against a builtin map over
-// arbitrary insert/delete/lookup streams.
+// arbitrary insert/delete/lookup/reset streams.
 func FuzzMap(f *testing.F) {
 	key := func(k uint64) []byte {
 		var b [8]byte
@@ -72,7 +76,7 @@ func FuzzMap(f *testing.F) {
 		}
 		return out
 	}
-	put, del, get := []byte{0}, []byte{1}, []byte{2}
+	put, del, get, reset := []byte{0}, []byte{1}, []byte{2}, []byte{3}
 	// Seeds aimed at backward-shift deletion: clustered keys, delete in the
 	// middle of a run, reinsert, and keys that wrap the table end.
 	f.Add(ops(put, key(1), put, key(2), put, key(3), del, key(2), get, key(3)))
@@ -83,6 +87,8 @@ func FuzzMap(f *testing.F) {
 		grow = ops(grow, key(k*8), put)
 	}
 	f.Add(grow[:len(grow)-1])
+	// Reset a grown table, then reuse it: the old keys must be gone.
+	f.Add(ops(grow, key(0), reset, key(0), get, key(8), put, key(8), del, key(8), get, key(16)))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		applyOps(t, data)
 	})
@@ -125,6 +131,21 @@ func TestMapBackwardShiftClusters(t *testing.T) {
 	}
 	for k := uint64(0); k < 40; k++ {
 		add(0, k)
+	}
+	applyOps(t, stream)
+
+	// Grow, reset, and rebuild on the kept storage with overlapping keys.
+	stream = stream[:0]
+	for k := uint64(0); k < 40; k++ {
+		add(0, k*8)
+	}
+	add(3, 0)
+	for k := uint64(0); k < 80; k++ {
+		add(2, k*4)
+		add(0, k*4)
+	}
+	for k := uint64(0); k < 80; k += 3 {
+		add(1, k*4)
 	}
 	applyOps(t, stream)
 }

@@ -81,9 +81,6 @@ type Cache[T any] struct {
 	// were written directly by LoadState, invalidating the log.
 	used      []int32
 	untracked bool
-	// box is the pool entry the storage came in (NewIn), reused by
-	// Release so handing the storage back allocates nothing.
-	box *slab[T]
 }
 
 // New returns a cache with the given geometry. sets and ways must be

@@ -1,6 +1,10 @@
 package cache
 
-import "sync"
+import (
+	"sync"
+
+	"tinydir/internal/freelist"
+)
 
 // Pool recycles the line storage of retired same-geometry caches. Sweeps
 // build and drop hundreds of identical machines back to back, and zeroing
@@ -11,10 +15,13 @@ import "sync"
 // cache is field-for-field identical to a freshly constructed one, and
 // the pool itself is concurrency-safe (parallel sweeps share it).
 //
-// The zero value is ready to use. Slabs are held via sync.Pool, so idle
-// storage is reclaimed by the garbage collector rather than pinned.
+// The zero value is ready to use. Each geometry has one free list, which
+// keeps every slab handed back: it holds at most as many slabs as caches
+// of that geometry were ever live at once, and never returns them to the
+// garbage collector.
 type Pool[T any] struct {
-	m sync.Map // geom -> *sync.Pool of slab[T]
+	mu    sync.Mutex
+	lists map[geom]*freelist.List[slab[T]]
 }
 
 type geom struct{ sets, ways int }
@@ -25,12 +32,19 @@ type slab[T any] struct {
 	used  []int32
 }
 
-func (p *Pool[T]) bucket(g geom) *sync.Pool {
-	if b, ok := p.m.Load(g); ok {
-		return b.(*sync.Pool)
+// list returns g's free list, creating it on first use.
+func (p *Pool[T]) list(g geom) *freelist.List[slab[T]] {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	l := p.lists[g]
+	if l == nil {
+		if p.lists == nil {
+			p.lists = make(map[geom]*freelist.List[slab[T]])
+		}
+		l = new(freelist.List[slab[T]])
+		p.lists[g] = l
 	}
-	b, _ := p.m.LoadOrStore(g, &sync.Pool{})
-	return b.(*sync.Pool)
+	return l
 }
 
 // NewIn is New, drawing storage from p when a retired slab of the same
@@ -45,10 +59,9 @@ func NewIn[T any](p *Pool[T], sets, ways int, policy Policy) *Cache[T] {
 // of a larger node): it sets c up in place, overwriting whatever c held.
 func (c *Cache[T]) InitIn(p *Pool[T], sets, ways int, policy Policy) {
 	if p != nil {
-		if s, ok := p.bucket(geom{sets, ways}).Get().(*slab[T]); ok {
+		if s, ok := p.list(geom{sets, ways}).Get(); ok {
 			*c = Cache[T]{sets: sets, ways: ways, policy: policy,
-				lines: s.lines, tags: s.tags, used: s.used[:0], box: s}
-			*s = slab[T]{}
+				lines: s.lines, tags: s.tags, used: s.used}
 			if sets&(sets-1) == 0 {
 				c.mask = uint64(sets - 1)
 			}
@@ -59,10 +72,10 @@ func (c *Cache[T]) InitIn(p *Pool[T], sets, ways int, policy Policy) {
 }
 
 // Release wipes c's mutable state back to the just-constructed baseline
-// and hands the storage to p for a later NewIn, in the pool entry it came
-// in when there is one. The cache must not be used afterwards. Caches
-// that went through LoadState lost their touched-line log and pay a full
-// wipe; everything else wipes only the lines ever touched.
+// and hands the storage to p for a later NewIn. The cache must not be
+// used afterwards. Caches that went through LoadState lost their
+// touched-line log and pay a full wipe; everything else wipes only the
+// lines ever touched.
 func (c *Cache[T]) Release(p *Pool[T]) {
 	if c.untracked {
 		for i := range c.lines {
@@ -77,11 +90,7 @@ func (c *Cache[T]) Release(p *Pool[T]) {
 			c.tags[i] = invalidTag
 		}
 	}
-	s := c.box
-	if s == nil {
-		s = &slab[T]{}
-	}
-	*s = slab[T]{lines: c.lines, tags: c.tags, used: c.used[:0]}
-	c.lines, c.tags, c.used, c.box = nil, nil, nil, nil
-	p.bucket(geom{c.sets, c.ways}).Put(s)
+	s := slab[T]{lines: c.lines, tags: c.tags, used: c.used[:0]}
+	c.lines, c.tags, c.used = nil, nil, nil
+	p.list(geom{c.sets, c.ways}).Put(s)
 }

@@ -165,6 +165,9 @@ func (t *InLLC) Lookup(addr uint64) (proto.Entry, bool) {
 	return l.Meta.Track, true
 }
 
+// ReleaseStorage implements proto.Tracker: the state lives in the LLC.
+func (t *InLLC) ReleaseStorage() {}
+
 // Metrics implements proto.Tracker.
 func (t *InLLC) Metrics(m map[string]uint64) {
 	m["inllc.stateWrites"] += t.stateWrites

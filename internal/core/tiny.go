@@ -124,8 +124,8 @@ func NewTiny(cfg TinyConfig) *Tiny {
 // same-geometry machines a sweep constructs (see cache.Pool).
 var tinyTagPool cache.Pool[tinyEntry]
 
-// ReleaseStorage returns the tag array to the pool (see
-// System.ReleaseStorage); the directory is unusable afterwards.
+// ReleaseStorage implements proto.Tracker: it returns the tag array to
+// its free list; the directory is unusable afterwards.
 func (t *Tiny) ReleaseStorage() { t.tags.Release(&tinyTagPool) }
 
 // Name implements proto.Tracker.

@@ -256,6 +256,9 @@ func (d *MgD) Lookup(addr uint64) (proto.Entry, bool) {
 	return proto.Entry{}, false
 }
 
+// ReleaseStorage implements proto.Tracker; nothing is recycled.
+func (d *MgD) ReleaseStorage() {}
+
 // Metrics implements proto.Tracker.
 func (d *MgD) Metrics(m map[string]uint64) {
 	m["dir.allocs"] += d.allocs

@@ -186,6 +186,9 @@ func (s *SharedOnly) Lookup(addr uint64) (proto.Entry, bool) {
 	return e, ok
 }
 
+// ReleaseStorage implements proto.Tracker; nothing is recycled.
+func (s *SharedOnly) ReleaseStorage() {}
+
 // Metrics implements proto.Tracker.
 func (s *SharedOnly) Metrics(m map[string]uint64) {
 	m["dir.allocs"] += s.allocs

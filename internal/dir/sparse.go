@@ -158,8 +158,8 @@ func (d *Sparse) Commit(addr uint64, kind proto.ReqKind, from int, next proto.En
 	return eff
 }
 
-// ReleaseStorage returns the tag array to the pool (see
-// System.ReleaseStorage); the directory is unusable afterwards.
+// ReleaseStorage implements proto.Tracker: it returns the tag array to
+// its free list; the directory is unusable afterwards.
 func (d *Sparse) ReleaseStorage() { d.tags.Release(&dirTagPool) }
 
 // OnLLCVictim implements proto.Tracker. A sparse directory keeps tracking

@@ -122,8 +122,8 @@ func (d *Stash) Commit(addr uint64, kind proto.ReqKind, from int, next proto.Ent
 	return eff
 }
 
-// ReleaseStorage returns the tag array to the pool (see
-// System.ReleaseStorage); the directory is unusable afterwards.
+// ReleaseStorage implements proto.Tracker: it returns the tag array to
+// its free list; the directory is unusable afterwards.
 func (d *Stash) ReleaseStorage() { d.tags.Release(&dirTagPool) }
 
 // OnLLCVictim implements proto.Tracker.

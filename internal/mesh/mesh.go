@@ -2,12 +2,12 @@
 // mesh (for 128 tiles) clocked at 2 GHz with a four-stage routing pipeline
 // (2 ns) plus 1 ns link latency per hop — 3 ns, i.e. 6 core cycles per hop.
 //
-// The model is a latency + bandwidth-occupancy approximation rather than a
-// flit-level simulation: each message traverses dist(src,dst) hops of fixed
-// latency, and per-node injection ports serialize back-to-back messages so
-// heavy traffic produces queuing delay. Traffic is accounted in bytes*hops,
-// split into the paper's three classes (processor, writeback, coherence)
-// for Fig. 5.
+// The model is a fixed-latency approximation rather than a flit-level
+// simulation: each message traverses dist(src,dst) hops of fixed latency,
+// and messages do not queue behind one another, so back-to-back messages
+// between the same nodes arrive together. Traffic is accounted in
+// bytes*hops, split into the paper's three classes (processor, writeback,
+// coherence) for Fig. 5.
 package mesh
 
 import (
@@ -66,18 +66,10 @@ type Mesh struct {
 	width  int
 	height int
 
-	// portFree[n] is the cycle at which node n's injection port frees up.
-	portFree []sim.Time
-	// injectCycles is the serialization occupancy per message at the
-	// injection port: bytes / (16 B/cycle link).
-	linkBytesPerCycle int
-
 	// Traffic accounting: bytes * hops per class.
 	traffic [NumClasses]uint64
 	// msgs counts messages per class.
 	msgs [NumClasses]uint64
-	// contention model can be disabled for pure-latency studies.
-	modelContention bool
 
 	// Obs, when non-nil, receives one trace span per message (lane =
 	// source node, duration = wire time). Pure observation: set or left
@@ -97,10 +89,6 @@ type Mesh struct {
 // Config configures a Mesh.
 type Config struct {
 	Width, Height int
-	// LinkBytesPerCycle is the injection-port bandwidth (default 16).
-	LinkBytesPerCycle int
-	// ModelContention enables injection-port serialization delays.
-	ModelContention bool
 }
 
 // New creates a mesh attached to the engine.
@@ -108,18 +96,7 @@ func New(eng *sim.Engine, cfg Config) *Mesh {
 	if cfg.Width <= 0 || cfg.Height <= 0 {
 		panic("mesh: non-positive dimensions")
 	}
-	bpc := cfg.LinkBytesPerCycle
-	if bpc <= 0 {
-		bpc = 16
-	}
-	return &Mesh{
-		eng:               eng,
-		width:             cfg.Width,
-		height:            cfg.Height,
-		portFree:          make([]sim.Time, cfg.Width*cfg.Height),
-		linkBytesPerCycle: bpc,
-		modelContention:   cfg.ModelContention,
-	}
+	return &Mesh{eng: eng, width: cfg.Width, height: cfg.Height}
 }
 
 // Nodes returns the number of tiles.
@@ -160,13 +137,6 @@ func (m *Mesh) SendEvent(src, dst int, bytes int, class TrafficClass, h sim.Hand
 	m.traffic[class] += uint64(bytes * d)
 	m.msgs[class]++
 	depart := m.eng.Now()
-	if m.modelContention {
-		occ := sim.Time((bytes + m.linkBytesPerCycle - 1) / m.linkBytesPerCycle)
-		if m.portFree[src] > depart {
-			depart = m.portFree[src]
-		}
-		m.portFree[src] = depart + occ
-	}
 	at := depart + sim.Time(d*HopCycles)
 	if m.Obs != nil {
 		m.Obs.Add(obs.CatMesh, class.String(), src, uint64(depart), uint64(d*HopCycles), addr)

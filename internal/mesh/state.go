@@ -1,38 +1,20 @@
 package mesh
 
-import (
-	"fmt"
-
-	"tinydir/internal/sim"
-)
-
-// State is the mesh's mutable state: injection-port free times and traffic
-// accounting. In-flight messages live in the engine's event queue and are
-// serialized with it, not here.
+// State is the mesh's mutable state: traffic accounting. In-flight
+// messages live in the engine's event queue and are serialized with it,
+// not here.
 type State struct {
-	PortFree []sim.Time
-	Traffic  [NumClasses]uint64
-	Msgs     [NumClasses]uint64
+	Traffic [NumClasses]uint64
+	Msgs    [NumClasses]uint64
 }
 
 // SaveState returns a copy of the mesh's mutable state.
 func (m *Mesh) SaveState() State {
-	st := State{
-		PortFree: make([]sim.Time, len(m.portFree)),
-		Traffic:  m.traffic,
-		Msgs:     m.msgs,
-	}
-	copy(st.PortFree, m.portFree)
-	return st
+	return State{Traffic: m.traffic, Msgs: m.msgs}
 }
 
 // RestoreState overwrites the mesh's mutable state.
-func (m *Mesh) RestoreState(st State) error {
-	if len(st.PortFree) != len(m.portFree) {
-		return fmt.Errorf("mesh: restoring %d ports into %d-node mesh", len(st.PortFree), len(m.portFree))
-	}
-	copy(m.portFree, st.PortFree)
+func (m *Mesh) RestoreState(st State) {
 	m.traffic = st.Traffic
 	m.msgs = st.Msgs
-	return nil
 }

@@ -7,7 +7,8 @@ package sim
 
 import (
 	"math/bits"
-	"sync"
+
+	"tinydir/internal/freelist"
 )
 
 // Time is an absolute simulation time in core cycles.
@@ -74,11 +75,11 @@ type queueStore struct {
 	over []event
 }
 
-// queuePool recycles drained engines' stores across the process: a sweep
+// queueList recycles drained engines' stores across the process: a sweep
 // runs hundreds of short simulations back to back, and regrowing 1024
-// bucket slices from nil dominated each one's allocations. Idle stores are
-// reclaimed by the garbage collector (sync.Pool semantics).
-var queuePool sync.Pool // of *queueStore
+// bucket slices from nil dominated each one's allocations. It holds at
+// most as many stores as engines were ever live at once.
+var queueList freelist.List[queueStore]
 
 // Engine is a deterministic discrete-event scheduler.
 //
@@ -109,9 +110,6 @@ type Engine struct {
 	occ   []uint64     // occupancy bitmap, one bit per ring slot
 	ringN int          // events resident in the ring
 	over  []event      // overflow binary heap, (time, seq) ordered
-	// box is the pooled store ring, occ and over were taken from, kept so
-	// Release hands them back without allocating a new one.
-	box *queueStore
 }
 
 // Now returns the current simulation time.
@@ -144,28 +142,25 @@ func (e *Engine) push(ev event) {
 }
 
 // acquire gives the engine queue storage: a drained engine's store from
-// queuePool when one is idle, fresh storage otherwise.
+// queueList when one is idle, fresh storage otherwise.
 func (e *Engine) acquire() {
-	st, _ := queuePool.Get().(*queueStore)
-	if st == nil {
-		st = &queueStore{ring: make([]ringBucket, ringHorizon), occ: make([]uint64, ringHorizon/64)}
+	st, ok := queueList.Get()
+	if !ok {
+		st = queueStore{ring: make([]ringBucket, ringHorizon), occ: make([]uint64, ringHorizon/64)}
 	}
-	e.ring, e.occ, e.over, e.box = st.ring, st.occ, st.over, st
-	*st = queueStore{}
+	e.ring, e.occ, e.over = st.ring, st.occ, st.over
 }
 
-// Release hands a drained engine's queue storage to the process-wide pool
-// for a later engine's first push. An engine with pending events keeps its
-// storage: releasing it would drop the events. The engine stays usable
-// either way; a push after a release takes storage again.
+// Release hands a drained engine's queue storage to the process-wide free
+// list for a later engine's first push. An engine with pending events
+// keeps its storage: releasing it would drop the events. The engine stays
+// usable either way; a push after a release takes storage again.
 func (e *Engine) Release() {
 	if e.ring == nil || e.Pending() {
 		return
 	}
-	st := e.box
-	*st = queueStore{ring: e.ring, occ: e.occ, over: e.over}
-	e.ring, e.occ, e.over, e.box = nil, nil, nil, nil
-	queuePool.Put(st)
+	queueList.Put(queueStore{ring: e.ring, occ: e.occ, over: e.over})
+	e.ring, e.occ, e.over = nil, nil, nil
 }
 
 // scanRing returns the slot of the earliest ring event. Ring events all

@@ -3,7 +3,6 @@ package sim
 import (
 	"math/rand"
 	"reflect"
-	"runtime"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -402,7 +401,7 @@ func TestReleaseKeepsPendingStorage(t *testing.T) {
 		t.Fatalf("ops after a refused Release = %v, want [1 2]", r.ops)
 	}
 	e.Release()
-	if e.ring != nil || e.occ != nil || e.over != nil || e.box != nil {
+	if e.ring != nil || e.occ != nil || e.over != nil {
 		t.Fatal("Release kept the storage of a drained engine")
 	}
 	e.ScheduleAfter(5, r, 3, 0, 0)
@@ -425,14 +424,11 @@ func TestReusedQueueMatchesFresh(t *testing.T) {
 		e.Run(0)
 		return r
 	}
-	// Two collections empty queuePool, so fresh allocates its storage.
-	runtime.GC()
-	runtime.GC()
 	var fresh, first, reused Engine
+	fresh.ring, fresh.occ = make([]ringBucket, ringHorizon), make([]uint64, ringHorizon/64)
 	fr := schedule(&fresh)
 	schedule(&first)
-	// Hand first's drained store over directly (sync.Pool may drop it).
-	reused.ring, reused.occ, reused.over, reused.box = first.ring, first.occ, first.over, first.box
+	reused.ring, reused.occ, reused.over = first.ring, first.occ, first.over
 	rr := schedule(&reused)
 	if !reflect.DeepEqual(fr.ops, rr.ops) || !reflect.DeepEqual(fr.times, rr.times) {
 		t.Fatal("a reused queue store popped a different order than fresh storage")

@@ -49,10 +49,10 @@ func (e *Engine) SaveState() (now Time, seq, nexec uint64, events []EventState) 
 func (e *Engine) RestoreState(now Time, seq, nexec uint64, events []EventState) {
 	e.now, e.seq, e.nexec = now, seq, nexec
 	e.halted = false
-	// A drained queue's storage goes back to the pool; a queue with
+	// A drained queue's storage goes back to the free list; a queue with
 	// pending events is discarded with them.
 	e.Release()
-	e.ring, e.occ, e.over, e.box = nil, nil, nil, nil
+	e.ring, e.occ, e.over = nil, nil, nil
 	e.ringN = 0
 	sorted := make([]EventState, len(events))
 	copy(sorted, events)

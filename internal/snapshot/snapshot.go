@@ -23,7 +23,7 @@ import (
 // FormatVersion is the current snapshot format version. Bump it whenever a
 // section layout changes; Reader rejects mismatched versions so stale
 // checkpoints are discarded instead of misparsed.
-const FormatVersion = 2
+const FormatVersion = 3
 
 // magic identifies snapshot files ("Tiny Directory SNapshot").
 const magic = "TDSN"

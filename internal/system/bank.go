@@ -2,12 +2,11 @@ package system
 
 import (
 	"fmt"
-	"sync"
 
 	"tinydir/internal/bitvec"
 	"tinydir/internal/blockmap"
 	"tinydir/internal/cache"
-	"tinydir/internal/intern"
+	"tinydir/internal/freelist"
 	"tinydir/internal/mesh"
 	"tinydir/internal/proto"
 	"tinydir/internal/sim"
@@ -69,29 +68,27 @@ type bankNode struct {
 
 // bankScratch is a bank's per-run working storage: tables that start
 // every run empty and grow with its footprint. Finished machines return
-// it to scratchPool (System.ReleaseStorage), so a sweep's next machine
+// it to scratchList (System.ReleaseStorage), so a sweep's next machine
 // starts with grown tables instead of regrowing them from nil.
 type bankScratch struct {
-	// itab interns this bank's block addresses into dense ids (per run,
-	// first-touch order); busy maps those ids to in-flight transactions.
-	// The busy table is probed on every message arrival, and the id key
-	// turns each probe into a direct array index (see blockmap.IDMap).
-	itab intern.Table
-	busy blockmap.IDMap[*txn]
-	// freeTxns pools released transaction records so the steady state
+	// busy maps block addresses to their in-flight transactions. It is
+	// probed on every message arrival and holds a handful of entries.
+	busy blockmap.Map[*txn]
+	// freeTxns keeps released transaction records so the steady state
 	// allocates none; holdersBuf backs backInvalidate's holder list.
 	freeTxns   []*txn
 	holdersBuf []int
 }
 
-// scratchPool holds released banks' scratch, reset to the empty state a
-// fresh bankScratch has (see releaseScratch).
-var scratchPool sync.Pool // of *bankScratch
+// scratchList holds released banks' scratch, reset to the empty state a
+// fresh bankScratch has (see releaseScratch). It holds pointers, so the
+// banks slab a machine allocates stays small.
+var scratchList freelist.List[*bankScratch]
 
 // init sets up b, a zero bankNode in its System's slab, as bank id.
 func (b *bankNode) init(sys *System, id int) {
-	sc, _ := scratchPool.Get().(*bankScratch)
-	if sc == nil {
+	sc, ok := scratchList.Get()
+	if !ok {
 		sc = &bankScratch{}
 	}
 	b.sys, b.id, b.bankScratch = sys, id, sc
@@ -109,57 +106,17 @@ func (b *bankNode) init(sys *System, id int) {
 	b.tracker.Attach((*bankEnv)(b))
 }
 
-// busyScanMax bounds the linear busy-set probe: up to this many in-flight
-// transactions, busyGet compares interned addresses directly (two array
-// loads per entry, no hashing); beyond it, the probe falls back to the
-// intern table's hash lookup. A bank's busy set is almost always empty or
-// a handful of entries, and victim-scan predicates probe it for every
-// candidate way, so the scan path is the hot one.
-const busyScanMax = 8
-
 // busyGet returns the in-flight transaction holding addr busy, or nil.
 func (b *bankNode) busyGet(addr uint64) *txn {
-	n := b.busy.Len()
-	if n == 0 {
-		return nil
-	}
-	if n <= busyScanMax {
-		for i := 0; i < n; i++ {
-			if id, t := b.busy.At(i); b.itab.Addr(id) == addr {
-				return t
-			}
-		}
-		return nil
-	}
-	if id, ok := b.itab.Lookup(addr); ok {
-		if t, ok := b.busy.Get(id); ok {
-			return t
-		}
-	}
-	return nil
-}
-
-// busyHas reports whether addr is busy.
-func (b *bankNode) busyHas(addr uint64) bool {
-	return b.busyGet(addr) != nil
-}
-
-// busyPut marks addr busy with t, interning the address on first touch.
-func (b *bankNode) busyPut(addr uint64, t *txn) { b.busy.Put(b.itab.ID(addr), t) }
-
-// busyDelete drops addr's busy marker (no-op when absent). The caller
-// recycles the transaction via freeTxn once done with it.
-func (b *bankNode) busyDelete(addr uint64) {
-	if id, ok := b.itab.Lookup(addr); ok {
-		b.busy.Delete(id)
-	}
+	t, _ := b.busy.Get(addr)
+	return t
 }
 
 // releaseBusy drops addr's busy marker and recycles its transaction in
 // one step (for call sites that no longer need the record).
 func (b *bankNode) releaseBusy(addr uint64) {
 	if t := b.busyGet(addr); t != nil {
-		b.busyDelete(addr)
+		b.busy.Delete(addr)
 		b.freeTxn(t)
 	}
 }
@@ -183,17 +140,15 @@ func (b *bankNode) freeTxn(t *txn) {
 	b.freeTxns = append(b.freeTxns, t)
 }
 
-// releaseScratch resets the bank's scratch and hands it to scratchPool.
-// A reset table behaves exactly like a fresh one: ids restart at 0 in
-// first-touch order and the busy set is empty. Transactions still busy
-// (a run cut short by its event cap) are dropped, not recycled; pooled
-// records are already zeroed.
+// releaseScratch resets the bank's scratch and hands it to scratchList.
+// A reset busy map behaves exactly like a fresh one. Transactions still
+// busy (a run cut short by its event cap) are dropped, not recycled;
+// pooled records are already zeroed.
 func (b *bankNode) releaseScratch() {
 	sc := b.bankScratch
 	b.bankScratch = nil
-	sc.itab.Reset()
 	sc.busy.Reset()
-	scratchPool.Put(sc)
+	scratchList.Put(sc)
 }
 
 // bankEnv adapts bankNode to proto.BankEnv.
@@ -204,7 +159,7 @@ func (e *bankEnv) Cores() int              { return e.sys.cfg.Cores }
 func (e *bankEnv) Now() sim.Time           { return e.sys.eng.Now() }
 func (e *bankEnv) BankID() int             { return e.id }
 func (e *bankEnv) BankShift() uint         { return e.sys.cfg.bankShift() }
-func (e *bankEnv) IsBusy(addr uint64) bool { return (*bankNode)(e).busyHas(addr) }
+func (e *bankEnv) IsBusy(addr uint64) bool { return (*bankNode)(e).busy.Has(addr) }
 func (e *bankEnv) FindHolders(addr uint64) proto.Entry {
 	return (*bankNode)(e).sys.findHolders(addr)
 }
@@ -249,7 +204,7 @@ func (b *bankNode) handleReq(addr uint64, kind proto.ReqKind, c int, seq uint16)
 		flt.Stats.DupReqs++
 		return
 	}
-	if b.busyHas(addr) {
+	if b.busy.Has(addr) {
 		m.Nacks++
 		b.sys.net.SendEvent(b.id, c, mesh.CtrlBytes, mesh.Processor, &b.sys.cores[c], copNack, addr, 0)
 		return
@@ -310,7 +265,7 @@ func (b *bankNode) handleReq(addr uint64, kind proto.ReqKind, c int, seq uint16)
 		t.gen = b.txnGen
 		b.sys.eng.ScheduleAfter(sim.Time(flt.BankTimeout()), b, bopTxnCheck, addr, int64(t.gen))
 	}
-	b.busyPut(addr, t)
+	b.busy.Put(addr, t)
 
 	lat := b.sys.cfg.LLCTagLat + sim.Time(view.ExtraLatency)
 	if llcHit {
@@ -519,7 +474,7 @@ func (b *bankNode) memFetchDone(addr uint64) {
 		// Could not allocate an LLC way (every candidate busy): NACK so
 		// the requester retries.
 		b.traceDone(addr, "nack")
-		b.busyDelete(addr)
+		b.busy.Delete(addr)
 		b.sys.metrics.Nacks++
 		if b.sys.flt != nil {
 			// The retry reuses this request's sequence number: roll the
@@ -633,7 +588,7 @@ func (b *bankNode) onBusyClear(addr uint64, retained, copybackDirty bool) {
 	}
 	b.traceDone(addr, "")
 	b.commit(addr, t.kind, t.requester, next, dl)
-	b.busyDelete(addr)
+	b.busy.Delete(addr)
 	b.freeTxn(t)
 }
 
@@ -646,7 +601,7 @@ func (b *bankNode) onComplete(addr uint64) {
 	}
 	b.traceDone(addr, "")
 	b.commit(addr, t.kind, t.requester, t.next, b.dataLine(addr))
-	b.busyDelete(addr)
+	b.busy.Delete(addr)
 	b.freeTxn(t)
 }
 
@@ -700,12 +655,12 @@ func (b *bankNode) backInvalidate(v proto.Victim) {
 		return
 	}
 	b.sys.metrics.BackInvals++
-	if b.busyHas(v.Addr) {
+	if b.busy.Has(v.Addr) {
 		panic(fmt.Sprintf("bank %d: back-invalidation of busy block %#x", b.id, v.Addr))
 	}
 	t := b.newTxn()
 	t.backInvalAcks, t.startedAt = len(holders), b.sys.eng.Now()
-	b.busyPut(v.Addr, t)
+	b.busy.Put(v.Addr, t)
 	for _, h := range holders {
 		b.sys.net.SendEvent(b.id, h, mesh.CtrlBytes, mesh.Coherence,
 			&b.sys.cores[h], copInv, v.Addr, pk(-1, int16(b.id), 0, 0))
@@ -720,7 +675,7 @@ func (b *bankNode) onBackInvAck(addr uint64) {
 	t.backInvalAcks--
 	if t.backInvalAcks == 0 {
 		b.traceDone(addr, "back-inval")
-		b.busyDelete(addr)
+		b.busy.Delete(addr)
 		b.freeTxn(t)
 	}
 }
@@ -749,7 +704,7 @@ func (b *bankNode) eccRecover(addr uint64, kind proto.ReqKind, c int) {
 	flt.Stats.ECCInvals += uint64(cores)
 	t := b.newTxn()
 	t.backInvalAcks, t.startedAt = cores, b.sys.eng.Now()
-	b.busyPut(addr, t)
+	b.busy.Put(addr, t)
 	for i := 0; i < cores; i++ {
 		b.sys.net.SendEvent(b.id, i, mesh.CtrlBytes, mesh.Coherence,
 			&b.sys.cores[i], copInv, addr, pk(-1, int16(b.id), 0, 0))
@@ -784,7 +739,7 @@ func (b *bankNode) handleEvict(addr uint64, kind proto.ReqKind, c int, seq uint1
 		}
 		b.evictSeen[c] = int32(seq)
 	}
-	if b.busyHas(addr) {
+	if b.busy.Has(addr) {
 		m.Nacks++
 		b.sys.net.SendEvent(b.id, c, mesh.CtrlBytes, mesh.Writeback,
 			&b.sys.cores[c], copEvictNack, addr, 0)

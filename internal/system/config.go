@@ -35,8 +35,6 @@ type Config struct {
 	LLCDataLat   sim.Time
 	NackRetry    sim.Time
 
-	ModelContention bool
-
 	// NewTracker builds the coherence-tracking slice for one bank.
 	NewTracker func(bank int) proto.Tracker
 

@@ -51,10 +51,10 @@ const (
 func (s *System) StateDigest() [32]byte {
 	h := sha256.New()
 	cfg := s.cfg
-	fmt.Fprintf(h, "cores=%d l1=%dx%d l2=%dx%d llc=%dx%d mch=%d lat=%d,%d,%d,%d,%d cont=%v tracker=%s\n",
+	fmt.Fprintf(h, "cores=%d l1=%dx%d l2=%dx%d llc=%dx%d mch=%d lat=%d,%d,%d,%d,%d tracker=%s\n",
 		cfg.Cores, cfg.L1Sets, cfg.L1Ways, cfg.L2Sets, cfg.L2Ways, cfg.LLCSets, cfg.LLCWays,
 		cfg.MemChannels, cfg.L1Lat, cfg.L2Lat, cfg.LLCTagLat, cfg.LLCDataLat, cfg.NackRetry,
-		cfg.ModelContention, s.banks[0].tracker.Name())
+		s.banks[0].tracker.Name())
 	if s.flt != nil {
 		// The fault configuration changes event order, so it is part of
 		// the machine identity (fault-free machines hash as before).
@@ -137,10 +137,6 @@ func (s *System) Save(out io.Writer) error {
 
 	w.Section(secMesh)
 	ms := s.net.SaveState()
-	w.Int(len(ms.PortFree))
-	for _, t := range ms.PortFree {
-		w.U64(uint64(t))
-	}
 	for _, v := range ms.Traffic {
 		w.U64(v)
 	}
@@ -254,27 +250,14 @@ func (s *System) Restore(in io.Reader) error {
 	loadMetrics(r, &s.metrics)
 
 	r.Section(secMesh)
-	np := r.Int()
-	if err := r.Err(); err != nil {
-		return err
-	}
-	if np < 0 {
-		return fmt.Errorf("system: negative port count %d", np)
-	}
 	var meshSt mesh.State
-	meshSt.PortFree = make([]sim.Time, np)
-	for i := range meshSt.PortFree {
-		meshSt.PortFree[i] = sim.Time(r.U64())
-	}
 	for i := range meshSt.Traffic {
 		meshSt.Traffic[i] = r.U64()
 	}
 	for i := range meshSt.Msgs {
 		meshSt.Msgs[i] = r.U64()
 	}
-	if err := s.net.RestoreState(meshSt); err != nil {
-		return err
-	}
+	s.net.RestoreState(meshSt)
 
 	r.Section(secDram)
 	if err := s.restoreDram(r); err != nil {
@@ -472,17 +455,17 @@ func (c *coreNode) loadState(r *snapshot.Reader) error {
 	if err := cache.LoadState(r, &c.l2, getPrivMeta); err != nil {
 		return err
 	}
-	clearBlockmap(&c.evictBuf)
+	c.evictBuf.Reset()
 	for i, n := 0, r.Int(); i < n && r.Err() == nil; i++ {
 		a := r.U64()
 		c.evictBuf.Put(a, evictEntry{st: privState(r.Int()), seq: uint16(r.Int()), xmits: uint8(r.Int())})
 	}
-	clearBlockmap(&c.pendingFwd)
+	c.pendingFwd.Reset()
 	for i, n := 0, r.Int(); i < n && r.Err() == nil; i++ {
 		a := r.U64()
 		c.pendingFwd.Put(a, fwdReq{kind: proto.ReqKind(r.Int()), requester: r.Int(), bank: r.Int()})
 	}
-	clearBlockmap(&c.pendingInvs)
+	c.pendingInvs.Reset()
 	for i, n := 0, r.Int(); i < n && r.Err() == nil; i++ {
 		a := r.U64()
 		ni := r.Int()
@@ -501,7 +484,7 @@ func (c *coreNode) loadState(r *snapshot.Reader) error {
 func (b *bankNode) saveState(w *snapshot.Writer) {
 	cache.SaveState(w, &b.llc, proto.PutLLCMeta)
 	w.Int(b.busy.Len())
-	for _, a := range sortedBusyAddrs(b) {
+	for _, a := range sortedBlockmapAddrs(&b.busy) {
 		t := b.busyGet(a)
 		w.U64(a)
 		w.Int(int(t.kind))
@@ -533,9 +516,7 @@ func (b *bankNode) loadState(r *snapshot.Reader) error {
 	if err := cache.LoadState(r, &b.llc, proto.GetLLCMeta); err != nil {
 		return err
 	}
-	for _, a := range sortedBusyAddrs(b) {
-		b.busyDelete(a)
-	}
+	b.busy.Reset()
 	for i, n := 0, r.Int(); i < n && r.Err() == nil; i++ {
 		a := r.U64()
 		t := &txn{
@@ -555,7 +536,7 @@ func (b *bankNode) loadState(r *snapshot.Reader) error {
 		t.grant = privState(r.Int())
 		t.fwdExcl = proto.GetVec(r)
 		t.gen = r.U64()
-		b.busyPut(a, t)
+		b.busy.Put(a, t)
 	}
 	if b.reqSeen != nil {
 		b.txnGen = r.U64()
@@ -572,16 +553,6 @@ func (b *bankNode) loadState(r *snapshot.Reader) error {
 
 // --- helpers ---
 
-// sortedBusyAddrs walks a bank's id-keyed busy table and returns the
-// underlying block addresses ascending: snapshots store addresses, never
-// intern ids, so serialized bytes are independent of interning history.
-func sortedBusyAddrs(b *bankNode) []uint64 {
-	addrs := make([]uint64, 0, b.busy.Len())
-	b.busy.ForEach(func(id int32, _ *txn) { addrs = append(addrs, b.itab.Addr(id)) })
-	sort.Slice(addrs, func(i, j int) bool { return addrs[i] < addrs[j] })
-	return addrs
-}
-
 // sortedBlockmapAddrs walks an open-addressed table (slot order) and sorts
 // the keys so serialized bytes do not depend on insertion history.
 func sortedBlockmapAddrs[V any](m *blockmap.Map[V]) []uint64 {
@@ -589,12 +560,6 @@ func sortedBlockmapAddrs[V any](m *blockmap.Map[V]) []uint64 {
 	m.ForEach(func(a uint64, _ V) { addrs = append(addrs, a) })
 	sort.Slice(addrs, func(i, j int) bool { return addrs[i] < addrs[j] })
 	return addrs
-}
-
-func clearBlockmap[V any](m *blockmap.Map[V]) {
-	for _, a := range sortedBlockmapAddrs(m) {
-		m.Delete(a)
-	}
 }
 
 // saveMetrics/loadMetrics walk the Metrics struct with reflection in field

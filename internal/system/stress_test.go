@@ -93,27 +93,6 @@ func TestProtocolStress(t *testing.T) {
 	}
 }
 
-// TestContentionModel verifies the injection-port contention model slows
-// execution down without breaking coherence.
-func TestContentionModel(t *testing.T) {
-	mk := func(contention bool) Metrics {
-		cfg := TestConfig(8)
-		cfg.ModelContention = contention
-		cfg.NewTracker = func(int) proto.Tracker { return dir.NewSparse(cfg.DirEntriesPerSlice(2)) }
-		sys := New(cfg, randomTraces(7, 8, 1500, 128, 0.3))
-		m := sys.Run(500_000_000)
-		if bad := sys.CheckCoherence(false); len(bad) > 0 {
-			t.Fatalf("violations under contention=%v: %v", contention, bad[0])
-		}
-		return m
-	}
-	free := mk(false)
-	loaded := mk(true)
-	if loaded.Cycles < free.Cycles {
-		t.Fatalf("contention made execution faster: %d < %d", loaded.Cycles, free.Cycles)
-	}
-}
-
 // TestTrafficClassesPopulated checks the Fig. 5 accounting: all three
 // classes see traffic, and eviction notices dominate the writeback class.
 func TestTrafficClassesPopulated(t *testing.T) {

@@ -15,9 +15,9 @@ import (
 	"tinydir/internal/trace"
 )
 
-// Cache-slab pools shared by every System built in this process: sweeps
-// construct hundreds of identically-sized machines back to back, and
-// recycling the line storage removes the dominant construction cost
+// Cache-slab free lists shared by every System built in this process:
+// sweeps construct hundreds of identically-sized machines back to back,
+// and recycling the line storage removes the dominant construction cost
 // (zeroing multi-megabyte LLC and private-cache slabs per run). See
 // cache.Pool for why reuse cannot change simulation results.
 var (
@@ -55,7 +55,7 @@ type System struct {
 	metrics Metrics
 
 	// released marks a machine whose storage ReleaseStorage handed to the
-	// pools; its caches and tables may already belong to another run.
+	// free lists; its caches and tables may already belong to another run.
 	released bool
 }
 
@@ -70,7 +70,7 @@ func New(cfg Config, traces [][]trace.Ref) *System {
 	s := &System{cfg: cfg, eng: &sim.Engine{}, obs: cfg.Observer}
 	s.flt = fault.New(cfg.Faults, 2*cfg.Cores+cfg.MemChannels)
 	w, h := meshDims(cfg.Cores)
-	s.net = mesh.New(s.eng, mesh.Config{Width: w, Height: h, ModelContention: cfg.ModelContention})
+	s.net = mesh.New(s.eng, mesh.Config{Width: w, Height: h})
 	s.maxDist = w + h
 	if s.flt != nil {
 		s.net.Faults = s.flt
@@ -226,10 +226,10 @@ func (s *System) Complete(maxEvents uint64) Metrics {
 }
 
 // ReleaseStorage hands the machine's reusable storage to process-wide
-// pools for the next System built in this process: the cache and tracker
-// tag slabs, every bank's scratch tables (address interning, busy set,
-// transaction records) and the engine's event queue (kept if events are
-// still pending). Call it only when the machine is finished and will not
+// free lists for the next System built in this process: the cache and
+// tracker tag slabs, every bank's scratch (busy map, transaction records,
+// holder buffer) and the engine's event queue (kept if events are still
+// pending). Call it only when the machine is finished and will not
 // be touched again: metrics extracted, end-state checks done, no pending
 // Save. Reuse cannot change results, because each structure is reset to
 // exactly its freshly built state. Afterwards only Metrics may be called;
@@ -244,13 +244,10 @@ func (s *System) ReleaseStorage() {
 		c.l1d.Release(&privPool)
 		c.l2.Release(&privPool)
 	}
-	type releaser interface{ ReleaseStorage() }
 	for i := range s.banks {
 		b := &s.banks[i]
 		b.llc.Release(&llcPool)
-		if r, ok := b.tracker.(releaser); ok {
-			r.ReleaseStorage()
-		}
+		b.tracker.ReleaseStorage()
 		b.releaseScratch()
 	}
 	s.eng.Release()
@@ -435,9 +432,7 @@ func (s *System) DumpStall() string {
 	}
 	for i := range s.banks {
 		bk := &s.banks[i]
-		for _, addr := range sortedAddrs(bk.busy.Len(), func(fn func(uint64)) {
-			bk.busy.ForEach(func(id int32, _ *txn) { fn(bk.itab.Addr(id)) })
-		}) {
+		for _, addr := range sortedBlockmapAddrs(&bk.busy) {
 			t := bk.busyGet(addr)
 			add("bank %d busy %#x kind=%v req=%d backInvalAcks=%d\n",
 				bk.id, addr, t.kind, t.requester, t.backInvalAcks)

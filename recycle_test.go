@@ -1,9 +1,14 @@
 package tinydir
 
 import (
+	"bytes"
+	"encoding/json"
 	"errors"
-	"reflect"
+	"os"
+	"os/exec"
 	"runtime"
+	"runtime/debug"
+	"strings"
 	"testing"
 	"time"
 )
@@ -52,9 +57,9 @@ func recycleCases() []recycleCase {
 	}
 }
 
-// runRecycleCase runs c once and returns its metrics, or nil for the
-// timeout run after checking that it did blow its deadline.
-func runRecycleCase(t *testing.T, c recycleCase) *Metrics {
+// runRecycleCase runs c once and returns its Result as JSON, or nil for
+// the timeout run after checking that it did blow its deadline.
+func runRecycleCase(t *testing.T, c recycleCase) []byte {
 	t.Helper()
 	var r Result
 	err := guard(func() { r = Run(c.mk()) })
@@ -68,23 +73,63 @@ func runRecycleCase(t *testing.T, c recycleCase) *Metrics {
 	if err != nil {
 		t.Fatalf("%s: %v", c.name, err)
 	}
-	return &r.Metrics
+	b, err := json.Marshal(r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+// recycleCaseEnv names the one case a child process of
+// TestRecycledMachineIdentical runs; the child prints its Result JSON
+// after recycleResultPrefix.
+const (
+	recycleCaseEnv      = "TINYDIR_RECYCLE_CASE"
+	recycleResultPrefix = "recycle-result: "
+)
+
+// freshRecycleResult runs c in a child process, the only way to give it
+// storage no earlier run of this process released: the free lists keep
+// every entry they are handed.
+func freshRecycleResult(t *testing.T, c recycleCase) []byte {
+	t.Helper()
+	cmd := exec.Command(os.Args[0], "-test.run=^TestRecycledMachineIdentical$", "-test.count=1")
+	cmd.Env = append(os.Environ(), recycleCaseEnv+"="+c.name)
+	out, err := cmd.Output()
+	if err != nil {
+		t.Fatalf("%s: child run: %v\n%s", c.name, err, out)
+	}
+	for _, line := range strings.Split(string(out), "\n") {
+		if rest, ok := strings.CutPrefix(line, recycleResultPrefix); ok {
+			if rest == "" {
+				return nil
+			}
+			return []byte(rest)
+		}
+	}
+	t.Fatalf("%s: child printed no result:\n%s", c.name, out)
+	return nil
 }
 
 // TestRecycledMachineIdentical runs a mixed list back to back, so every
 // run builds its machine from the storage earlier runs released (engine
 // queue, bank tables, cache and tracker slabs), and requires each run's
-// Metrics to equal those of the same run made on drained pools. Two orders
-// hand each run a different predecessor's storage.
+// Result to equal that of the same run made on fresh storage in a child
+// process. Two orders hand each run a different predecessor's storage.
 func TestRecycledMachineIdentical(t *testing.T) {
 	cases := recycleCases()
-	want := make([]*Metrics, len(cases))
+	if name := os.Getenv(recycleCaseEnv); name != "" {
+		for _, c := range cases {
+			if c.name == name {
+				os.Stdout.Write(append(append([]byte(recycleResultPrefix), runRecycleCase(t, c)...), '\n'))
+				return
+			}
+		}
+		t.Fatalf("no recycle case %q", name)
+	}
+	want := make([][]byte, len(cases))
 	for i, c := range cases {
-		// Two collections empty every sync.Pool (primary, then victim
-		// cache), so the run starts from freshly allocated storage.
-		runtime.GC()
-		runtime.GC()
-		want[i] = runRecycleCase(t, c)
+		want[i] = freshRecycleResult(t, c)
 	}
 	forward := make([]int, len(cases))
 	for i := range forward {
@@ -97,8 +142,8 @@ func TestRecycledMachineIdentical(t *testing.T) {
 	for _, order := range [][]int{forward, backward} {
 		for _, i := range order {
 			got := runRecycleCase(t, cases[i])
-			if !reflect.DeepEqual(got, want[i]) {
-				t.Fatalf("%s on recycled storage (order %v) differs from a run on fresh storage:\n got %+v\nwant %+v",
+			if !bytes.Equal(got, want[i]) {
+				t.Fatalf("%s on recycled storage (order %v) differs from a run on fresh storage:\n got %s\nwant %s",
 					cases[i].name, order, got, want[i])
 			}
 		}
@@ -110,21 +155,27 @@ func TestRecycledMachineIdentical(t *testing.T) {
 // and teardown: 0.168 allocs/ref measured, plus about 15%.
 const shortRunAllocsGate = 0.195
 
-// TestShortRunAllocsGate fails the build when short runs stop reusing the
-// storage of the runs before them. It runs the 17 applications under the
-// sparse directory at 2x, the full tiny directory at 1/256x and in-LLC
-// tracking on the 128-core machine with 16 references per core, once to
-// fill the pools and once measured.
-func TestShortRunAllocsGate(t *testing.T) {
-	if testing.Short() {
-		t.Skip("-race inflates allocations")
-	}
+// shortRunOptions is the short 128-core unit list: the 17 applications
+// under the sparse directory at 2x, the full tiny directory at 1/256x and
+// in-LLC tracking, with 16 references per core.
+func shortRunOptions() []Options {
 	var opts []Options
 	for _, app := range Apps() {
 		for _, sch := range []Scheme{SparseDirectory(2), TinyDirectory(1.0/256, true, true), InLLC(false)} {
 			opts = append(opts, Options{App: app, Scheme: sch, Scale: recycleScale})
 		}
 	}
+	return opts
+}
+
+// TestShortRunAllocsGate fails the build when short runs stop reusing the
+// storage of the runs before them. It runs shortRunOptions once to fill
+// the free lists and once measured.
+func TestShortRunAllocsGate(t *testing.T) {
+	if testing.Short() {
+		t.Skip("-race inflates allocations")
+	}
+	opts := shortRunOptions()
 	pass := func() uint64 {
 		for _, o := range opts {
 			Run(o)
@@ -137,5 +188,50 @@ func TestShortRunAllocsGate(t *testing.T) {
 	if m.AllocsPerRef > shortRunAllocsGate {
 		t.Errorf("%s allocates %.4f/ref, above the %.3f gate: short runs no longer reuse released storage",
 			m.Name, m.AllocsPerRef, shortRunAllocsGate)
+	}
+}
+
+// TestCollectionsKeepRecycledStorage: a garbage collection takes nothing
+// from the free lists, so a run allocates the same whether or not the
+// collector ran before it. Once the short unit list has filled the lists,
+// a pass over it and a pass with two collections before every unit must
+// count the same heap allocations. Filling takes two passes: a list hands
+// back its newest entry first, so in the next machine each bank gets the
+// scratch of the bank mirrored to it, and a list of odd length serves each
+// bank from the other half on the second pass. Only the runs are counted:
+// after each collection the runtime prunes its own weak-keyed tables on
+// another goroutine, which the yield lets finish first.
+func TestCollectionsKeepRecycledStorage(t *testing.T) {
+	if testing.Short() {
+		t.Skip("-race inflates allocations")
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	defer debug.SetMemoryLimit(debug.SetMemoryLimit(1 << 30))
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	opts := shortRunOptions()
+	pass := func(collect bool) uint64 {
+		var ms0, ms1 runtime.MemStats
+		var n uint64
+		for _, o := range opts {
+			if collect {
+				runtime.GC()
+				runtime.GC()
+				runtime.Gosched()
+			}
+			runtime.ReadMemStats(&ms0)
+			Run(o)
+			runtime.ReadMemStats(&ms1)
+			n += ms1.Mallocs - ms0.Mallocs
+		}
+		return n
+	}
+	pass(false)
+	pass(false)
+	plain := pass(false)
+	collected := pass(true)
+	t.Logf("%d units: %d allocations plain, %d with collections", len(opts), plain, collected)
+	if plain != collected {
+		t.Errorf("%d allocations with two collections before each unit, %d without: a collection dropped recycled storage",
+			collected, plain)
 	}
 }

@@ -197,19 +197,19 @@ func (s Scheme) String() string {
 	switch s.Kind {
 	case KindSparse:
 		if s.EntryFormat != "" && s.EntryFormat != "fullmap" {
-			return fmt.Sprintf("sparse-%s-%s", ratioName(s.Ratio), s.EntryFormat)
+			return "sparse-" + ratioName(s.Ratio) + "-" + s.EntryFormat
 		}
-		return fmt.Sprintf("sparse-%s", ratioName(s.Ratio))
+		return "sparse-" + ratioName(s.Ratio)
 	case KindSharedOnly:
-		return fmt.Sprintf("sharedonly-%s", ratioName(s.Ratio))
+		return "sharedonly-" + ratioName(s.Ratio)
 	case KindSharedOnlySkew:
-		return fmt.Sprintf("sharedonly-skew-%s", ratioName(s.Ratio))
+		return "sharedonly-skew-" + ratioName(s.Ratio)
 	case KindInLLC:
 		return "inllc"
 	case KindInLLCTagExt:
 		return "inllc-tagext"
 	case KindTiny:
-		n := fmt.Sprintf("tiny-%s-dstra", ratioName(s.Ratio))
+		n := "tiny-" + ratioName(s.Ratio) + "-dstra"
 		if s.GNRU {
 			n += "+gnru"
 		}
@@ -218,9 +218,9 @@ func (s Scheme) String() string {
 		}
 		return n
 	case KindMgD:
-		return fmt.Sprintf("mgd-%s", ratioName(s.Ratio))
+		return "mgd-" + ratioName(s.Ratio)
 	case KindStash:
-		return fmt.Sprintf("stash-%s", ratioName(s.Ratio))
+		return "stash-" + ratioName(s.Ratio)
 	}
 	return "unknown"
 }
@@ -272,11 +272,14 @@ func parseFormat(s string) dir.Format {
 	panic(fmt.Sprintf("tinydir: unknown entry format %q", s))
 }
 
+// ratioName formats a directory ratio as "2x" or "1/16x". It formats with
+// strconv, not fmt: every run names its scheme, and fmt's printer cache is
+// a sync.Pool that each garbage collection empties.
 func ratioName(r float64) string {
 	if r >= 1 {
-		return fmt.Sprintf("%gx", r)
+		return strconv.FormatFloat(r, 'g', -1, 64) + "x"
 	}
-	return fmt.Sprintf("1/%.0fx", 1/r)
+	return "1/" + strconv.FormatFloat(1/r, 'f', 0, 64) + "x"
 }
 
 func (s Scheme) newTracker(cfg system.Config) func(int) proto.Tracker {
