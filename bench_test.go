@@ -47,28 +47,6 @@ func BenchmarkFigure(b *testing.B) {
 	}
 }
 
-// benchRunAll measures the worker-pool layer over a fixed batch of
-// independent simulations; compare the serial and parallel variants to
-// see the harness speedup on a multi-core host.
-func benchRunAll(b *testing.B, workers int) {
-	var opts []Options
-	for _, app := range []string{"barnes", "TPC-C", "bodytrack", "ocean_cp"} {
-		for _, sch := range []Scheme{SparseDirectory(2), InLLC(false)} {
-			opts = append(opts, Options{App: App(app), Scheme: sch, Scale: ScaleTest})
-		}
-	}
-	for i := 0; i < b.N; i++ {
-		for _, r := range RunAll(opts, workers) {
-			if r.Metrics.Cycles == 0 {
-				b.Fatal("empty run")
-			}
-		}
-	}
-}
-
-func BenchmarkRunAllSerial(b *testing.B)   { benchRunAll(b, 1) }
-func BenchmarkRunAllParallel(b *testing.B) { benchRunAll(b, 0) }
-
 // BenchmarkSingleRun measures one raw simulation (Table I machine at test
 // scale) — the cost unit behind every figure.
 func BenchmarkSingleRun(b *testing.B) {

@@ -232,9 +232,6 @@ func main() {
 		EpochInterval:  *obsEpochs,
 		TraceSpans:     *obsTrace,
 		WatchdogWindow: *watchdog,
-		// Latency histograms ride along whenever anything else is on —
-		// they cost a handful of counters per run.
-		Latency: *obsEpochs > 0 || *obsTrace > 0 || *watchdog > 0 || *obsDir != "",
 	}
 	if *obsDir != "" && obsCfg.EpochInterval == 0 {
 		obsCfg.EpochInterval = tinydir.DefaultEpochInterval

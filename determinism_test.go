@@ -27,25 +27,6 @@ func TestRunDeterminism(t *testing.T) {
 	}
 }
 
-// TestRunAllMatchesSerial: RunAll on a multi-worker pool must return
-// exactly what a serial loop returns, in input order.
-func TestRunAllMatchesSerial(t *testing.T) {
-	var opts []Options
-	for _, app := range []string{"barnes", "TPC-C", "bodytrack"} {
-		for _, sch := range []Scheme{SparseDirectory(2), InLLC(false), TinyDirectory(1.0/64, true, true)} {
-			opts = append(opts, Options{App: App(app), Scheme: sch, Scale: detScale})
-		}
-	}
-	serial := RunAll(opts, 1)
-	parallel := RunAll(opts, 4)
-	for i := range serial {
-		if !reflect.DeepEqual(serial[i], parallel[i]) {
-			t.Fatalf("opts[%d] (%s/%s): serial and parallel results diverged",
-				i, serial[i].App, serial[i].Scheme)
-		}
-	}
-}
-
 // TestSuiteParallelBitIdentical: a Suite rendering figures through the
 // parallel prefetch path must emit byte-for-byte the output of a serial
 // suite — the property behind cmd/experiments' -j flag.

@@ -110,9 +110,6 @@ func (v *Vec) Reset() { v.words = [MaxBits / 64]uint64{} }
 // does.
 func (v Vec) Clone() Vec { return v }
 
-// Equal reports whether v and o have identical length and contents.
-func (v Vec) Equal(o Vec) bool { return v == o }
-
 // String renders the vector as a set, e.g. "{0,5,17}".
 func (v Vec) String() string {
 	var b strings.Builder

@@ -119,7 +119,7 @@ func TestWordBoundaries(t *testing.T) {
 			if i > 0 && v.Next(i-1) != i {
 				t.Fatalf("New(%d): Next(%d) = %d, want %d", n, i-1, v.Next(i-1), i)
 			}
-			if got := FromWords(n, v.Words()); !got.Equal(v) {
+			if got := FromWords(n, v.Words()); got != v {
 				t.Fatalf("New(%d) bit %d: word round trip gave %v", n, i, got)
 			}
 			v.Clear(i)
@@ -169,12 +169,12 @@ func TestCloneIndependence(t *testing.T) {
 	if !c.Test(5) {
 		t.Fatal("Clone lost bit")
 	}
-	if v.Equal(c) {
-		t.Fatal("Equal should be false after divergence")
+	if v == c {
+		t.Fatal("vectors equal after divergence")
 	}
 	c.Clear(6)
-	if !v.Equal(c) {
-		t.Fatal("Equal should be true")
+	if v != c {
+		t.Fatal("vectors differ after undoing the divergence")
 	}
 }
 

@@ -44,11 +44,6 @@ type Line[T any] struct {
 	way   int32
 }
 
-// Way returns the physical way index of the line within its set. The DSTRA
-// policy breaks ties by lowest physical way id, so trackers need access to
-// it.
-func (l *Line[T]) Way() int { return int(l.way) }
-
 // Set returns the set index of the line.
 func (l *Line[T]) Set() int { return int(l.set) }
 
@@ -136,12 +131,6 @@ func (c *Cache[T]) rebuildTags() {
 // Sets returns the number of sets.
 func (c *Cache[T]) Sets() int { return c.sets }
 
-// Ways returns the associativity.
-func (c *Cache[T]) Ways() int { return c.ways }
-
-// Capacity returns the number of lines.
-func (c *Cache[T]) Capacity() int { return c.sets * c.ways }
-
 // SetIndexShift discards the low s address bits before set indexing.
 // Banked structures (LLC banks, directory slices) use it to strip the
 // bank-selection bits, which are constant within one bank.
@@ -162,8 +151,8 @@ func (c *Cache[T]) SetIndex(addr uint64) int {
 // LinesIn returns the backing lines of addr's set (all ways, valid or
 // not), in physical way order. The slice aliases the cache's storage:
 // callers may mutate Meta in place but must not append to, reorder, or
-// retain it. It exists so hot paths can scan a set without the per-line
-// indirect call that ScanSet's callback costs.
+// retain it. Hot paths scan a set through it directly, with no per-line
+// callback.
 func (c *Cache[T]) LinesIn(addr uint64) []Line[T] {
 	base := c.SetIndex(addr) * c.ways
 	return c.lines[base : base+c.ways]
@@ -176,19 +165,6 @@ func (c *Cache[T]) LinesIn(addr uint64) []Line[T] {
 func (c *Cache[T]) TagsIn(addr uint64) []uint64 {
 	base := c.SetIndex(addr) * c.ways
 	return c.tags[base : base+c.ways]
-}
-
-// ScanSet calls fn for every valid line in addr's set until fn returns
-// false. It allocates nothing, so trackers use it on hot paths to find
-// both the data block and its spilled tracking entry.
-func (c *Cache[T]) ScanSet(addr uint64, fn func(*Line[T]) bool) {
-	base := c.SetIndex(addr) * c.ways
-	for w := 0; w < c.ways; w++ {
-		l := &c.lines[base+w]
-		if l.Valid && !fn(l) {
-			return
-		}
-	}
 }
 
 // Lookup returns the line holding addr, or nil. It does not update
@@ -362,17 +338,6 @@ func (c *Cache[T]) InvalidateLine(l *Line[T]) {
 	l.Meta = zero
 	l.ref = false
 	c.setTag(l, invalidTag)
-}
-
-// CountValid returns the number of valid lines (test helper).
-func (c *Cache[T]) CountValid() int {
-	n := 0
-	for i := range c.lines {
-		if c.lines[i].Valid {
-			n++
-		}
-	}
-	return n
 }
 
 // ForEach calls fn for every valid line. The walk is driven by the tag

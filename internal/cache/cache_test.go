@@ -108,8 +108,8 @@ func TestInvalidate(t *testing.T) {
 	if _, ok := c.Invalidate(6); ok {
 		t.Fatal("double invalidate")
 	}
-	if c.CountValid() != 0 {
-		t.Fatal("CountValid after invalidate")
+	if countValid(c.lines) != 0 {
+		t.Fatal("valid lines after invalidate")
 	}
 	// Invalid way is preferred by the next insert in that set.
 	c.Insert(2) // set 0
@@ -120,7 +120,7 @@ func TestInvalidate(t *testing.T) {
 
 // Property: cache never holds more than `ways` lines of one set, a line is
 // found iff it is among the last `ways` distinct inserted addresses of its
-// set (true LRU), and CountValid matches a model.
+// set (true LRU), and the number of valid lines matches a model.
 func TestLRUModelProperty(t *testing.T) {
 	f := func(seed int64, opsRaw uint8) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -186,7 +186,7 @@ func TestLRUModelProperty(t *testing.T) {
 				}
 			}
 		}
-		return c.CountValid() == total
+		return countValid(c.lines) == total
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 400}); err != nil {
 		t.Fatal(err)
@@ -200,4 +200,16 @@ func TestGeometryPanics(t *testing.T) {
 		}
 	}()
 	New[int](0, 4, LRU)
+}
+
+// countValid returns the number of valid lines in a cache's backing
+// storage.
+func countValid[T any](lines []Line[T]) int {
+	n := 0
+	for i := range lines {
+		if lines[i].Valid {
+			n++
+		}
+	}
+	return n
 }

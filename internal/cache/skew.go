@@ -82,9 +82,6 @@ func NewSkewed[T any](sets, ways int, seed uint64) *Skewed[T] {
 	return c
 }
 
-// Capacity returns the number of lines.
-func (c *Skewed[T]) Capacity() int { return c.sets * c.ways }
-
 func (c *Skewed[T]) line(w int, addr uint64) *Line[T] {
 	s := int(c.hashes[w].hash(addr))
 	return &c.lines[w*c.sets+s]
@@ -156,24 +153,4 @@ func (c *Skewed[T]) Invalidate(addr uint64) (Line[T], bool) {
 	l.Meta = zero
 	l.ref = false
 	return old, true
-}
-
-// CountValid returns the number of valid lines.
-func (c *Skewed[T]) CountValid() int {
-	n := 0
-	for i := range c.lines {
-		if c.lines[i].Valid {
-			n++
-		}
-	}
-	return n
-}
-
-// ForEach calls fn for every valid line.
-func (c *Skewed[T]) ForEach(fn func(*Line[T])) {
-	for i := range c.lines {
-		if c.lines[i].Valid {
-			fn(&c.lines[i])
-		}
-	}
 }

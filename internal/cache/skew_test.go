@@ -8,8 +8,8 @@ import (
 
 func TestSkewedBasic(t *testing.T) {
 	c := NewSkewed[int](16, 4, 1)
-	if c.Capacity() != 64 {
-		t.Fatalf("capacity %d", c.Capacity())
+	if len(c.lines) != 64 {
+		t.Fatalf("capacity %d", len(c.lines))
 	}
 	l, _, had := c.Insert(1234)
 	if had || l == nil {
@@ -37,12 +37,12 @@ func TestSkewedEvictionKeepsCapacity(t *testing.T) {
 		if had {
 			delete(present, ev.Addr)
 		}
-		if c.CountValid() > c.Capacity() {
+		if countValid(c.lines) > len(c.lines) {
 			t.Fatal("over capacity")
 		}
 	}
-	if c.CountValid() != len(present) {
-		t.Fatalf("valid %d, model %d", c.CountValid(), len(present))
+	if n := countValid(c.lines); n != len(present) {
+		t.Fatalf("valid %d, model %d", n, len(present))
 	}
 	for a := range present {
 		if c.Lookup(a) == nil {

@@ -146,9 +146,6 @@ func (t *Tiny) Attach(env proto.BankEnv) {
 	t.tags.SetIndexShift(env.BankShift())
 }
 
-// Entries returns the slice capacity.
-func (t *Tiny) Entries() int { return t.tags.Capacity() }
-
 // findLines locates the data block line and the spilled tracking entry
 // line for addr, either of which may be nil.
 func (t *Tiny) findLines(addr uint64) (db, sp *proto.LLCLine) {

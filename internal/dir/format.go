@@ -30,9 +30,6 @@ import (
 type Format interface {
 	// Name identifies the format in metrics and ablation tables.
 	Name() string
-	// Bits returns the encoded sharer-field width for a given core count
-	// (used by the energy/storage model).
-	Bits(cores int) int
 	// Encode stores the sharer set; Decode returns the tracked superset.
 	// Encode is lossy only in the conservative direction:
 	// Decode(Encode(s)) is always a superset of s.
@@ -58,9 +55,6 @@ type FullMap struct{}
 // Name implements Format.
 func (FullMap) Name() string { return "fullmap" }
 
-// Bits implements Format.
-func (FullMap) Bits(cores int) int { return cores }
-
 // Encode implements Format.
 func (FullMap) Encode(s bitvec.Vec) EncodedSharers {
 	return EncodedSharers{mask: s, coarse: 1}
@@ -85,15 +79,6 @@ type LimitedPtr struct {
 
 // Name implements Format.
 func (f LimitedPtr) Name() string { return fmt.Sprintf("ptr%d", f.K) }
-
-// Bits implements Format.
-func (f LimitedPtr) Bits(cores int) int {
-	ptrBits := 1
-	for 1<<ptrBits < cores {
-		ptrBits++
-	}
-	return f.K*ptrBits + 1 // +1 overflow flag
-}
 
 func (f LimitedPtr) group() int {
 	if f.OverflowGroup <= 0 {
@@ -132,9 +117,6 @@ type Coarse struct {
 
 // Name implements Format.
 func (f Coarse) Name() string { return fmt.Sprintf("coarse%d", f.G) }
-
-// Bits implements Format.
-func (f Coarse) Bits(cores int) int { return (cores + f.G - 1) / f.G }
 
 // Encode implements Format.
 func (f Coarse) Encode(s bitvec.Vec) EncodedSharers {

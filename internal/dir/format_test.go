@@ -22,11 +22,8 @@ func TestFullMapLossless(t *testing.T) {
 	f := FullMap{}
 	s := setOf(128, 0, 17, 63, 127)
 	got := f.Decode(f.Encode(s), 128)
-	if !got.Equal(s) {
+	if got != s {
 		t.Fatalf("full map not lossless: %v -> %v", s, got)
-	}
-	if f.Bits(128) != 128 {
-		t.Fatalf("Bits = %d", f.Bits(128))
 	}
 }
 
@@ -34,12 +31,8 @@ func TestLimitedPtrExactWithinBudget(t *testing.T) {
 	f := LimitedPtr{K: 3}
 	s := setOf(64, 5, 20, 40)
 	got := f.Decode(f.Encode(s), 64)
-	if !got.Equal(s) {
+	if got != s {
 		t.Fatalf("within budget should be exact: %v -> %v", s, got)
-	}
-	// 3 pointers x 6 bits + overflow flag.
-	if f.Bits(64) != 19 {
-		t.Fatalf("Bits = %d", f.Bits(64))
 	}
 }
 
@@ -64,9 +57,6 @@ func TestCoarseGrouping(t *testing.T) {
 	// Groups 0 and 1 fully set: 16 cores.
 	if got.Count() != 16 {
 		t.Fatalf("coarse decode count %d, want 16", got.Count())
-	}
-	if f.Bits(64) != 8 {
-		t.Fatalf("Bits = %d", f.Bits(64))
 	}
 	// Empty set stays empty.
 	if !f.Decode(f.Encode(bitvec.New(64)), 64).Empty() {
@@ -94,9 +84,6 @@ func TestFormatsSupersetProperty(t *testing.T) {
 				}
 			})
 			if !ok {
-				return false
-			}
-			if fm.Bits(cores) <= 0 {
 				return false
 			}
 		}

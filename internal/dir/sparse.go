@@ -22,7 +22,8 @@ type Sparse struct {
 	format Format
 	// overflow holds entries that could not be placed because every
 	// candidate way belonged to a busy block — a simulator-side escape
-	// hatch that preserves correctness; it is counted and stays tiny.
+	// hatch that preserves correctness; it is counted, stays tiny, and is
+	// nil until the first spill.
 	overflow map[uint64]proto.Entry
 
 	allocs    uint64
@@ -42,7 +43,7 @@ type Sparse struct {
 // the paper's 1/128x and 1/256x configurations; larger slices are 8-way
 // set-associative with 1-bit NRU replacement (Table I).
 func NewSparse(entries int) *Sparse {
-	return &Sparse{tags: newDirTags(entries), overflow: map[uint64]proto.Entry{}}
+	return &Sparse{tags: newDirTags(entries)}
 }
 
 // NewSparseWithFormat builds a sparse directory whose sharer field uses
@@ -88,9 +89,6 @@ func (d *Sparse) Attach(env proto.BankEnv) {
 	d.env = env
 	d.tags.SetIndexShift(env.BankShift())
 }
-
-// Entries returns the slice capacity.
-func (d *Sparse) Entries() int { return d.tags.Capacity() }
 
 // Begin implements proto.Tracker.
 func (d *Sparse) Begin(addr uint64, kind proto.ReqKind, llcHit bool) proto.View {
@@ -144,8 +142,12 @@ func (d *Sparse) Commit(addr uint64, kind proto.ReqKind, from int, next proto.En
 		return c.Valid && d.env.IsBusy(c.Addr)
 	})
 	if l == nil {
-		// Every way busy: spill into the unbounded overflow (rare).
+		// Every way busy: spill into the unbounded overflow (rare), made
+		// on first use.
 		d.overflows++
+		if d.overflow == nil {
+			d.overflow = map[uint64]proto.Entry{}
+		}
 		d.overflow[addr] = next
 		return eff
 	}

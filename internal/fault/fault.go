@@ -163,9 +163,6 @@ func threshold(p float64) uint64 {
 	return uint64(p * (1 << 63) * 2) // p * 2^64 without overflowing float64->uint64
 }
 
-// Config returns the configuration the injector was built from.
-func (f *Injector) Config() Config { return f.cfg }
-
 // ReqTimeout returns the base core-side request retransmit window.
 func (f *Injector) ReqTimeout() uint64 { return f.reqTimeout }
 

@@ -99,9 +99,6 @@ func New(eng *sim.Engine, cfg Config) *Mesh {
 	return &Mesh{eng: eng, width: cfg.Width, height: cfg.Height}
 }
 
-// Nodes returns the number of tiles.
-func (m *Mesh) Nodes() int { return m.width * m.height }
-
 // Coord returns the (x, y) position of node n.
 func (m *Mesh) Coord(n int) (x, y int) { return n % m.width, n / m.width }
 
@@ -178,15 +175,6 @@ func (m *Mesh) Account(src, dst int, bytes int, class TrafficClass) {
 
 // TrafficBytes returns accumulated bytes*hops for a class.
 func (m *Mesh) TrafficBytes(class TrafficClass) uint64 { return m.traffic[class] }
-
-// TotalTraffic returns accumulated bytes*hops over all classes.
-func (m *Mesh) TotalTraffic() uint64 {
-	var t uint64
-	for _, v := range m.traffic {
-		t += v
-	}
-	return t
-}
 
 // Messages returns the message count for a class.
 func (m *Mesh) Messages(class TrafficClass) uint64 { return m.msgs[class] }

@@ -7,9 +7,9 @@ import (
 	"sync/atomic"
 )
 
-// DefaultEpochCap bounds the in-memory epoch ring when the Config does not
-// choose a capacity: at the default interval this covers 40M cycles, far
-// past any run in the suite, while capping worst-case memory at ~1 MB.
+// DefaultEpochCap bounds the in-memory epoch ring: at the default interval
+// this covers 40M cycles, far past any run in the suite, while capping
+// worst-case memory at ~1 MB.
 const DefaultEpochCap = 4096
 
 // EpochSample is one row of the time series. The system layer fills it
@@ -82,10 +82,8 @@ type EpochSampler struct {
 	latestIPC atomic.Uint64 // math.Float64bits of the last epoch's IPC
 }
 
+// newEpochSampler makes a sampler whose ring holds cap epochs.
 func newEpochSampler(interval uint64, cap int) *EpochSampler {
-	if cap <= 0 {
-		cap = DefaultEpochCap
-	}
 	return &EpochSampler{Interval: interval, ring: make([]EpochSample, 0, cap)}
 }
 
@@ -185,33 +183,4 @@ func (e *EpochSampler) WriteCSV(w io.Writer) error {
 		}
 	}
 	return nil
-}
-
-// WriteJSON emits the retained epochs as a JSON array of objects with the
-// same fields as the CSV, written directly for byte determinism.
-func (e *EpochSampler) WriteJSON(w io.Writer) error {
-	if _, err := fmt.Fprintf(w, "[\n"); err != nil {
-		return err
-	}
-	for i := 0; i < e.n; i++ {
-		s := &e.ring[(e.head+i)%cap(e.ring)]
-		sep := ","
-		if i == e.n-1 {
-			sep = ""
-		}
-		_, err := fmt.Fprintf(w, "  {\"epoch\": %d, \"end_cycle\": %d, \"cycles\": %d, \"retired\": %d, \"ipc\": %.4f, "+
-			"\"l1_hits\": %d, \"l2_hits\": %d, \"misses\": %d, \"llc_accesses\": %d, \"llc_misses\": %d, "+
-			"\"llc_miss_rate\": %.4f, \"lengthened\": %d, \"lengthened_frac\": %.4f, \"nacks\": %d, \"retries\": %d, "+
-			"\"forwards\": %d, \"mem_reads\": %d, \"traffic\": [%d, %d, %d], \"dram_reads\": %d, \"dram_writes\": %d}%s\n",
-			s.Index, s.EndCycle, s.Cycles, s.Retired, s.IPC(),
-			s.L1Hits, s.L2Hits, s.Misses, s.LLCAccesses, s.LLCMisses,
-			s.LLCMissRate(), s.Lengthened, s.LengthenedFrac(), s.Nacks, s.Retries,
-			s.Forwards, s.MemReads, s.Traffic[0], s.Traffic[1], s.Traffic[2],
-			s.DRAMReads, s.DRAMWrites, sep)
-		if err != nil {
-			return err
-		}
-	}
-	_, err := fmt.Fprintf(w, "]\n")
-	return err
 }

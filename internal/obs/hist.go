@@ -135,15 +135,6 @@ func (l *LatencyRecorder) Record(c LatClass, cycles uint64) {
 	l.Class[c].Observe(cycles)
 }
 
-// Total returns the total number of recorded completions.
-func (l *LatencyRecorder) Total() uint64 {
-	var n uint64
-	for i := range l.Class {
-		n += l.Class[i].Count
-	}
-	return n
-}
-
 // WriteText emits the deterministic human-readable dump: one summary line
 // per non-empty class followed by its occupied buckets.
 func (l *LatencyRecorder) WriteText(w io.Writer) error {
@@ -165,41 +156,4 @@ func (l *LatencyRecorder) WriteText(w io.Writer) error {
 		}
 	}
 	return nil
-}
-
-// WriteJSON emits the histograms as a JSON object keyed by class name,
-// with the same derived statistics as WriteText. Keys are emitted in
-// class order (which is also not revisited by encoding ambiguity: the
-// document is written directly with fixed formatting).
-func (l *LatencyRecorder) WriteJSON(w io.Writer) error {
-	if _, err := fmt.Fprintf(w, "{\n"); err != nil {
-		return err
-	}
-	first := true
-	for c := LatClass(0); c < NumLatClasses; c++ {
-		h := &l.Class[c]
-		if h.Count == 0 {
-			continue
-		}
-		if !first {
-			fmt.Fprintf(w, ",\n")
-		}
-		first = false
-		fmt.Fprintf(w, "  %q: {\"count\": %d, \"sum\": %d, \"mean\": %.1f, \"p50\": %d, \"p95\": %d, \"p99\": %d, \"max\": %d, \"buckets\": {",
-			c.String(), h.Count, h.Sum, h.Mean(), h.Quantile(0.50), h.Quantile(0.95), h.Quantile(0.99), h.Max)
-		firstB := true
-		for i := 0; i < histBuckets; i++ {
-			if h.Buckets[i] == 0 {
-				continue
-			}
-			if !firstB {
-				fmt.Fprintf(w, ", ")
-			}
-			firstB = false
-			fmt.Fprintf(w, "\"%d\": %d", bucketLow(i), h.Buckets[i])
-		}
-		fmt.Fprintf(w, "}}")
-	}
-	_, err := fmt.Fprintf(w, "\n}\n")
-	return err
 }

@@ -67,9 +67,6 @@ func (t *TraceWriter) Add(cat Cat, name string, lane int, ts, dur, addr uint64) 
 	t.spans = append(t.spans, span{cat: cat, lane: int32(lane), ts: ts, dur: dur, addr: addr, name: name})
 }
 
-// Spans returns the number of retained spans.
-func (t *TraceWriter) Spans() int { return len(t.spans) }
-
 // WriteJSON emits the catapult trace document. Timestamps are simulated
 // core cycles presented as microseconds (the viewer's native unit); the
 // clock note in otherData records that. Process metadata names the four

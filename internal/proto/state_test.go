@@ -30,7 +30,7 @@ func TestVecCodec(t *testing.T) {
 		t.Fatal(err)
 	}
 	r.Section(1)
-	if got := GetVec(r); !got.Equal(v) {
+	if got := GetVec(r); got != v {
 		t.Fatalf("round trip: got %v, want %v", got, v)
 	}
 	if got := GetVec(r); got.Len() != 0 {

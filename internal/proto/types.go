@@ -97,17 +97,6 @@ type Entry struct {
 	Dirty   bool       // owner's copy known dirty (M) — affects copyback
 }
 
-// HolderCount returns the number of private caches holding the block.
-func (e Entry) HolderCount() int {
-	switch e.State {
-	case Exclusive:
-		return 1
-	case Shared:
-		return e.Sharers.Count()
-	}
-	return 0
-}
-
 // LLCMeta is the per-LLC-line metadata. The data value itself is not
 // simulated; Corrupted models the (V=0, D=1) encoding of Table III where
 // the first bits of the data block hold the extended state of Table IV,

@@ -1,10 +1,6 @@
 package proto
 
-import (
-	"testing"
-
-	"tinydir/internal/bitvec"
-)
+import "testing"
 
 func TestReqKindPredicates(t *testing.T) {
 	reads := map[ReqKind]bool{GetS: true, GetI: true, GetX: false, Upg: false, PutE: false, PutM: false, PutS: false}
@@ -30,22 +26,6 @@ func TestStringers(t *testing.T) {
 	}
 	if ReqKind(99).String() == "" || State(99).String() == "" {
 		t.Fatal("unknown values must still stringify")
-	}
-}
-
-func TestHolderCount(t *testing.T) {
-	if (Entry{State: Unowned}).HolderCount() != 0 {
-		t.Fatal("unowned holder count")
-	}
-	if (Entry{State: Exclusive, Owner: 5}).HolderCount() != 1 {
-		t.Fatal("exclusive holder count")
-	}
-	v := bitvec.New(16)
-	v.Set(1)
-	v.Set(7)
-	v.Set(12)
-	if (Entry{State: Shared, Sharers: v}).HolderCount() != 3 {
-		t.Fatal("shared holder count")
 	}
 }
 

@@ -122,9 +122,6 @@ func NewDir(root string) (*Dir, error) {
 	return &Dir{root: root}, nil
 }
 
-// Root returns the backing directory.
-func (d *Dir) Root() string { return d.root }
-
 func (d *Dir) path(kind, key string) string {
 	return filepath.Join(d.root, kind, key)
 }

@@ -100,11 +100,10 @@ var queueList freelist.List[queueStore]
 // Together the two rules reproduce bit-for-bit the pop order of a single
 // (time, seq) binary heap, at a fraction of the per-event cost.
 type Engine struct {
-	now    Time
-	seq    uint64
-	nexec  uint64
-	halted bool
-	watch  func(Time, uint64)
+	now   Time
+	seq   uint64
+	nexec uint64
+	watch func(Time, uint64)
 
 	ring  []ringBucket // ringHorizon buckets; nil until the first push
 	occ   []uint64     // occupancy bitmap, one bit per ring slot
@@ -280,9 +279,6 @@ func (e *Engine) SetWatch(fn func(Time, uint64)) { e.watch = fn }
 // Pending reports whether any events remain.
 func (e *Engine) Pending() bool { return e.ringN+len(e.over) > 0 }
 
-// Halt stops Run before the next event is dispatched.
-func (e *Engine) Halt() { e.halted = true }
-
 // Step executes the next event, if any, and reports whether one ran.
 func (e *Engine) Step() bool {
 	var ev event
@@ -311,13 +307,12 @@ func (e *Engine) Step() bool {
 	return true
 }
 
-// Run executes events until the queue drains, Halt is called, or limit
-// events have run (limit 0 means no limit). It returns the number of events
-// executed by this call.
+// Run executes events until the queue drains or limit events have run
+// (limit 0 means no limit). It returns the number of events executed by
+// this call.
 func (e *Engine) Run(limit uint64) uint64 {
-	e.halted = false
 	var n uint64
-	for !e.halted && (limit == 0 || n < limit) {
+	for limit == 0 || n < limit {
 		if !e.Step() {
 			break
 		}

@@ -9,7 +9,7 @@ import (
 )
 
 // recorder implements Handler: it logs every delivery, then runs the
-// optional hook (nested scheduling, halting) with the delivered op.
+// optional hook (nested scheduling) with the delivered op.
 type recorder struct {
 	ops   []int
 	addrs []uint64
@@ -81,26 +81,6 @@ func TestEnginePastPanics(t *testing.T) {
 	}
 	e.ScheduleAt(10, r, 1, 0, 0)
 	e.Run(0)
-}
-
-func TestEngineHalt(t *testing.T) {
-	var e Engine
-	r := &recorder{eng: &e}
-	r.hook = func(int) {
-		if len(r.ops) == 3 {
-			e.Halt()
-		}
-	}
-	for i := 0; i < 10; i++ {
-		e.ScheduleAt(Time(i), r, i, 0, 0)
-	}
-	e.Run(0)
-	if len(r.ops) != 3 {
-		t.Fatalf("ran %d events after halt, want 3", len(r.ops))
-	}
-	if e.Run(0) != 7 {
-		t.Fatalf("resume did not run remaining events")
-	}
 }
 
 func TestEngineLimit(t *testing.T) {

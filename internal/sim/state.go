@@ -48,7 +48,6 @@ func (e *Engine) SaveState() (now Time, seq, nexec uint64, events []EventState) 
 // restorable.
 func (e *Engine) RestoreState(now Time, seq, nexec uint64, events []EventState) {
 	e.now, e.seq, e.nexec = now, seq, nexec
-	e.halted = false
 	// A drained queue's storage goes back to the free list; a queue with
 	// pending events is discarded with them.
 	e.Release()

@@ -210,9 +210,6 @@ func (c *Coordinator) Epoch() uint64 {
 	return c.epoch
 }
 
-// Journal exposes the coordinator's journal (nil when in-memory).
-func (c *Coordinator) Journal() *Journal { return c.journal }
-
 // journalLocked appends one record. Journal damage (disk full, I/O
 // error) must not wedge a live sweep: the coordinator keeps serving and
 // logs that it is no longer crash-safe. Callers hold mu.

@@ -8,7 +8,6 @@ import (
 	"io"
 	"log/slog"
 	"net/http"
-	"sync/atomic"
 	"time"
 )
 
@@ -49,7 +48,6 @@ type Worker struct {
 	// HC is the HTTP client (default: a fresh http.Client).
 	HC *http.Client
 
-	units uint64 // completed unit count (atomic)
 	// epoch is the last coordinator incarnation observed (via claim
 	// responses); only the Loop goroutine touches it, and only for
 	// logging restarts — fencing echoes each lease's own epoch.
@@ -106,10 +104,6 @@ func (w *Worker) log() *slog.Logger {
 	}
 	return slog.Default()
 }
-
-// Units returns how many units this worker has completed (success or
-// reported failure).
-func (w *Worker) Units() uint64 { return atomic.LoadUint64(&w.units) }
 
 // Loop runs until the coordinator reports the sweep over (returns nil),
 // ctx is cancelled (returns ctx.Err() once the in-flight unit, if any,
@@ -187,7 +181,6 @@ func (w *Worker) process(ctx context.Context, cl claimResponse) {
 		observeUS(w.Tel.exec, time.Since(execStart))
 		w.Tel.units.Inc()
 	}
-	atomic.AddUint64(&w.units, 1)
 	errmsg := ""
 	if err != nil {
 		errmsg = err.Error()

@@ -247,8 +247,8 @@ func (b *bankNode) handleReq(addr uint64, kind proto.ReqKind, c int, seq uint16)
 			m.LengthenedData++
 		}
 		dl.Meta.Lengthened = true
-		if b.sys.obs != nil {
-			b.sys.obs.Lengthened(addr, dl.Meta.Corrupted)
+		if b.sys.checker != nil {
+			b.sys.checker.Lengthened(addr, dl.Meta.Corrupted)
 		}
 	}
 	if kind.IsRead() && view.E.State == proto.Shared && view.SpillHit {

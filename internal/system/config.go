@@ -38,20 +38,21 @@ type Config struct {
 	// NewTracker builds the coherence-tracking slice for one bank.
 	NewTracker func(bank int) proto.Tracker
 
-	// Observer, when non-nil, receives per-event protocol callbacks (the
-	// invariant-test cross-check hook).
-	Observer Observer
+	// Checker, when non-nil, follows every retirement, invalidation and
+	// lengthened access in event order (the golden reference machine of
+	// DESIGN.md §7). A nil checker costs one predictable branch per event.
+	Checker *GoldenChecker
 
 	// Recorder, when non-nil, attaches the time-resolved observability
 	// layer (epoch sampling, latency histograms, trace export, stall
-	// watchdog). Like Observer it is pure observation: metrics and event
+	// watchdog). Like Checker it is pure observation: metrics and event
 	// order are identical with or without it.
 	Recorder *obs.Recorder
 
 	// Faults configures the deterministic fault-injection layer (see
 	// DESIGN.md §10). The zero value injects nothing and leaves the
 	// fault-free machine bit-identical — the injector is nil-checked on
-	// every edge, like Observer and Recorder.
+	// every edge, like Checker and Recorder.
 	Faults fault.Config
 
 	// TraceStats carries workload-level measurements made on the driving

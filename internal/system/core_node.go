@@ -163,8 +163,8 @@ func (c *coreNode) step() {
 					}
 				}
 				elapsed += c.sys.cfg.L1Lat
-				if c.sys.obs != nil {
-					c.sys.obs.Retire(c.id, ref.Addr, ref.Kind, false, false)
+				if c.sys.checker != nil {
+					c.sys.checker.Retire(c.id, ref.Addr, ref.Kind, false, false)
 				}
 				if c.sys.rec != nil {
 					c.sys.onRetire(obs.LatL1Hit, eng.Now()+elapsed, uint64(c.sys.cfg.L1Lat))
@@ -184,8 +184,8 @@ func (c *coreNode) step() {
 			nl, _, _ := l1.Insert(ref.Addr)
 			nl.Meta.st = l2l.Meta.st
 			elapsed += c.sys.cfg.L1Lat + c.sys.cfg.L2Lat
-			if c.sys.obs != nil {
-				c.sys.obs.Retire(c.id, ref.Addr, ref.Kind, false, false)
+			if c.sys.checker != nil {
+				c.sys.checker.Retire(c.id, ref.Addr, ref.Kind, false, false)
 			}
 			if c.sys.rec != nil {
 				c.sys.onRetire(obs.LatL2Hit, eng.Now()+elapsed, uint64(c.sys.cfg.L1Lat+c.sys.cfg.L2Lat))
@@ -354,8 +354,8 @@ func (c *coreNode) maybeComplete() {
 	}
 	o.done = true
 	c.fill(o.addr, o.grantState, o.ifetch)
-	if c.sys.obs != nil {
-		c.sys.obs.Retire(c.id, o.addr, c.refs[c.pos].Kind, true,
+	if c.sys.checker != nil {
+		c.sys.checker.Retire(c.id, o.addr, c.refs[c.pos].Kind, true,
 			o.grantState == psE || o.grantState == psM)
 	}
 	if c.sys.rec != nil {
@@ -390,8 +390,8 @@ func (c *coreNode) fill(addr uint64, st privState, ifetch bool) {
 		// notify the home bank.
 		c.l1d.Invalidate(ev.Addr)
 		c.l1i.Invalidate(ev.Addr)
-		if c.sys.obs != nil {
-			c.sys.obs.Invalidate(c.id, ev.Addr)
+		if c.sys.checker != nil {
+			c.sys.checker.Invalidate(c.id, ev.Addr)
 		}
 		c.sendEvict(ev.Addr, ev.Meta.st)
 	}
@@ -494,8 +494,8 @@ func (c *coreNode) onFwd(addr uint64, kind proto.ReqKind, requester, bank int, l
 			c.l2.Invalidate(addr)
 			c.l1d.Invalidate(addr)
 			c.l1i.Invalidate(addr)
-			if c.sys.obs != nil {
-				c.sys.obs.Invalidate(c.id, addr)
+			if c.sys.checker != nil {
+				c.sys.checker.Invalidate(c.id, addr)
 			}
 			retained = false
 		} else {
@@ -566,8 +566,8 @@ func (c *coreNode) onInv(addr uint64, ackTo, ackBank int, withData bool) {
 	}
 	c.l1d.Invalidate(addr)
 	c.l1i.Invalidate(addr)
-	if c.sys.obs != nil {
-		c.sys.obs.Invalidate(c.id, addr)
+	if c.sys.checker != nil {
+		c.sys.checker.Invalidate(c.id, addr)
 	}
 	if e, ok := c.evictBuf.Get(addr); ok {
 		wasM = wasM || e.st == psM

@@ -69,7 +69,7 @@ func TestFaultInjectionInvariants(t *testing.T) {
 				cfg.NewTracker = mk
 				cfg.Faults = fault.Uniform(seed, 0.02)
 				g := NewGoldenChecker()
-				cfg.Observer = g
+				cfg.Checker = g
 				sys := New(cfg, randomTraces(int64(seed), cores, refs, 12*cores, 0.3))
 				sys.Run(2_000_000_000)
 				if g.Retires() != uint64(cores*refs) {
@@ -131,7 +131,7 @@ func TestWatchdogFiresOnDropBlackout(t *testing.T) {
 	rec := obs.NewRecorder(obs.Config{WatchdogWindow: 5_000, StallOut: &dump})
 	cfg.Recorder = rec
 	g := NewGoldenChecker()
-	cfg.Observer = g
+	cfg.Checker = g
 	sys := New(cfg, randomTraces(42, cores, refs, 12*cores, 0.3))
 	sys.Run(2_000_000_000)
 	if g.Retires() != uint64(cores*refs) {
@@ -165,7 +165,7 @@ func TestECCRecoveryPreservesCoherence(t *testing.T) {
 	cfg.NewTracker = func(int) proto.Tracker { return dir.NewSparse(8) }
 	cfg.Faults = fault.Config{Seed: 5, ECC: 0.02}
 	g := NewGoldenChecker()
-	cfg.Observer = g
+	cfg.Checker = g
 	sys := New(cfg, randomTraces(7, cores, refs, 12*cores, 0.3))
 	sys.Run(2_000_000_000)
 	if g.Retires() != uint64(cores*refs) {

@@ -1,6 +1,6 @@
 package system
 
-// The golden reference machine promised by DESIGN.md §7: an Observer that
+// The golden reference machine promised by DESIGN.md §7: a checker that
 // simulates every block's legal state alongside the real protocol. It is
 // value-based — each block carries a version tag that every store bumps —
 // so it catches lost invalidations and lost writes that aggregate metrics
@@ -31,8 +31,9 @@ type goldenBlock struct {
 	seen    map[int]uint64
 }
 
-// GoldenChecker implements Observer by simulating every block's legal
-// state alongside the real protocol.
+// GoldenChecker simulates every block's legal state alongside the real
+// protocol. Attached through Config.Checker, its callbacks run on the
+// simulation goroutine in deterministic event order.
 type GoldenChecker struct {
 	blocks     map[uint64]*goldenBlock
 	violations []string
@@ -57,9 +58,6 @@ func (g *GoldenChecker) Violations() []string { return g.violations }
 // Retires returns the number of retirements observed.
 func (g *GoldenChecker) Retires() uint64 { return g.retires }
 
-// LengthenedCount returns the number of lengthened accesses observed.
-func (g *GoldenChecker) LengthenedCount() uint64 { return g.lengthened }
-
 func (g *GoldenChecker) block(addr uint64) *goldenBlock {
 	b := g.blocks[addr]
 	if b == nil {
@@ -75,7 +73,10 @@ func (g *GoldenChecker) failf(format string, args ...interface{}) {
 	}
 }
 
-// Retire implements Observer.
+// Retire is called when a core retires one trace reference. fill reports
+// that the reference missed privately and was served by a protocol
+// transaction; excl reports that the fill was granted in an exclusive
+// (E/M) state. Hits have fill == false.
 func (g *GoldenChecker) Retire(core int, addr uint64, kind trace.Kind, fill, excl bool) {
 	g.retires++
 	b := g.block(addr)
@@ -111,12 +112,17 @@ func (g *GoldenChecker) Retire(core int, addr uint64, kind trace.Kind, fill, exc
 	}
 }
 
-// Invalidate implements Observer.
+// Invalidate is called when a core's private copy of addr is dropped for
+// protocol reasons: an L2 capacity eviction, an invalidation, or an
+// ownership-transferring forward.
 func (g *GoldenChecker) Invalidate(core int, addr uint64) {
 	delete(g.block(addr).seen, core)
 }
 
-// Lengthened implements Observer.
+// Lengthened is called when the home bank accounts an LLC access as
+// critical-path lengthened; corrupted reports whether the LLC data line
+// really was in the corrupted (state-in-data-bits) encoding that
+// justifies the three-hop supply.
 func (g *GoldenChecker) Lengthened(addr uint64, corrupted bool) {
 	g.lengthened++
 	if !corrupted && !g.AllowUncorruptedLengthened {

@@ -80,7 +80,7 @@ func TestProtocolInvariants(t *testing.T) {
 					cfg.L2Sets, cfg.L2Ways = 8, 2
 					cfg.NewTracker = sch.mk(cfg)
 					g := NewGoldenChecker()
-					cfg.Observer = g
+					cfg.Checker = g
 					refs := 900
 					blocks := 12 * cores // enough contention per bank
 					sys := New(cfg, randomTraces(seed, cores, refs, blocks, 0.3))
@@ -152,7 +152,7 @@ func TestPhantomSharerForwardMissRestart(t *testing.T) {
 				}
 				g := NewGoldenChecker()
 				g.AllowUncorruptedLengthened = true
-				cfg.Observer = g
+				cfg.Checker = g
 				refs := 900
 				blocks := 12 * cores
 				sys := New(cfg, randomTraces(seed, cores, refs, blocks, 0.3))
@@ -192,7 +192,7 @@ func TestLengthenedAccountingIsCorruptedOnly(t *testing.T) {
 			cfg := TestConfig(16)
 			cfg.NewTracker = mk
 			g := NewGoldenChecker()
-			cfg.Observer = g
+			cfg.Checker = g
 			sys := New(cfg, testTraces(16, 2500, "barnes"))
 			m := sys.Run(1_000_000_000)
 			if m.LengthenedCode+m.LengthenedData == 0 {

@@ -2,7 +2,7 @@ package system
 
 // Observability glue: wires a Config.Recorder into the machine and funnels
 // every completed reference through one hook. Everything here follows the
-// Observer contract — each recording site is behind a nil check, the
+// Checker contract — each recording site is behind a nil check, the
 // disabled path is one predictable branch, and nothing observes its way
 // into the simulation (no events scheduled, no timing touched). A run with
 // a recorder attached produces bit-identical Metrics to one without.
@@ -35,9 +35,7 @@ func (s *System) attachObs() {
 	if wd := r.Watchdog; wd != nil {
 		wd.Dump = func(w io.Writer) {
 			io.WriteString(w, s.DumpStall())
-			if r.Latency != nil {
-				r.Latency.WriteText(w)
-			}
+			r.Latency.WriteText(w)
 		}
 		s.eng.SetWatch(wd.OnStep)
 	}
@@ -50,9 +48,7 @@ func (s *System) attachObs() {
 func (s *System) onRetire(class obs.LatClass, at sim.Time, lat uint64) {
 	s.retired++
 	r := s.rec
-	if r.Latency != nil {
-		r.Latency.Record(class, lat)
-	}
+	r.Latency.Record(class, lat)
 	if r.Watchdog != nil {
 		r.Watchdog.Pet(uint64(at))
 	}

@@ -45,7 +45,7 @@ const (
 
 // StateDigest hashes everything that must match between the saving and the
 // restoring machine: the structural configuration, the tracker scheme, and
-// the full trace contents. Policy objects (NewTracker, Observer) cannot be
+// the full trace contents. Policy objects (NewTracker, Checker) cannot be
 // hashed; the tracker's Name plus the per-cache geometry checks inside
 // LoadState catch configuration drift in practice.
 func (s *System) StateDigest() [32]byte {

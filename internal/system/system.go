@@ -37,7 +37,7 @@ type System struct {
 	memTiles []int
 	maxDist  int
 
-	obs Observer
+	checker *GoldenChecker
 
 	// flt is the fault injector (nil when fault injection is off; see
 	// DESIGN.md §10). Component ids partition its PRNG streams: mesh
@@ -67,7 +67,7 @@ func New(cfg Config, traces [][]trace.Ref) *System {
 	if len(traces) != cfg.Cores {
 		panic("system: trace count != cores")
 	}
-	s := &System{cfg: cfg, eng: &sim.Engine{}, obs: cfg.Observer}
+	s := &System{cfg: cfg, eng: &sim.Engine{}, checker: cfg.Checker}
 	s.flt = fault.New(cfg.Faults, 2*cfg.Cores+cfg.MemChannels)
 	w, h := meshDims(cfg.Cores)
 	s.net = mesh.New(s.eng, mesh.Config{Width: w, Height: h})
@@ -284,9 +284,6 @@ func (s *System) collect() {
 	ds := s.mem.Stats()
 	m.DRAMReads, m.DRAMWrites, m.DRAMRowHits = ds.Reads, ds.Writes, ds.RowHits
 }
-
-// Metrics returns the metrics collected by Run.
-func (s *System) Metrics() Metrics { return s.metrics }
 
 // CheckCoherence verifies, at quiescence, that every tracker's view
 // matches the actual private-cache contents: at most one E/M owner per

@@ -10,8 +10,8 @@
 // obs.Hist behind a mutex, so quantiles are exact functions of the
 // counts (deterministic, merge-friendly) rather than estimates.
 //
-// Everything is nil-safe in the PR 4 recorder style: every method on a
-// nil *Counter, *Gauge, *Hist or *Registry is a no-op behind one
+// Everything is nil-safe in the obs recorder's style: every method on a
+// nil *Counter, *Hist or *Registry is a no-op behind one
 // predictable branch, so instrumented call sites hold possibly-nil
 // series pointers and never test them. Layers that need the stronger
 // "identical instruction stream when off" guarantee (the runstore
@@ -61,13 +61,6 @@ func (c *Counter) Inc() {
 	}
 }
 
-// Add adds n.
-func (c *Counter) Add(n uint64) {
-	if c != nil {
-		c.v.Add(n)
-	}
-}
-
 // Value returns the current count.
 func (c *Counter) Value() uint64 {
 	if c == nil {
@@ -77,39 +70,6 @@ func (c *Counter) Value() uint64 {
 		return c.fn()
 	}
 	return c.v.Load()
-}
-
-// Gauge is an instantaneous float64. The zero value is usable; a nil
-// Gauge ignores all updates.
-type Gauge struct {
-	bits atomic.Uint64
-	fn   func() float64 // read-side override (func-backed export)
-}
-
-// Set stores v.
-func (g *Gauge) Set(v float64) {
-	if g != nil {
-		g.bits.Store(math.Float64bits(v))
-	}
-}
-
-// Add adds d (not atomic against concurrent Add; use Set from one
-// owner, or a Counter, when updates race).
-func (g *Gauge) Add(d float64) {
-	if g != nil {
-		g.Set(g.Value() + d)
-	}
-}
-
-// Value returns the current value.
-func (g *Gauge) Value() float64 {
-	if g == nil {
-		return 0
-	}
-	if g.fn != nil {
-		return g.fn()
-	}
-	return math.Float64frombits(g.bits.Load())
 }
 
 // Hist is a concurrency-safe log2-bucketed histogram: an obs.Hist (the
@@ -161,7 +121,7 @@ type series struct {
 	labels  []string // alternating name, value — as registered
 	sig     string   // rendered {a="b",...} signature (sort key)
 	counter *Counter
-	gauge   *Gauge
+	gauge   func() float64 // registered by GaugeFunc
 	hist    *Hist
 }
 
@@ -231,8 +191,6 @@ func (r *Registry) lookup(name, help string, kind Kind, labels []string) *series
 		switch kind {
 		case KindCounter:
 			s.counter = &Counter{}
-		case KindGauge:
-			s.gauge = &Gauge{}
 		case KindHistogram:
 			s.hist = &Hist{}
 		}
@@ -262,20 +220,13 @@ func (r *Registry) CounterFunc(name, help string, fn func() uint64, labels ...st
 	r.lookup(name, help, KindCounter, labels).counter.fn = fn
 }
 
-// Gauge returns (registering on first use) the gauge named name.
-func (r *Registry) Gauge(name, help string, labels ...string) *Gauge {
-	if r == nil {
-		return nil
-	}
-	return r.lookup(name, help, KindGauge, labels).gauge
-}
-
-// GaugeFunc registers a gauge read from fn at exposition time.
+// GaugeFunc registers a gauge read from fn at exposition time, the only
+// kind of gauge the registry keeps.
 func (r *Registry) GaugeFunc(name, help string, fn func() float64, labels ...string) {
 	if r == nil {
 		return
 	}
-	r.lookup(name, help, KindGauge, labels).gauge.fn = fn
+	r.lookup(name, help, KindGauge, labels).gauge = fn
 }
 
 // Hist returns (registering on first use) the histogram named name.
@@ -316,7 +267,7 @@ func (r *Registry) Snapshot() []SeriesSnapshot {
 			case KindCounter:
 				ss.Value = float64(s.counter.Value())
 			case KindGauge:
-				ss.Value = s.gauge.Value()
+				ss.Value = s.gauge()
 			case KindHistogram:
 				h := s.hist.Snapshot()
 				ss.Hist = &h
@@ -378,7 +329,7 @@ func writePromSeries(w io.Writer, f *family, s *series) error {
 		_, err := fmt.Fprintf(w, "%s%s %d\n", f.name, s.sig, s.counter.Value())
 		return err
 	case KindGauge:
-		_, err := fmt.Fprintf(w, "%s%s %s\n", f.name, s.sig, formatFloat(s.gauge.Value()))
+		_, err := fmt.Fprintf(w, "%s%s %s\n", f.name, s.sig, formatFloat(s.gauge()))
 		return err
 	}
 	h := s.hist.Snapshot()

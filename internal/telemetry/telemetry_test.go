@@ -11,15 +11,8 @@ import (
 func TestNilInstrumentsAreNoOps(t *testing.T) {
 	var c *Counter
 	c.Inc()
-	c.Add(7)
 	if c.Value() != 0 {
 		t.Fatal("nil counter has a value")
-	}
-	var g *Gauge
-	g.Set(3)
-	g.Add(1)
-	if g.Value() != 0 {
-		t.Fatal("nil gauge has a value")
 	}
 	var h *Hist
 	h.Observe(9)
@@ -27,7 +20,7 @@ func TestNilInstrumentsAreNoOps(t *testing.T) {
 		t.Fatal("nil hist has samples")
 	}
 	var r *Registry
-	if r.Counter("x", "") != nil || r.Gauge("x", "") != nil || r.Hist("x", "") != nil {
+	if r.Counter("x", "") != nil || r.Hist("x", "") != nil {
 		t.Fatal("nil registry returned a live instrument")
 	}
 	r.CounterFunc("x", "", func() uint64 { return 1 })
@@ -52,8 +45,8 @@ func TestRegistrationIsIdempotent(t *testing.T) {
 		t.Fatal("distinct labels share a series")
 	}
 	a.Inc()
-	a.Add(2)
-	if a.Value() != 3 || other.Value() != 0 {
+	a.Inc()
+	if a.Value() != 2 || other.Value() != 0 {
 		t.Fatalf("counter values: %d, %d", a.Value(), other.Value())
 	}
 }
@@ -66,7 +59,7 @@ func TestKindConflictPanics(t *testing.T) {
 			t.Fatal("re-registering a counter as a gauge did not panic")
 		}
 	}()
-	r.Gauge("x_total", "")
+	r.GaugeFunc("x_total", "", func() float64 { return 0 })
 }
 
 func TestHistQuantilesMatchObsBucketing(t *testing.T) {
@@ -97,9 +90,13 @@ func TestHistQuantilesMatchObsBucketing(t *testing.T) {
 
 func TestPromExposition(t *testing.T) {
 	r := NewRegistry()
-	r.Counter("store_hits_total", "cache hits", "backend", "lru").Add(5)
-	r.Counter("store_hits_total", "cache hits", "backend", "dir").Add(2)
-	r.Gauge("queue_depth", "pending units").Set(7)
+	for i := 0; i < 5; i++ {
+		r.Counter("store_hits_total", "cache hits", "backend", "lru").Inc()
+	}
+	for i := 0; i < 2; i++ {
+		r.Counter("store_hits_total", "cache hits", "backend", "dir").Inc()
+	}
+	r.GaugeFunc("queue_depth", "pending units", func() float64 { return 7 })
 	r.GaugeFunc("workers", "fleet size", func() float64 { return 3 })
 	h := r.Hist("op_us", "op latency", "op", "get")
 	h.Observe(0)

@@ -47,11 +47,6 @@ const (
 	FamilyMultiprog    = "multiprogram"
 )
 
-// Families lists the recognized family names.
-func Families() []string {
-	return []string{FamilyFalseSharing, FamilyLock, FamilyRing, FamilySteal, FamilyMultiprog}
-}
-
 // famBase/famStride carve a virtual region for family structures,
 // disjoint from the private, shared-group and code bases of trace.go.
 // Unit u (line, lock, ring, chunk) owns [famBase+u*famStride, +famStride).
@@ -553,16 +548,4 @@ func fsBytesOverlap(f *famTables, l int, cores map[int]bool) bool {
 		}
 	}
 	return false
-}
-
-// fsByteRange returns the byte range [lo, hi) core c claims within line
-// l, or ok=false when c is not a member. Exposed for the property tests.
-func (g *Gen) fsByteRange(l, c int) (lo, hi int, ok bool) {
-	f := g.famInit()
-	for j, m := range f.fsMembers[l] {
-		if m == c {
-			return j * f.fsSpan, (j + 1) * f.fsSpan, true
-		}
-	}
-	return 0, 0, false
 }

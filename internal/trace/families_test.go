@@ -373,3 +373,15 @@ func TestFamilySeedsDiffer(t *testing.T) {
 		}
 	}
 }
+
+// fsByteRange returns the byte range [lo, hi) core c claims within line
+// l, or ok=false when c is not a member.
+func (g *Gen) fsByteRange(l, c int) (lo, hi int, ok bool) {
+	f := g.famInit()
+	for j, m := range f.fsMembers[l] {
+		if m == c {
+			return j * f.fsSpan, (j + 1) * f.fsSpan, true
+		}
+	}
+	return 0, 0, false
+}

@@ -383,17 +383,3 @@ func (g *Gen) Traces(n int) [][]Ref {
 // see workload-level ground truth — e.g. the false-sharing census of the
 // false-sharing family. Callers must treat the map as read-only.
 func (g *Gen) Stats() map[string]uint64 { return g.stats }
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

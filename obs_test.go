@@ -30,7 +30,7 @@ func obsGoldenOptions() Options {
 // the three artifacts concatenated under section headers.
 func runObsGolden(t *testing.T) []byte {
 	t.Helper()
-	rec := NewObsRecorder(ObsConfig{EpochInterval: 1000, Latency: true, TraceSpans: 4000})
+	rec := NewObsRecorder(ObsConfig{EpochInterval: 1000, TraceSpans: 4000})
 	o := obsGoldenOptions()
 	o.Obs = rec
 	r := Run(o)
@@ -100,7 +100,7 @@ func TestObsSuiteDeterministicAtAnyJ(t *testing.T) {
 	sweep := func(workers int) map[string][]byte {
 		s := NewSuite(Scale{Name: "obs-det", Cores: 8, Refs: 400})
 		s.Workers = workers
-		s.Obs = ObsConfig{EpochInterval: 1000, Latency: true, TraceSpans: 2000}
+		s.Obs = ObsConfig{EpochInterval: 1000, TraceSpans: 2000}
 		s.ObsDir = t.TempDir()
 		if f := buildFigure(s, "7"); len(f.Series) == 0 {
 			t.Fatal("Fig7 produced no data")
@@ -143,7 +143,7 @@ func TestObsSuiteDeterministicAtAnyJ(t *testing.T) {
 // Metrics, and the final epoch ends at the drain cycle — nothing is lost
 // at either boundary.
 func TestEpochDeltasSumToAggregate(t *testing.T) {
-	rec := NewObsRecorder(ObsConfig{EpochInterval: 500, EpochCap: 1 << 16})
+	rec := NewObsRecorder(ObsConfig{EpochInterval: 500})
 	o := Options{App: App("barnes"), Scheme: SparseDirectory(2), Scale: obsScale}
 	o.Obs = rec
 	m := Run(o).Metrics
@@ -153,7 +153,7 @@ func TestEpochDeltasSumToAggregate(t *testing.T) {
 		t.Fatalf("expected several epochs, got %d", len(samples))
 	}
 	if rec.Epochs.Dropped != 0 {
-		t.Fatalf("ring dropped %d epochs despite the raised cap", rec.Epochs.Dropped)
+		t.Fatalf("ring dropped %d of %d epochs", rec.Epochs.Dropped, len(samples))
 	}
 	var sum EpochSample
 	for _, e := range samples {
@@ -215,7 +215,6 @@ func TestObsMetricsUnperturbed(t *testing.T) {
 
 	o.Obs = NewObsRecorder(ObsConfig{
 		EpochInterval:  1000,
-		Latency:        true,
 		TraceSpans:     4000,
 		WatchdogWindow: 10_000_000,
 		StallOut:       io.Discard,
@@ -236,7 +235,6 @@ func TestObsRaceSmoke(t *testing.T) {
 	s.Workers = 4
 	s.Obs = ObsConfig{
 		EpochInterval:  500,
-		Latency:        true,
 		WatchdogWindow: 10_000_000,
 		StallOut:       io.Discard,
 	}

@@ -260,7 +260,7 @@ func (s *Suite) writeObsArtifacts(o Options, rec *ObsRecorder, rep *Reporter) {
 	if err == nil && rec.Epochs != nil {
 		err = emit(".epochs.csv", rec.Epochs.WriteCSV)
 	}
-	if err == nil && rec.Latency != nil {
+	if err == nil {
 		err = emit(".latency.txt", rec.Latency.WriteText)
 	}
 	if err == nil && rec.Trace != nil {

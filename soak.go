@@ -161,7 +161,7 @@ func Soak(o SoakOptions, progress io.Writer) SoakReport {
 
 // soakOne executes one run under the golden reference machine and checks
 // the whole survival contract. It builds the machine like every other run
-// (normalized options, startSystem) with the golden checker as observer,
+// (normalized options, startSystem) with the golden checker attached,
 // under the same panic guard, so a wedged seed (deadlock detection, a
 // blown wall-clock deadline) is one failure line.
 func soakOne(o Options) (retires uint64, stats fault.Stats, err error) {

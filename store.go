@@ -333,13 +333,13 @@ func runWithStore(o Options, store *RunStore, resume bool) (Result, bool) {
 }
 
 // startSystem builds and starts the machine normalized options o
-// describe, with observer (nil = none) receiving its protocol callbacks.
+// describe, with checker (nil = none) following its protocol events.
 // It is the one machine builder: store-backed runs and soak runs alike.
-func startSystem(o Options, observer system.Observer) *system.System {
+func startSystem(o Options, checker *system.GoldenChecker) *system.System {
 	cfg := o.Scale.machine()
 	cfg.NewTracker = o.Scheme.newTracker(cfg)
 	cfg.Recorder = o.Obs
-	cfg.Observer = observer
+	cfg.Checker = checker
 	if o.FaultRate > 0 {
 		cfg.Faults = fault.Uniform(o.FaultSeed, o.FaultRate)
 	}

@@ -81,7 +81,7 @@ func TestRunStoreStacks(t *testing.T) {
 			store := tc.stack(t, root)
 			o := storeTestOpts
 			if tc.obs {
-				o.Obs = NewObsRecorder(ObsConfig{EpochInterval: 1000, Latency: true, TraceSpans: 500})
+				o.Obs = NewObsRecorder(ObsConfig{EpochInterval: 1000, TraceSpans: 500})
 			}
 			got, simulated := runWithStore(o, store, false)
 			if !simulated || !reflect.DeepEqual(got, plain) {

@@ -18,7 +18,6 @@ package tinydir
 
 import (
 	"fmt"
-	"runtime"
 	"strconv"
 	"strings"
 	"sync"
@@ -425,25 +424,10 @@ func Run(o Options) Result {
 	return RunWithStore(o, nil, false)
 }
 
-// RunAll executes the given configurations on a bounded worker pool and
-// returns the results in input order. Every simulation is fully isolated
-// (its own event engine, trace generator and metric sinks), so runs are
-// independent and the result for opts[i] is bit-identical whatever the
-// worker count. workers <= 0 selects runtime.NumCPU(); workers == 1 runs
-// strictly serially on the calling goroutine.
-func RunAll(opts []Options, workers int) []Result {
-	results := make([]Result, len(opts))
-	if workers <= 0 {
-		workers = runtime.NumCPU()
-	}
-	parallelFor(len(opts), workers, func(i int) { results[i] = Run(opts[i]) })
-	return results
-}
-
 // parallelFor calls fn(i) for every i in [0, n) on at most workers
 // goroutines that claim indices in order; workers <= 1 runs serially on
-// the calling goroutine. It is the one bounded worker loop: RunAll and a
-// Suite's prefetch both run on it.
+// the calling goroutine. It is the one bounded worker loop: a Suite's
+// prefetch runs on it.
 func parallelFor(n, workers int, fn func(i int)) {
 	workers = min(workers, n)
 	if workers <= 1 {

@@ -3,6 +3,8 @@ package tinydir
 import (
 	"strings"
 	"testing"
+
+	"tinydir/internal/trace"
 )
 
 func TestSchemeNames(t *testing.T) {
@@ -45,6 +47,36 @@ func TestRunAllSchemesAtTestScale(t *testing.T) {
 		if r.Metrics.Cycles == 0 || r.Metrics.LLCAccesses == 0 {
 			t.Errorf("%s: empty metrics", sch)
 		}
+	}
+}
+
+// TestFamilyProfileRuns: a generator family's trace.* counters reach the
+// run's Metrics.Tracker.
+func TestFamilyProfileRuns(t *testing.T) {
+	r := Run(Options{App: App("falseshare"), Scheme: TinyDirectory(1.0/64, true, true), Scale: ScaleTest})
+	if r.Metrics.Cycles == 0 || r.App != "falseshare" {
+		t.Fatalf("family profile run failed: %+v", r)
+	}
+	if r.Metrics.Tracker["trace.fsRefs"] == 0 {
+		t.Fatalf("family run surfaced no trace.* metrics: %v", r.Metrics.Tracker)
+	}
+}
+
+// TestCustomProfileRuns: a profile built in Go rather than taken from the
+// built-in tables runs like any application.
+func TestCustomProfileRuns(t *testing.T) {
+	p := Profile{
+		Name: "mykernel", Seed: 42,
+		PrivateBlocks: 800, PrivateReuse: 0.9, StreamBlocks: 1000,
+		SharedFrac: 0.3, SharedWriteFrac: 0.05,
+		Groups:  []trace.SharedGroup{{Count: 8, Blocks: 128, Sharers: 16, Weight: 1}},
+		HotFrac: 0.4, HotBlocks: 32,
+		CodeFrac: 0.1, CodeBlocks: 256,
+		WriteFrac: 0.25, Gap: 5, PhaseRefs: 1000,
+	}
+	r := Run(Options{App: p, Scheme: TinyDirectory(1.0/64, true, true), Scale: ScaleTest})
+	if r.Metrics.Cycles == 0 || r.App != "mykernel" {
+		t.Fatalf("custom profile run failed: %+v", r)
 	}
 }
 
