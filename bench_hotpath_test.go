@@ -128,13 +128,13 @@ func measureGated(c hotpathCase) hotpathMeasurement {
 }
 
 // allocsPerRefGate is the CI regression bar for Fig01At128: the recorded
-// steady state of 0.0097 allocs/ref (every run reuses the engine queue,
-// bank tables and cache slabs its predecessors released, sharer sets are
-// inline values, and a sparse slice makes its overflow map only when it
-// first spills) plus about 15% headroom. Wall-clock is NOT gated —
+// steady state of 0.0020 allocs/ref (every run builds its machine on the
+// node slabs, trackers, DRAM queues, engine queue and cache slabs its
+// predecessors released, and sharer sets are inline values) plus about
+// 15% headroom. Wall-clock is NOT gated —
 // ns/ref depends on the machine — so only the allocation count, which
 // measureGated makes repeatable, can regress the build.
-const allocsPerRefGate = 0.0112
+const allocsPerRefGate = 0.0023
 
 // TestAllocsPerRefGate fails the build when the hot path regresses past
 // the allocation budget. It runs the full Fig. 1 sweep at 128 cores, once
@@ -158,8 +158,8 @@ func TestAllocsPerRefGate(t *testing.T) {
 
 // trackerAllocsGate is the CI bar for the trackers that keep state in
 // the LLC or drop it (tiny directory with spilling, Stash), on the
-// write-heavy families: 0.0362 allocs/ref measured, plus about 15%.
-const trackerAllocsGate = 0.042
+// write-heavy families: 0.0088 allocs/ref measured, plus about 15%.
+const trackerAllocsGate = 0.0101
 
 // TestTrackerAllocsGate fails the build when a tracker's commit path
 // starts allocating again: spilled and corrupted in-LLC entries,
@@ -185,10 +185,10 @@ func TestTrackerAllocsGate(t *testing.T) {
 		return uint64(len(opts)) * uint64(hotScale128.Cores) * uint64(hotScale128.Refs)
 	}
 	m := measureGated(hotpathCase{name: "TrackerFamilies128", run: pass})
-	t.Logf("%s: %.4f allocs/ref (gate %.3f), %.1f B/ref, %.1f ns/ref",
+	t.Logf("%s: %.4f allocs/ref (gate %.4f), %.1f B/ref, %.1f ns/ref",
 		m.Name, m.AllocsPerRef, trackerAllocsGate, m.BytesPerRef, m.NsPerRef)
 	if m.AllocsPerRef > trackerAllocsGate {
-		t.Errorf("%s allocates %.4f/ref, above the %.3f gate: a tracker's commit path allocates again",
+		t.Errorf("%s allocates %.4f/ref, above the %.4f gate: a tracker's commit path allocates again",
 			m.Name, m.AllocsPerRef, trackerAllocsGate)
 	}
 }

@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"os"
 
+	"tinydir/internal/bitvec"
 	"tinydir/internal/trace"
 	"tinydir/internal/tracefile"
 )
@@ -28,6 +29,10 @@ func main() {
 		write   = flag.String("write", "", "write the generated trace (requires -app) to this file and print its digest")
 	)
 	flag.Parse()
+	if *cores < 1 || *cores > bitvec.MaxBits {
+		fmt.Fprintf(os.Stderr, "tracegen: -cores %d outside [1,%d]\n", *cores, bitvec.MaxBits)
+		os.Exit(2)
+	}
 
 	apps := append(trace.Apps(), trace.FamilyApps()...)
 	if *appName != "" {

@@ -1,10 +1,6 @@
 package cache
 
-import (
-	"sync"
-
-	"tinydir/internal/freelist"
-)
+import "tinydir/internal/freelist"
 
 // Pool recycles the line storage of retired same-geometry caches. Sweeps
 // build and drop hundreds of identical machines back to back, and zeroing
@@ -20,8 +16,7 @@ import (
 // of that geometry were ever live at once, and never returns them to the
 // garbage collector.
 type Pool[T any] struct {
-	mu    sync.Mutex
-	lists map[geom]*freelist.List[slab[T]]
+	lists freelist.Keyed[geom, slab[T]]
 }
 
 type geom struct{ sets, ways int }
@@ -32,47 +27,24 @@ type slab[T any] struct {
 	used  []int32
 }
 
-// list returns g's free list, creating it on first use.
-func (p *Pool[T]) list(g geom) *freelist.List[slab[T]] {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	l := p.lists[g]
-	if l == nil {
-		if p.lists == nil {
-			p.lists = make(map[geom]*freelist.List[slab[T]])
-		}
-		l = new(freelist.List[slab[T]])
-		p.lists[g] = l
-	}
-	return l
-}
-
-// NewIn is New, drawing storage from p when a retired slab of the same
-// geometry is available. p may be nil (plain New).
-func NewIn[T any](p *Pool[T], sets, ways int, policy Policy) *Cache[T] {
-	c := new(Cache[T])
-	c.InitIn(p, sets, ways, policy)
-	return c
-}
-
-// InitIn is NewIn for a cache header the caller holds by value (a field
-// of a larger node): it sets c up in place, overwriting whatever c held.
+// InitIn is New for a cache header the caller holds by value (a field
+// of a node or tracker): it sets c up in place, overwriting whatever c
+// held, drawing storage from p when a retired slab of the same geometry
+// is available.
 func (c *Cache[T]) InitIn(p *Pool[T], sets, ways int, policy Policy) {
-	if p != nil {
-		if s, ok := p.list(geom{sets, ways}).Get(); ok {
-			*c = Cache[T]{sets: sets, ways: ways, policy: policy,
-				lines: s.lines, tags: s.tags, used: s.used}
-			if sets&(sets-1) == 0 {
-				c.mask = uint64(sets - 1)
-			}
-			return
+	if s, ok := p.lists.List(geom{sets, ways}).Get(); ok {
+		*c = Cache[T]{sets: sets, ways: ways, policy: policy,
+			lines: s.lines, tags: s.tags, used: s.used}
+		if sets&(sets-1) == 0 {
+			c.mask = uint64(sets - 1)
 		}
+		return
 	}
 	c.init(sets, ways, policy)
 }
 
 // Release wipes c's mutable state back to the just-constructed baseline
-// and hands the storage to p for a later NewIn. The cache must not be
+// and hands the storage to p for a later InitIn. The cache must not be
 // used afterwards. Caches that went through LoadState lost their
 // touched-line log and pay a full wipe; everything else wipes only the
 // lines ever touched.
@@ -92,5 +64,5 @@ func (c *Cache[T]) Release(p *Pool[T]) {
 	}
 	s := slab[T]{lines: c.lines, tags: c.tags, used: c.used[:0]}
 	c.lines, c.tags, c.used = nil, nil, nil
-	p.list(geom{c.sets, c.ways}).Put(s)
+	p.lists.List(geom{c.sets, c.ways}).Put(s)
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"tinydir/internal/freelist"
 	"tinydir/internal/proto"
 )
 
@@ -44,9 +45,20 @@ type InLLC struct {
 	victimBuf []proto.Victim
 }
 
-// NewInLLC returns the §III tracker. tagExtended selects the
+// inllcList holds released in-LLC trackers for the next machine's banks.
+var inllcList freelist.List[*InLLC]
+
+// NewInLLC returns the §III tracker, on a released one when there is one
+// (only buffer capacity carries over). tagExtended selects the
 // storage-heavy variant.
-func NewInLLC(tagExtended bool) *InLLC { return &InLLC{TagExtended: tagExtended} }
+func NewInLLC(tagExtended bool) *InLLC {
+	t, ok := inllcList.Get()
+	if !ok {
+		t = new(InLLC)
+	}
+	*t = InLLC{TagExtended: tagExtended, reconBuf: t.reconBuf[:0], victimBuf: t.victimBuf[:0]}
+	return t
+}
 
 // Name implements proto.Tracker.
 func (t *InLLC) Name() string {
@@ -165,8 +177,10 @@ func (t *InLLC) Lookup(addr uint64) (proto.Entry, bool) {
 	return l.Meta.Track, true
 }
 
-// ReleaseStorage implements proto.Tracker: the state lives in the LLC.
-func (t *InLLC) ReleaseStorage() {}
+// ReleaseStorage implements proto.Tracker: the tracking state lives in
+// the LLC, so only the tracker itself goes back to its free list; it is
+// unusable afterwards.
+func (t *InLLC) ReleaseStorage() { inllcList.Put(t) }
 
 // Metrics implements proto.Tracker.
 func (t *InLLC) Metrics(m map[string]uint64) {

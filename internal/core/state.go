@@ -60,7 +60,7 @@ func getTinyEntry(r *snapshot.Reader) tinyEntry {
 
 // SaveState implements proto.Tracker.
 func (t *Tiny) SaveState(w *snapshot.Writer) {
-	cache.SaveState(w, t.tags, putTinyEntry)
+	cache.SaveState(w, &t.tags, putTinyEntry)
 	w.U64(t.accA)
 	w.U64(t.accB)
 	w.U64(uint64(t.nextGenEnd))
@@ -84,7 +84,7 @@ func (t *Tiny) SaveState(w *snapshot.Writer) {
 
 // LoadState implements proto.Tracker.
 func (t *Tiny) LoadState(r *snapshot.Reader) error {
-	if err := cache.LoadState(r, t.tags, getTinyEntry); err != nil {
+	if err := cache.LoadState(r, &t.tags, getTinyEntry); err != nil {
 		return err
 	}
 	t.accA = r.U64()

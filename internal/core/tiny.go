@@ -2,6 +2,7 @@ package core
 
 import (
 	"tinydir/internal/cache"
+	"tinydir/internal/freelist"
 	"tinydir/internal/proto"
 	"tinydir/internal/sim"
 )
@@ -34,7 +35,7 @@ type Tiny struct {
 	env proto.BankEnv
 	cfg TinyConfig
 
-	tags *cache.Cache[tinyEntry]
+	tags cache.Cache[tinyEntry]
 
 	// gNRU generation machinery (§IV-A2): accA accumulates inter-reuse
 	// gaps in 4K-cycle units, accB counts samples; a generation ends
@@ -104,29 +105,41 @@ const (
 	sampleSets     = 16   // no-spill sets per bank (§IV-B2)
 )
 
-// NewTiny builds a tiny directory slice. Slices with fewer than 32
-// entries are fully associative (the paper's 1/128x and 1/256x points);
-// larger ones are 8-way set-associative.
+// NewTiny builds a tiny directory slice, on a released one when there is
+// one (only the capacity of its Effects buffers carries over). Slices
+// with fewer than 32 entries are fully associative (the paper's 1/128x
+// and 1/256x points); larger ones are 8-way set-associative.
 func NewTiny(cfg TinyConfig) *Tiny {
 	if cfg.Entries <= 0 {
 		panic("core: non-positive tiny directory size")
 	}
-	var tags *cache.Cache[tinyEntry]
-	if cfg.Entries < 32 {
-		tags = cache.NewIn(&tinyTagPool, 1, cfg.Entries, cache.NRU)
-	} else {
-		tags = cache.NewIn(&tinyTagPool, cfg.Entries/8, 8, cache.NRU)
+	t, ok := tinyList.Get()
+	if !ok {
+		t = new(Tiny)
 	}
-	return &Tiny{cfg: cfg, tags: tags, spillIdx: 7}
+	*t = Tiny{cfg: cfg, spillIdx: 7, effBuf: t.effBuf}
+	if cfg.Entries < 32 {
+		t.tags.InitIn(&tinyTagPool, 1, cfg.Entries, cache.NRU)
+	} else {
+		t.tags.InitIn(&tinyTagPool, cfg.Entries/8, 8, cache.NRU)
+	}
+	return t
 }
 
-// tinyTagPool recycles tiny-directory tag arrays across the back-to-back
-// same-geometry machines a sweep constructs (see cache.Pool).
-var tinyTagPool cache.Pool[tinyEntry]
+// tinyList holds released tiny directories for the next machine's banks,
+// and tinyTagPool their tag arrays (see cache.Pool).
+var (
+	tinyList    freelist.List[*Tiny]
+	tinyTagPool cache.Pool[tinyEntry]
+)
 
-// ReleaseStorage implements proto.Tracker: it returns the tag array to
-// its free list; the directory is unusable afterwards.
-func (t *Tiny) ReleaseStorage() { t.tags.Release(&tinyTagPool) }
+// ReleaseStorage implements proto.Tracker: it returns the tag array and
+// then the directory itself to their free lists; the directory is
+// unusable afterwards.
+func (t *Tiny) ReleaseStorage() {
+	t.tags.Release(&tinyTagPool)
+	tinyList.Put(t)
+}
 
 // Name implements proto.Tracker.
 func (t *Tiny) Name() string {

@@ -2,6 +2,7 @@ package dir
 
 import (
 	"tinydir/internal/cache"
+	"tinydir/internal/freelist"
 	"tinydir/internal/proto"
 )
 
@@ -33,14 +34,15 @@ const RegionBlocks = 16
 // on Fig. 22.
 type MgD struct {
 	env   proto.BankEnv
-	tags  *cache.Cache[mgdEntry]
+	tags  cache.Cache[mgdEntry]
 	shift uint // bank-selection bits stripped for region formation
 	bank  uint64
 
-	overflow map[uint64]proto.Entry
-	// regionOverflow holds region entries that could not be placed
-	// because every candidate way was busy (rare); dropping them would
-	// leave live private copies untracked.
+	// overflow and regionOverflow hold block and region entries that
+	// could not be placed because every candidate way was busy (rare);
+	// dropping them would leave live private copies untracked. Each is
+	// nil until its first spill.
+	overflow       map[uint64]proto.Entry
 	regionOverflow map[uint64]int // region -> owner
 
 	allocs       uint64
@@ -67,28 +69,25 @@ func (d *MgD) regionBlock(region uint64, i uint64) uint64 {
 	return (region*RegionBlocks+i)<<d.shift | d.bank
 }
 
-// NewMgD builds an MgD slice with the given entry count.
-func NewMgD(entries int) *MgD {
-	return &MgD{
-		tags:           newMgdTags(entries),
-		overflow:       map[uint64]proto.Entry{},
-		regionOverflow: map[uint64]int{},
-	}
-}
+// mgdList holds released MgD trackers for the next machine's banks, and
+// mgdTagPool their tag arrays (see cache.Pool).
+var (
+	mgdList    freelist.List[*MgD]
+	mgdTagPool cache.Pool[mgdEntry]
+)
 
-func newMgdTags(entries int) *cache.Cache[mgdEntry] {
-	if entries <= 0 {
-		panic("dir: non-positive entry count")
+// NewMgD builds an MgD slice with the given entry count, on a released
+// one when there is one (only map capacity carries over).
+func NewMgD(entries int) *MgD {
+	d, ok := mgdList.Get()
+	if !ok {
+		d = new(MgD)
 	}
-	if entries < 32 {
-		return cache.New[mgdEntry](1, entries, cache.NRU)
-	}
-	ways := 8
-	sets := entries / ways
-	if sets == 0 {
-		sets, ways = 1, entries
-	}
-	return cache.New[mgdEntry](sets, ways, cache.NRU)
+	clear(d.overflow)
+	clear(d.regionOverflow)
+	*d = MgD{overflow: d.overflow, regionOverflow: d.regionOverflow}
+	initTags(&d.tags, &mgdTagPool, entries)
+	return d
 }
 
 // Name implements proto.Tracker.
@@ -194,8 +193,14 @@ func (d *MgD) insert(key uint64, me mgdEntry) proto.Effects {
 		// Every candidate way busy: keep correctness via the unbounded
 		// overflow structures (rare).
 		if me.region {
+			if d.regionOverflow == nil {
+				d.regionOverflow = map[uint64]int{}
+			}
 			d.regionOverflow[key>>1] = me.e.Owner
 		} else {
+			if d.overflow == nil {
+				d.overflow = map[uint64]proto.Entry{}
+			}
 			d.overflow[key>>1] = me.e
 		}
 		return eff
@@ -256,8 +261,13 @@ func (d *MgD) Lookup(addr uint64) (proto.Entry, bool) {
 	return proto.Entry{}, false
 }
 
-// ReleaseStorage implements proto.Tracker; nothing is recycled.
-func (d *MgD) ReleaseStorage() {}
+// ReleaseStorage implements proto.Tracker: it returns the tag array and
+// then the directory itself to their free lists; the directory is
+// unusable afterwards.
+func (d *MgD) ReleaseStorage() {
+	d.tags.Release(&mgdTagPool)
+	mgdList.Put(d)
+}
 
 // Metrics implements proto.Tracker.
 func (d *MgD) Metrics(m map[string]uint64) {

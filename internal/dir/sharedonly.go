@@ -2,6 +2,7 @@ package dir
 
 import (
 	"tinydir/internal/cache"
+	"tinydir/internal/freelist"
 	"tinydir/internal/proto"
 )
 
@@ -18,7 +19,8 @@ import (
 type SharedOnly struct {
 	env proto.BankEnv
 
-	setAssoc *cache.Cache[proto.Entry]
+	// setAssoc is the sparse part unless skewed is set.
+	setAssoc cache.Cache[proto.Entry]
 	skewed   *cache.Skewed[proto.Entry]
 
 	// unbounded tracks every block not resident in the sparse part.
@@ -28,10 +30,21 @@ type SharedOnly struct {
 	victims uint64
 }
 
+// sharedOnlyList holds released SharedOnly trackers for the next
+// machine's banks.
+var sharedOnlyList freelist.List[*SharedOnly]
+
 // NewSharedOnly builds the limit-study tracker with the given sparse
-// capacity. skewed selects the 4-way H3 skew-associative organization.
+// capacity, on a released one when there is one (only the unbounded
+// map's capacity carries over). skewed selects the 4-way H3
+// skew-associative organization.
 func NewSharedOnly(entries int, skewed bool) *SharedOnly {
-	s := &SharedOnly{unbounded: map[uint64]proto.Entry{}}
+	s, ok := sharedOnlyList.Get()
+	if !ok {
+		s = &SharedOnly{unbounded: map[uint64]proto.Entry{}}
+	}
+	clear(s.unbounded)
+	*s = SharedOnly{unbounded: s.unbounded}
 	if skewed {
 		ways := 4
 		sets := entries / ways
@@ -45,7 +58,7 @@ func NewSharedOnly(entries int, skewed bool) *SharedOnly {
 		}
 		s.skewed = cache.NewSkewed[proto.Entry](p, ways, 0x51ed)
 	} else {
-		s.setAssoc = newDirTags(entries)
+		initTags(&s.setAssoc, &dirTagPool, entries)
 	}
 	return s
 }
@@ -61,7 +74,7 @@ func (s *SharedOnly) Name() string {
 // Attach implements proto.Tracker.
 func (s *SharedOnly) Attach(env proto.BankEnv) {
 	s.env = env
-	if s.setAssoc != nil {
+	if s.skewed == nil {
 		s.setAssoc.SetIndexShift(env.BankShift())
 	}
 }
@@ -186,8 +199,15 @@ func (s *SharedOnly) Lookup(addr uint64) (proto.Entry, bool) {
 	return e, ok
 }
 
-// ReleaseStorage implements proto.Tracker; nothing is recycled.
-func (s *SharedOnly) ReleaseStorage() {}
+// ReleaseStorage implements proto.Tracker: it returns a set-associative
+// tag array (the skewed one is not pooled) and then the tracker itself to
+// their free lists; the tracker is unusable afterwards.
+func (s *SharedOnly) ReleaseStorage() {
+	if s.skewed == nil {
+		s.setAssoc.Release(&dirTagPool)
+	}
+	sharedOnlyList.Put(s)
+}
 
 // Metrics implements proto.Tracker.
 func (s *SharedOnly) Metrics(m map[string]uint64) {

@@ -6,6 +6,7 @@ package dir
 
 import (
 	"tinydir/internal/cache"
+	"tinydir/internal/freelist"
 	"tinydir/internal/proto"
 )
 
@@ -14,7 +15,7 @@ import (
 // retrieves, if dirty) the block from all private caches holding it.
 type Sparse struct {
 	env  proto.BankEnv
-	tags *cache.Cache[proto.Entry]
+	tags cache.Cache[proto.Entry]
 	// format optionally narrows the sharer field (limited pointers or a
 	// coarse vector); stored sharer sets become conservative supersets
 	// and the protocol pays the resulting extra invalidations. nil means
@@ -23,7 +24,8 @@ type Sparse struct {
 	// overflow holds entries that could not be placed because every
 	// candidate way belonged to a busy block — a simulator-side escape
 	// hatch that preserves correctness; it is counted, stays tiny, and is
-	// nil until the first spill.
+	// nil until the first spill of this tracker or of a released one it
+	// was rebuilt from.
 	overflow map[uint64]proto.Entry
 
 	allocs    uint64
@@ -42,18 +44,29 @@ type Sparse struct {
 // entries. Slices with fewer than 32 entries are fully associative, like
 // the paper's 1/128x and 1/256x configurations; larger slices are 8-way
 // set-associative with 1-bit NRU replacement (Table I).
-func NewSparse(entries int) *Sparse {
-	return &Sparse{tags: newDirTags(entries)}
-}
+func NewSparse(entries int) *Sparse { return newSparse(entries, nil) }
 
 // NewSparseWithFormat builds a sparse directory whose sharer field uses
 // the given encoding format (see format.go). The protocol stays correct
 // because decoded sets are supersets of the true sharers; the precision
 // loss surfaces as extra invalidation traffic and is measured by the
 // entry-format ablation.
-func NewSparseWithFormat(entries int, f Format) *Sparse {
-	d := NewSparse(entries)
-	d.format = f
+func NewSparseWithFormat(entries int, f Format) *Sparse { return newSparse(entries, f) }
+
+// sparseList holds released Sparse trackers for the next machine's banks.
+var sparseList freelist.List[*Sparse]
+
+// newSparse builds a Sparse on a released one when there is one. Only
+// the capacity of its buffers carries over, so every other field starts
+// as in a fresh tracker.
+func newSparse(entries int, f Format) *Sparse {
+	d, ok := sparseList.Get()
+	if !ok {
+		d = new(Sparse)
+	}
+	clear(d.overflow)
+	*d = Sparse{format: f, overflow: d.overflow, victimBuf: d.victimBuf[:0]}
+	initTags(&d.tags, &dirTagPool, entries)
 	return d
 }
 
@@ -61,19 +74,18 @@ func NewSparseWithFormat(entries int, f Format) *Sparse {
 // same-geometry machines a sweep constructs (see cache.Pool).
 var dirTagPool cache.Pool[proto.Entry]
 
-func newDirTags(entries int) *cache.Cache[proto.Entry] {
+// initTags sets c up, with storage from p, as a directory slice of the
+// given entry count: fully associative below 32 entries, 8-way
+// set-associative above, with NRU replacement.
+func initTags[T any](c *cache.Cache[T], p *cache.Pool[T], entries int) {
 	if entries <= 0 {
 		panic("dir: non-positive entry count")
 	}
 	if entries < 32 {
-		return cache.NewIn(&dirTagPool, 1, entries, cache.NRU)
+		c.InitIn(p, 1, entries, cache.NRU)
+		return
 	}
-	ways := 8
-	sets := entries / ways
-	if sets == 0 {
-		sets, ways = 1, entries
-	}
-	return cache.NewIn(&dirTagPool, sets, ways, cache.NRU)
+	c.InitIn(p, entries/8, 8, cache.NRU)
 }
 
 // Name implements proto.Tracker.
@@ -160,9 +172,13 @@ func (d *Sparse) Commit(addr uint64, kind proto.ReqKind, from int, next proto.En
 	return eff
 }
 
-// ReleaseStorage implements proto.Tracker: it returns the tag array to
-// its free list; the directory is unusable afterwards.
-func (d *Sparse) ReleaseStorage() { d.tags.Release(&dirTagPool) }
+// ReleaseStorage implements proto.Tracker: it returns the tag array and
+// then the directory itself to their free lists; the directory is
+// unusable afterwards.
+func (d *Sparse) ReleaseStorage() {
+	d.tags.Release(&dirTagPool)
+	sparseList.Put(d)
+}
 
 // OnLLCVictim implements proto.Tracker. A sparse directory keeps tracking
 // independent of LLC residency, so nothing happens.

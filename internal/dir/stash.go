@@ -2,6 +2,7 @@ package dir
 
 import (
 	"tinydir/internal/cache"
+	"tinydir/internal/freelist"
 	"tinydir/internal/proto"
 )
 
@@ -21,7 +22,7 @@ import (
 // scale (see EXPERIMENTS.md).
 type Stash struct {
 	env  proto.BankEnv
-	tags *cache.Cache[proto.Entry]
+	tags cache.Cache[proto.Entry]
 
 	// untracked holds blocks whose private copies outlive their entry.
 	untracked map[uint64]bool
@@ -37,13 +38,21 @@ type Stash struct {
 	victimBuf []proto.Victim
 }
 
-// NewStash builds a Stash directory slice with the given entry count.
+// stashList holds released Stash trackers for the next machine's banks.
+var stashList freelist.List[*Stash]
+
+// NewStash builds a Stash directory slice with the given entry count, on
+// a released one when there is one (only buffer capacity carries over).
 func NewStash(entries int) *Stash {
-	return &Stash{
-		tags:      newDirTags(entries),
-		untracked: map[uint64]bool{},
-		overflow:  map[uint64]proto.Entry{},
+	d, ok := stashList.Get()
+	if !ok {
+		d = &Stash{untracked: map[uint64]bool{}, overflow: map[uint64]proto.Entry{}}
 	}
+	clear(d.untracked)
+	clear(d.overflow)
+	*d = Stash{untracked: d.untracked, overflow: d.overflow, victimBuf: d.victimBuf[:0]}
+	initTags(&d.tags, &dirTagPool, entries)
+	return d
 }
 
 // Name implements proto.Tracker.
@@ -122,9 +131,13 @@ func (d *Stash) Commit(addr uint64, kind proto.ReqKind, from int, next proto.Ent
 	return eff
 }
 
-// ReleaseStorage implements proto.Tracker: it returns the tag array to
-// its free list; the directory is unusable afterwards.
-func (d *Stash) ReleaseStorage() { d.tags.Release(&dirTagPool) }
+// ReleaseStorage implements proto.Tracker: it returns the tag array and
+// then the directory itself to their free lists; the directory is
+// unusable afterwards.
+func (d *Stash) ReleaseStorage() {
+	d.tags.Release(&dirTagPool)
+	stashList.Put(d)
+}
 
 // OnLLCVictim implements proto.Tracker.
 func (d *Stash) OnLLCVictim(l *proto.LLCLine) proto.Effects { return proto.Effects{} }

@@ -33,7 +33,7 @@ func getEntryMap(r *snapshot.Reader) map[uint64]proto.Entry {
 
 // SaveState implements proto.Tracker.
 func (d *Sparse) SaveState(w *snapshot.Writer) {
-	cache.SaveState(w, d.tags, proto.PutEntry)
+	cache.SaveState(w, &d.tags, proto.PutEntry)
 	putEntryMap(w, d.overflow)
 	w.U64(d.allocs)
 	w.U64(d.victims)
@@ -43,7 +43,7 @@ func (d *Sparse) SaveState(w *snapshot.Writer) {
 
 // LoadState implements proto.Tracker.
 func (d *Sparse) LoadState(r *snapshot.Reader) error {
-	if err := cache.LoadState(r, d.tags, proto.GetEntry); err != nil {
+	if err := cache.LoadState(r, &d.tags, proto.GetEntry); err != nil {
 		return err
 	}
 	d.overflow = getEntryMap(r)
@@ -59,7 +59,7 @@ func (s *SharedOnly) SaveState(w *snapshot.Writer) {
 	if s.skewed != nil {
 		cache.SaveSkewedState(w, s.skewed, proto.PutEntry)
 	} else {
-		cache.SaveState(w, s.setAssoc, proto.PutEntry)
+		cache.SaveState(w, &s.setAssoc, proto.PutEntry)
 	}
 	putEntryMap(w, s.unbounded)
 	w.U64(s.allocs)
@@ -72,7 +72,7 @@ func (s *SharedOnly) LoadState(r *snapshot.Reader) error {
 	if s.skewed != nil {
 		err = cache.LoadSkewedState(r, s.skewed, proto.GetEntry)
 	} else {
-		err = cache.LoadState(r, s.setAssoc, proto.GetEntry)
+		err = cache.LoadState(r, &s.setAssoc, proto.GetEntry)
 	}
 	if err != nil {
 		return err
@@ -94,7 +94,7 @@ func getMgdEntry(r *snapshot.Reader) mgdEntry {
 
 // SaveState implements proto.Tracker.
 func (d *MgD) SaveState(w *snapshot.Writer) {
-	cache.SaveState(w, d.tags, putMgdEntry)
+	cache.SaveState(w, &d.tags, putMgdEntry)
 	putEntryMap(w, d.overflow)
 	w.Int(len(d.regionOverflow))
 	for _, k := range proto.SortedAddrs(d.regionOverflow) {
@@ -109,7 +109,7 @@ func (d *MgD) SaveState(w *snapshot.Writer) {
 
 // LoadState implements proto.Tracker.
 func (d *MgD) LoadState(r *snapshot.Reader) error {
-	if err := cache.LoadState(r, d.tags, getMgdEntry); err != nil {
+	if err := cache.LoadState(r, &d.tags, getMgdEntry); err != nil {
 		return err
 	}
 	d.overflow = getEntryMap(r)
@@ -128,7 +128,7 @@ func (d *MgD) LoadState(r *snapshot.Reader) error {
 
 // SaveState implements proto.Tracker.
 func (d *Stash) SaveState(w *snapshot.Writer) {
-	cache.SaveState(w, d.tags, proto.PutEntry)
+	cache.SaveState(w, &d.tags, proto.PutEntry)
 	w.Int(len(d.untracked))
 	for _, k := range proto.SortedAddrs(d.untracked) {
 		w.U64(k)
@@ -142,7 +142,7 @@ func (d *Stash) SaveState(w *snapshot.Writer) {
 
 // LoadState implements proto.Tracker.
 func (d *Stash) LoadState(r *snapshot.Reader) error {
-	if err := cache.LoadState(r, d.tags, proto.GetEntry); err != nil {
+	if err := cache.LoadState(r, &d.tags, proto.GetEntry); err != nil {
 		return err
 	}
 	n := r.Int()

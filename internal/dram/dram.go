@@ -11,6 +11,7 @@ package dram
 
 import (
 	"tinydir/internal/fault"
+	"tinydir/internal/freelist"
 	"tinydir/internal/obs"
 	"tinydir/internal/sim"
 )
@@ -77,18 +78,45 @@ type Memory struct {
 	FaultComp int
 }
 
-// New creates a memory system with nChannels controllers.
+// channelSlabs holds released memories' channel arrays, one list per
+// channel count (see Release).
+var channelSlabs freelist.Keyed[int, []channel]
+
+// New creates a memory system with nChannels controllers, on the channel
+// array of a released one when there is one: only the capacity of each
+// pending queue carries over.
 func New(eng *sim.Engine, nChannels int) *Memory {
 	if nChannels <= 0 {
 		panic("dram: non-positive channel count")
 	}
-	m := &Memory{eng: eng, channels: make([]channel, nChannels)}
-	for c := range m.channels {
-		for b := range m.channels[c].banks {
-			m.channels[c].banks[b].openRow = -1
+	chs, ok := channelSlabs.List(nChannels).Get()
+	if !ok {
+		chs = make([]channel, nChannels)
+	}
+	m := &Memory{eng: eng, channels: chs}
+	for ci := range m.channels {
+		c := &m.channels[ci]
+		*c = channel{pending: c.pending[:0]}
+		for b := range c.banks {
+			c.banks[b].openRow = -1
 		}
 	}
 	return m
+}
+
+// Release hands the channel array, with every pending queue's grown
+// storage, to a free list for the next Memory with as many channels.
+// Requests still queued (a run cut at its event cap) are dropped. The
+// Memory must not be used afterwards.
+func (m *Memory) Release() {
+	for ci := range m.channels {
+		// Zero the whole backing array, so no completion handler of the
+		// finished machine stays reachable from the list.
+		q := m.channels[ci].pending
+		clear(q[:cap(q)])
+	}
+	channelSlabs.List(len(m.channels)).Put(m.channels)
+	m.channels = nil
 }
 
 // Channel returns the controller index that owns block address blk.

@@ -42,3 +42,27 @@ func (l *List[T]) Put(v T) {
 	l.items = append(l.items, v)
 	l.mu.Unlock()
 }
+
+// Keyed is a set of Lists, one per key, each made on first use: storage
+// that only fits a caller of the same shape (a cache geometry, a core
+// count) goes back to the list of that shape. The zero value is ready to
+// use, and it is safe for concurrent use.
+type Keyed[K comparable, T any] struct {
+	mu    sync.Mutex
+	lists map[K]*List[T]
+}
+
+// List returns k's list, making it on first use.
+func (m *Keyed[K, T]) List(k K) *List[T] {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	l := m.lists[k]
+	if l == nil {
+		if m.lists == nil {
+			m.lists = make(map[K]*List[T])
+		}
+		l = new(List[T])
+		m.lists[k] = l
+	}
+	return l
+}

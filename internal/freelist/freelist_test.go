@@ -74,3 +74,16 @@ func TestConcurrentUse(t *testing.T) {
 		t.Fatalf("got %d entries back, want %d", len(seen), workers*each)
 	}
 }
+
+// TestKeyedSeparatesKeys: an entry put under one key is found only under
+// that key.
+func TestKeyedSeparatesKeys(t *testing.T) {
+	var k Keyed[int, string]
+	k.List(8).Put("eight")
+	if _, ok := k.List(16).Get(); ok {
+		t.Fatal("key 16 found an entry put under key 8")
+	}
+	if v, ok := k.List(8).Get(); !ok || v != "eight" {
+		t.Fatalf("List(8).Get = %q, %v; want eight, true", v, ok)
+	}
+}

@@ -251,8 +251,9 @@ type Tracker interface {
 	// LoadState restores state written by SaveState into a tracker that
 	// was constructed with the identical configuration.
 	LoadState(r *snapshot.Reader) error
-	// ReleaseStorage hands reusable storage (tag arrays) back for the
-	// next machine once this one is finished; the tracker is unusable
-	// afterwards. Trackers with nothing to hand back do nothing.
+	// ReleaseStorage hands the tracker, with its reusable storage (tag
+	// arrays, buffers), back for the next machine's banks once this one
+	// is finished; the tracker is unusable afterwards, and a second call
+	// would hand it to two machines.
 	ReleaseStorage()
 }

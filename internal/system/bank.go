@@ -6,7 +6,6 @@ import (
 	"tinydir/internal/bitvec"
 	"tinydir/internal/blockmap"
 	"tinydir/internal/cache"
-	"tinydir/internal/freelist"
 	"tinydir/internal/mesh"
 	"tinydir/internal/proto"
 	"tinydir/internal/sim"
@@ -53,7 +52,7 @@ type bankNode struct {
 	id      int
 	llc     proto.LLC
 	tracker proto.Tracker
-	*bankScratch
+	bankScratch
 
 	// Fault-mode duplicate suppression (nil when faults are off): the
 	// highest request / evict-notice sequence number observed per core,
@@ -67,9 +66,10 @@ type bankNode struct {
 }
 
 // bankScratch is a bank's per-run working storage: tables that start
-// every run empty and grow with its footprint. Finished machines return
-// it to scratchList (System.ReleaseStorage), so a sweep's next machine
-// starts with grown tables instead of regrowing them from nil.
+// every run empty and grow with its footprint. It is the part of a bank
+// that init carries over when a released machine's banks slab is reused,
+// so a sweep's next machine starts with grown tables instead of
+// regrowing them from nil.
 type bankScratch struct {
 	// busy maps block addresses to their in-flight transactions. It is
 	// probed on every message arrival and holds a handful of entries.
@@ -80,18 +80,10 @@ type bankScratch struct {
 	holdersBuf []int
 }
 
-// scratchList holds released banks' scratch, reset to the empty state a
-// fresh bankScratch has (see releaseScratch). It holds pointers, so the
-// banks slab a machine allocates stays small.
-var scratchList freelist.List[*bankScratch]
-
-// init sets up b, a zero bankNode in its System's slab, as bank id.
+// init sets up b, a bank of its System's slab that is either zero or
+// emptied by release, as bank id. Only the scratch carries over.
 func (b *bankNode) init(sys *System, id int) {
-	sc, ok := scratchList.Get()
-	if !ok {
-		sc = &bankScratch{}
-	}
-	b.sys, b.id, b.bankScratch = sys, id, sc
+	*b = bankNode{sys: sys, id: id, bankScratch: b.bankScratch}
 	b.llc.InitIn(&llcPool, sys.cfg.LLCSets, sys.cfg.LLCWays, cache.LRU)
 	if sys.flt != nil {
 		b.reqSeen = make([]int32, sys.cfg.Cores)
@@ -140,15 +132,15 @@ func (b *bankNode) freeTxn(t *txn) {
 	b.freeTxns = append(b.freeTxns, t)
 }
 
-// releaseScratch resets the bank's scratch and hands it to scratchList.
-// A reset busy map behaves exactly like a fresh one. Transactions still
-// busy (a run cut short by its event cap) are dropped, not recycled;
-// pooled records are already zeroed.
-func (b *bankNode) releaseScratch() {
-	sc := b.bankScratch
-	b.bankScratch = nil
-	sc.busy.Reset()
-	scratchList.Put(sc)
+// release hands the bank's LLC and tracker storage to their free lists
+// and empties its scratch in place for the next machine built on this
+// slab. A reset busy map behaves exactly like a fresh one. Transactions
+// still busy (a run cut short by its event cap) are dropped, not
+// recycled; pooled records are already zeroed.
+func (b *bankNode) release() {
+	b.llc.Release(&llcPool)
+	b.tracker.ReleaseStorage()
+	b.busy.Reset()
 }
 
 // bankEnv adapts bankNode to proto.BankEnv.

@@ -120,14 +120,27 @@ type evictEntry struct {
 	xmits uint8
 }
 
-// init sets up c, a zero coreNode in its System's slab, as core id
-// replaying refs.
+// init sets up c, a core of its System's slab that is either zero or
+// emptied by release, as core id replaying refs. Only the storage of the
+// address tables carries over.
 func (c *coreNode) init(sys *System, id int, refs []trace.Ref) {
 	cfg := sys.cfg
-	c.sys, c.id, c.refs = sys, id, refs
+	*c = coreNode{sys: sys, id: id, refs: refs,
+		evictBuf: c.evictBuf, pendingFwd: c.pendingFwd, pendingInvs: c.pendingInvs}
 	c.l1i.InitIn(&privPool, cfg.L1Sets, cfg.L1Ways, cache.LRU)
 	c.l1d.InitIn(&privPool, cfg.L1Sets, cfg.L1Ways, cache.LRU)
 	c.l2.InitIn(&privPool, cfg.L2Sets, cfg.L2Ways, cache.LRU)
+}
+
+// release hands the core's cache storage to its free list and empties
+// its address tables in place for the next machine built on this slab.
+func (c *coreNode) release() {
+	c.l1i.Release(&privPool)
+	c.l1d.Release(&privPool)
+	c.l2.Release(&privPool)
+	c.evictBuf.Reset()
+	c.pendingFwd.Reset()
+	c.pendingInvs.Reset()
 }
 
 // step replays trace references. Private-cache hits are batched inside a

@@ -110,6 +110,7 @@ func (s *System) handlerByID(id uint64) (sim.Handler, error) {
 // Save serializes the complete machine state to out. It must be called
 // between events (e.g. after RunEvents returns), never from inside one.
 func (s *System) Save(out io.Writer) error {
+	s.mustLive("Save")
 	w := snapshot.NewWriter(snapshot.FormatVersion, s.StateDigest())
 
 	w.Section(secEngine)
@@ -207,6 +208,7 @@ func (s *System) Save(out io.Writer) error {
 // produced it (verified via the context digest). After Restore, Complete
 // continues the run exactly where Save left off.
 func (s *System) Restore(in io.Reader) error {
+	s.mustLive("Restore")
 	r, err := snapshot.NewReader(in)
 	if err != nil {
 		return err

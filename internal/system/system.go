@@ -8,6 +8,7 @@ import (
 	"tinydir/internal/cache"
 	"tinydir/internal/dram"
 	"tinydir/internal/fault"
+	"tinydir/internal/freelist"
 	"tinydir/internal/mesh"
 	"tinydir/internal/obs"
 	"tinydir/internal/proto"
@@ -24,6 +25,16 @@ var (
 	privPool cache.Pool[privMeta]
 	llcPool  cache.Pool[proto.LLCMeta]
 )
+
+// nodeSlabs holds released machines' node slabs, one list per core count:
+// System.ReleaseStorage empties every node in place, and New builds the
+// next machine's nodes on them.
+var nodeSlabs freelist.Keyed[int, nodeSlab]
+
+type nodeSlab struct {
+	cores []coreNode
+	banks []bankNode
+}
 
 // System is one fully-wired simulated machine.
 type System struct {
@@ -82,16 +93,21 @@ func New(cfg Config, traces [][]trace.Ref) *System {
 		s.mem.FaultComp = 2 * cfg.Cores
 	}
 	// Memory controllers sit on evenly spaced tiles.
-	for ch := 0; ch < cfg.MemChannels; ch++ {
-		s.memTiles = append(s.memTiles, ch*(cfg.Cores/cfg.MemChannels))
+	s.memTiles = make([]int, cfg.MemChannels)
+	for ch := range s.memTiles {
+		s.memTiles[ch] = ch * (cfg.Cores / cfg.MemChannels)
 	}
-	// Nodes are built in place: trackers and event handlers keep
-	// pointers into these slabs, which therefore never grow.
-	s.banks = make([]bankNode, cfg.Cores)
+	// Nodes are built in place, on a released machine's slabs when there
+	// are some: trackers and event handlers keep pointers into these
+	// slabs, which therefore never grow.
+	slab, ok := nodeSlabs.List(cfg.Cores).Get()
+	if !ok {
+		slab = nodeSlab{cores: make([]coreNode, cfg.Cores), banks: make([]bankNode, cfg.Cores)}
+	}
+	s.cores, s.banks = slab.cores, slab.banks
 	for i := range s.banks {
 		s.banks[i].init(s, i)
 	}
-	s.cores = make([]coreNode, cfg.Cores)
 	for i := range s.cores {
 		s.cores[i].init(s, i, traces[i])
 	}
@@ -226,30 +242,29 @@ func (s *System) Complete(maxEvents uint64) Metrics {
 }
 
 // ReleaseStorage hands the machine's reusable storage to process-wide
-// free lists for the next System built in this process: the cache and
-// tracker tag slabs, every bank's scratch (busy map, transaction records,
-// holder buffer) and the engine's event queue (kept if events are still
-// pending). Call it only when the machine is finished and will not
-// be touched again: metrics extracted, end-state checks done, no pending
+// free lists for the next System built in this process: the cache slabs,
+// the trackers with their tag slabs, the DRAM channels with their
+// queues, the core and bank slabs with their address tables (eviction
+// buffers, deferred messages, busy maps, transaction records, holder
+// buffers) and the engine's event queue (kept if events are still
+// pending). Call it only when the machine is finished and will not be
+// touched again: metrics extracted, end-state checks done, no pending
 // Save. Reuse cannot change results, because each structure is reset to
-// exactly its freshly built state. Afterwards only Metrics may be called;
-// the end-state checks and DumpStall panic, since the storage they would
-// read may already hold another run's state.
+// exactly its freshly built state. Afterwards only Metrics may be
+// called; the end-state checks, DumpStall and Save panic, since the storage
+// they would read may already hold another run's state.
 func (s *System) ReleaseStorage() {
 	s.mustLive("ReleaseStorage")
 	s.released = true
 	for i := range s.cores {
-		c := &s.cores[i]
-		c.l1i.Release(&privPool)
-		c.l1d.Release(&privPool)
-		c.l2.Release(&privPool)
+		s.cores[i].release()
 	}
 	for i := range s.banks {
-		b := &s.banks[i]
-		b.llc.Release(&llcPool)
-		b.tracker.ReleaseStorage()
-		b.releaseScratch()
+		s.banks[i].release()
 	}
+	nodeSlabs.List(len(s.cores)).Put(nodeSlab{cores: s.cores, banks: s.banks})
+	s.cores, s.banks = nil, nil
+	s.mem.Release()
 	s.eng.Release()
 }
 

@@ -1,6 +1,8 @@
 package system
 
 import (
+	"io"
+	"reflect"
 	"testing"
 
 	"tinydir/internal/core"
@@ -229,7 +231,7 @@ func min(a, b int) int {
 // TestEndStateChecksNeedALiveMachine: the end-state checks read the
 // private caches. On a finished but unreleased machine they see its lines
 // (a planted ownership mismatch is reported); once ReleaseStorage has
-// handed the storage to the next run, they and DumpStall panic instead of
+// handed the storage to the next run, they, DumpStall and Save panic instead of
 // passing over emptied (or reused) caches.
 func TestEndStateChecksNeedALiveMachine(t *testing.T) {
 	cfg := sparseCfg(8, 2.0)
@@ -264,6 +266,7 @@ func TestEndStateChecksNeedALiveMachine(t *testing.T) {
 		"CheckExactSharers": func() { sys.CheckExactSharers() },
 		"DumpStall":         func() { sys.DumpStall() },
 		"ReleaseStorage":    func() { sys.ReleaseStorage() },
+		"Save":              func() { sys.Save(io.Discard) },
 	} {
 		func() {
 			defer func() {
@@ -273,5 +276,45 @@ func TestEndStateChecksNeedALiveMachine(t *testing.T) {
 			}()
 			fn()
 		}()
+	}
+}
+
+// TestReleaseMidRun: a machine released with transactions, eviction
+// notices and DRAM requests still in flight (a run cut at its event cap)
+// leaves none of them to the next machine built on its storage, which
+// must run exactly like one built before it.
+func TestReleaseMidRun(t *testing.T) {
+	cfg := sparseCfg(8, 0.5)
+	traces := testTraces(8, 2000, "barnes")
+	// A stale busy block NACKs its requesters forever, so runs are capped.
+	const maxEvents = 10_000_000
+	want := New(cfg, traces).Run(maxEvents)
+
+	cut := New(cfg, traces)
+	cut.Start()
+	inFlight := func() (busy, evicting, queued bool) {
+		for i := range cut.banks {
+			busy = busy || cut.banks[i].busy.Len() > 0
+		}
+		for i := range cut.cores {
+			evicting = evicting || cut.cores[i].evictBuf.Len() > 0
+		}
+		for _, ch := range cut.mem.SaveState().Channels {
+			queued = queued || len(ch.Pending) > 0
+		}
+		return
+	}
+	for {
+		if cut.RunEvents(50) == 0 {
+			t.Fatal("run drained before busy blocks, eviction notices and DRAM requests were in flight together")
+		}
+		if busy, evicting, queued := inFlight(); busy && evicting && queued {
+			break
+		}
+	}
+	cut.ReleaseStorage()
+
+	if got := New(cfg, traces).Run(maxEvents); !reflect.DeepEqual(got, want) {
+		t.Fatalf("machine built on a mid-run release differs:\n got %+v\nwant %+v", got, want)
 	}
 }

@@ -36,7 +36,11 @@ package trace
 //     page tables). Invariant: the shared OS range is never written, and
 //     private footprints stay core-disjoint.
 
-import "fmt"
+import (
+	"fmt"
+
+	"tinydir/internal/bitvec"
+)
 
 // The family names accepted in Profile.Family.
 const (
@@ -471,7 +475,9 @@ func (g *Gen) familyTrace(id, n int, refs []Ref) []Ref {
 // a line is falsely shared when at least two cores touched it, at least
 // one of them wrote, and their claimed byte ranges do not overlap (which
 // the generator guarantees, and the detector verifies rather than
-// assumes).
+// assumes). Each line's set of touching cores is an inline bitvec.Vec,
+// so the traces may come from at most bitvec.MaxBits cores, the
+// simulator's limit.
 func (g *Gen) measure(traces [][]Ref) map[string]uint64 {
 	if g.p.Family != FamilyFalseSharing {
 		return nil
@@ -482,23 +488,22 @@ func (g *Gen) measure(traces [][]Ref) map[string]uint64 {
 		physLine[g.phys(v)] = l
 	}
 	type census struct {
-		cores  map[int]bool
+		cores  bitvec.Vec
 		refs   uint64
 		stores uint64
 	}
-	lines := map[int]*census{}
+	lines := make([]census, len(f.fsLineV))
+	for l := range lines {
+		lines[l].cores = bitvec.New(len(traces))
+	}
 	for c, refs := range traces {
 		for _, r := range refs {
 			l, ok := physLine[r.Addr]
 			if !ok {
 				continue
 			}
-			cs := lines[l]
-			if cs == nil {
-				cs = &census{cores: map[int]bool{}}
-				lines[l] = cs
-			}
-			cs.cores[c] = true
+			cs := &lines[l]
+			cs.cores.Set(c)
 			cs.refs++
 			if r.Kind == Store {
 				cs.stores++
@@ -506,9 +511,13 @@ func (g *Gen) measure(traces [][]Ref) map[string]uint64 {
 		}
 	}
 	var touched, shared, falsely, fsRefs, fsStores uint64
-	for l, cs := range lines {
+	for l := range lines {
+		cs := &lines[l]
+		if cs.refs == 0 {
+			continue
+		}
 		touched++
-		if len(cs.cores) < 2 {
+		if cs.cores.Count() < 2 {
 			continue
 		}
 		shared++
@@ -534,10 +543,10 @@ func (g *Gen) measure(traces [][]Ref) map[string]uint64 {
 // fsBytesOverlap reports whether any two of the given cores claim
 // overlapping byte ranges within line l. The generator's disjoint
 // assignment makes this false; the detector checks anyway.
-func fsBytesOverlap(f *famTables, l int, cores map[int]bool) bool {
+func fsBytesOverlap(f *famTables, l int, cores bitvec.Vec) bool {
 	var used [lineBytes]bool
 	for j, c := range f.fsMembers[l] {
-		if !cores[c] {
+		if !cores.Test(c) {
 			continue
 		}
 		for b := j * f.fsSpan; b < (j+1)*f.fsSpan; b++ {

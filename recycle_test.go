@@ -4,11 +4,13 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"os"
 	"os/exec"
 	"runtime"
 	"runtime/debug"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 )
@@ -33,6 +35,12 @@ func recycleCases() []recycleCase {
 		return func() Options { return Options{App: App(app), Scheme: sch, Scale: sc} }
 	}
 	small := Scale{Name: "short16", Cores: 16, Refs: 64}
+	// mid gives every tracker kind enough references per bank to leave
+	// state (entries, spills, overflow and unbounded maps) behind for the
+	// next run on its storage.
+	mid := Scale{Name: "mid32", Cores: 32, Refs: 400}
+	fixedGen := TinyDirectory(1.0/64, true, false)
+	fixedGen.FixedGenLen = 4
 	return []recycleCase{
 		{name: "sparse", mk: plain("barnes", SparseDirectory(2), recycleScale)},
 		{name: "tiny", mk: plain("TPC-C", TinyDirectory(1.0/256, true, true), recycleScale)},
@@ -54,6 +62,13 @@ func recycleCases() []recycleCase {
 				Scale: Scale{Name: "long16", Cores: 16, Refs: 20000}, Timeout: time.Nanosecond}
 		}},
 		{name: "sparse-small", mk: plain("compress", SparseDirectory(1.0/16), recycleScale)},
+		{name: "sparse-format", mk: plain("SPECjbb", SparseDirectoryWithFormat(0.5, "ptr2"), mid)},
+		{name: "sharedonly", mk: plain("barnes", SharedOnlyDirectory(1.0/16, false), mid)},
+		{name: "sharedonly-skew", mk: plain("barnes", SharedOnlyDirectory(1.0/16, true), mid)},
+		{name: "mgd", mk: plain("ocean_cp", MgD(1.0/16), mid)},
+		{name: "inllc-tagext", mk: plain("TPC-C", InLLC(true), mid)},
+		{name: "tiny-fixedgen", mk: plain("falseshare", fixedGen, mid)},
+		{name: "stash-mid", mk: plain("worksteal", Stash(1.0/32), mid)},
 	}
 }
 
@@ -61,23 +76,33 @@ func recycleCases() []recycleCase {
 // the timeout run after checking that it did blow its deadline.
 func runRecycleCase(t *testing.T, c recycleCase) []byte {
 	t.Helper()
+	b, err := recycleResult(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+// recycleResult is runRecycleCase for any goroutine: it reports a failed
+// run as an error.
+func recycleResult(c recycleCase) ([]byte, error) {
 	var r Result
 	err := guard(func() { r = Run(c.mk()) })
 	if c.timeout {
 		var rp *runPanic
 		if !errors.As(err, &rp) || rp.dump == "" {
-			t.Fatalf("%s: want a wall-clock timeout with a stall dump, got %v", c.name, err)
+			return nil, fmt.Errorf("%s: want a wall-clock timeout with a stall dump, got %v", c.name, err)
 		}
-		return nil
+		return nil, nil
 	}
 	if err != nil {
-		t.Fatalf("%s: %v", c.name, err)
+		return nil, fmt.Errorf("%s: %v", c.name, err)
 	}
 	b, err := json.Marshal(r)
 	if err != nil {
-		t.Fatal(err)
+		return nil, fmt.Errorf("%s: %v", c.name, err)
 	}
-	return b
+	return b, nil
 }
 
 // recycleCaseEnv names the one case a child process of
@@ -150,12 +175,59 @@ func TestRecycledMachineIdentical(t *testing.T) {
 	}
 }
 
+// TestRecycledStorageConcurrent runs the mixed list on two goroutines at
+// once, in opposite orders, and requires every Result to equal the same
+// run made alone. A tracker, node slab or queue handed to two live
+// machines at once would mix their states; under -race the shared writes
+// are reported as well.
+func TestRecycledStorageConcurrent(t *testing.T) {
+	cases := recycleCases()
+	want := make([][]byte, len(cases))
+	for i, c := range cases {
+		want[i] = runRecycleCase(t, c)
+	}
+	var got [2][][]byte
+	var errs [2]error
+	var wg sync.WaitGroup
+	for g := range got {
+		got[g] = make([][]byte, len(cases))
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for k := range cases {
+				i := k
+				if g == 1 {
+					i = len(cases) - 1 - k
+				}
+				b, err := recycleResult(cases[i])
+				if err != nil {
+					errs[g] = err
+					return
+				}
+				got[g][i] = b
+			}
+		}(g)
+	}
+	wg.Wait()
+	for g := range got {
+		if errs[g] != nil {
+			t.Fatalf("goroutine %d: %v", g, errs[g])
+		}
+		for i, c := range cases {
+			if !bytes.Equal(got[g][i], want[i]) {
+				t.Fatalf("%s on goroutine %d, next to another sweep, differs from the same run alone:\n got %s\nwant %s",
+					c.name, g, got[g][i], want[i])
+			}
+		}
+	}
+}
+
 // shortRunAllocsGate is the CI bar for short 128-core runs, units as small
 // as soak and fleet units, whose cost is dominated by machine construction
-// and teardown: 0.1464 allocs/ref measured, plus about 13% (below the
-// 0.1672 a machine measured when every sparse slice made its overflow map
-// up front).
-const shortRunAllocsGate = 0.166
+// and teardown: 0.0119 allocs/ref measured, plus about 15% (0.1464 when
+// every machine still built its trackers, node slabs and DRAM queues
+// from nothing).
+const shortRunAllocsGate = 0.0137
 
 // shortRunOptions is the short 128-core unit list: the 17 applications
 // under the sparse directory at 2x, the full tiny directory at 1/256x and
@@ -185,10 +257,10 @@ func TestShortRunAllocsGate(t *testing.T) {
 		return uint64(len(opts)) * uint64(recycleScale.Cores) * uint64(recycleScale.Refs)
 	}
 	m := measureGated(hotpathCase{name: "ShortRuns128", run: pass})
-	t.Logf("%s: %.4f allocs/ref (gate %.3f), %.1f B/ref, %.1f ns/ref",
+	t.Logf("%s: %.4f allocs/ref (gate %.4f), %.1f B/ref, %.1f ns/ref",
 		m.Name, m.AllocsPerRef, shortRunAllocsGate, m.BytesPerRef, m.NsPerRef)
 	if m.AllocsPerRef > shortRunAllocsGate {
-		t.Errorf("%s allocates %.4f/ref, above the %.3f gate: short runs no longer reuse released storage",
+		t.Errorf("%s allocates %.4f/ref, above the %.4f gate: short runs no longer reuse released storage",
 			m.Name, m.AllocsPerRef, shortRunAllocsGate)
 	}
 }
@@ -199,8 +271,8 @@ func TestShortRunAllocsGate(t *testing.T) {
 // a pass over it and a pass with two collections before every unit must
 // count the same heap allocations. Filling takes two passes: a list hands
 // back its newest entry first, so in the next machine each bank gets the
-// scratch of the bank mirrored to it, and a list of odd length serves each
-// bank from the other half on the second pass. Only the runs are counted:
+// tracker (with its grown buffers) of the bank mirrored to it, and a list
+// of odd length serves each bank from the other half on the second pass. Only the runs are counted:
 // after each collection the runtime prunes its own weak-keyed tables on
 // another goroutine, which the yield lets finish first.
 func TestCollectionsKeepRecycledStorage(t *testing.T) {
