@@ -239,10 +239,10 @@ func main() {
 	suite.Obs = obsCfg
 	suite.ObsDir = *obsDir
 
-	// The telemetry registry backs /metrics and the dashboard's store
-	// panel. It only exists when something can serve it — without -http
-	// every instrument stays nil and the hot paths run the identical
-	// off-state instruction stream.
+	// The telemetry registry backs /metrics and the dashboard. It only
+	// exists when something can serve it — without -http every
+	// instrument stays nil and the hot paths run the identical off-state
+	// instruction stream.
 	var reg *telemetry.Registry
 	if *httpAddr != "" {
 		reg = telemetry.NewRegistry()
@@ -278,14 +278,9 @@ func main() {
 			fmt.Fprintln(os.Stderr, "experiments: http:", err)
 			os.Exit(1)
 		}
-		mon := suite.Monitor()
-		tinydir.RegisterSweepMetrics(reg, mon)
+		tinydir.RegisterSweepMetrics(reg, suite.Monitor())
 		http.Handle("/metrics", reg.Handler())
-		dash := &tinydir.Dashboard{Reporter: mon, ObsDir: *obsDir, Registry: reg}
-		if svc != nil {
-			dash.Fleet = func() interface{} { return svc.Coord.Status() }
-		}
-		dash.Register(http.DefaultServeMux)
+		(&tinydir.Dashboard{Registry: reg, ObsDir: *obsDir}).Register(http.DefaultServeMux)
 		go func() {
 			// DefaultServeMux already carries expvar's /debug/vars and
 			// pprof's /debug/pprof from their imports.

@@ -1,11 +1,11 @@
 package tinydir
 
 // HTTP-surface tests for the dashboard (TestDashboard in
-// distributed_test.go covers the happy path): status JSON shape with
-// and without a fleet, the store-health panel, traversal hardening on
-// the obs file route (including encoded separators, which only a raw
-// request can exercise — net/http cleans paths before ServeMux routing),
-// and the root handler 404ing everything but /.
+// distributed_test.go covers the happy path): the status JSON shape,
+// traversal hardening on the obs file route (including encoded
+// separators, which only a raw request can exercise — net/http cleans
+// paths before ServeMux routing), and the root handler 404ing
+// everything but /.
 
 import (
 	"bufio"
@@ -16,90 +16,51 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
-	"tinydir/internal/runstore"
 	"tinydir/internal/telemetry"
 )
 
-// TestDashboardStatusShape pins the /dash/status JSON keys: Fleet and
-// the store panel appear exactly when wired, never otherwise.
+// TestDashboardStatusShape pins the /dash/status JSON: exactly the
+// keys Series and Obs, with Series the registry's own snapshot for a
+// registry carrying a counter, a gauge and a histogram.
 func TestDashboardStatusShape(t *testing.T) {
-	fetch := func(d *Dashboard) map[string]json.RawMessage {
-		mux := http.NewServeMux()
-		d.Register(mux)
-		srv := httptest.NewServer(mux)
-		defer srv.Close()
-		resp, err := http.Get(srv.URL + "/dash/status")
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		if ct := resp.Header.Get("Content-Type"); ct != "application/json" {
-			t.Fatalf("content type %q", ct)
-		}
-		var m map[string]json.RawMessage
-		if err := json.NewDecoder(resp.Body).Decode(&m); err != nil {
-			t.Fatal(err)
-		}
-		return m
-	}
-
-	// Local sweep: no fleet, no store panel.
-	local := fetch(&Dashboard{Reporter: NewReporter(nil)})
-	if _, ok := local["Sweep"]; !ok {
-		t.Fatal("status missing Sweep")
-	}
-	for _, key := range []string{"Fleet", "Store", "Caches"} {
-		if _, ok := local[key]; ok {
-			t.Errorf("local status unexpectedly carries %s", key)
-		}
-	}
-
-	// Distributed sweep with telemetry: fleet and store rows present.
 	reg := telemetry.NewRegistry()
-	mem := &memStoreBackend{m: map[string][]byte{}}
-	b := runstore.NewMetrics(reg).Instrument(runstore.NewLRU(mem, 1<<20), "lru")
-	b.Put("results", "k", []byte("v"), false)
-	b.Get("results", "k")
-	dist := fetch(&Dashboard{
-		Reporter: NewReporter(nil),
-		Fleet:    func() interface{} { return map[string]int{"Pending": 2} },
-		Registry: reg,
-	})
-	if _, ok := dist["Fleet"]; !ok {
-		t.Fatal("distributed status missing Fleet")
+	reg.Counter("runstore_op_errors_total", "errors", "backend", "dir", "op", "get").Inc()
+	reg.GaugeFunc("sweepd_queue_depth", "pending", func() float64 { return 2 })
+	h := reg.Hist("runstore_op_duration_us", "latency", "backend", "dir", "op", "get")
+	for _, v := range []uint64{3, 40, 500} {
+		h.Observe(v)
 	}
-	var ops []storeOpHealth
-	if err := json.Unmarshal(dist["Store"], &ops); err != nil || len(ops) == 0 {
-		t.Fatalf("store panel rows: %v (%s)", err, dist["Store"])
-	}
-	var caches []storeCacheHealth
-	if err := json.Unmarshal(dist["Caches"], &caches); err != nil || len(caches) != 1 {
-		t.Fatalf("cache panel rows: %v (%s)", err, dist["Caches"])
-	}
-	if caches[0].Backend != "lru" || caches[0].HitRate != 1 {
-		t.Fatalf("cache row: %+v", caches[0])
-	}
-}
+	mux := http.NewServeMux()
+	(&Dashboard{Registry: reg}).Register(mux)
+	srv := httptest.NewServer(mux)
+	defer srv.Close()
 
-// memStoreBackend is a minimal in-memory backend for dashboard tests.
-type memStoreBackend struct{ m map[string][]byte }
-
-func (b *memStoreBackend) Get(kind, key string) ([]byte, bool, error) {
-	v, ok := b.m[kind+"/"+key]
-	return v, ok, nil
+	resp, err := http.Get(srv.URL + "/dash/status")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if ct := resp.Header.Get("Content-Type"); ct != "application/json" {
+		t.Fatalf("content type %q", ct)
+	}
+	var m map[string]json.RawMessage
+	if err := json.NewDecoder(resp.Body).Decode(&m); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := m["Obs"]; !ok || len(m) != 2 {
+		t.Fatalf("status keys %v, want exactly Series and Obs", m)
+	}
+	var series []telemetry.SeriesSnapshot
+	if err := json.Unmarshal(m["Series"], &series); err != nil {
+		t.Fatal(err)
+	}
+	if want := reg.Snapshot(); len(want) != 3 || !reflect.DeepEqual(series, want) {
+		t.Fatalf("Series is not the registry snapshot:\n got %+v\nwant %+v", series, want)
+	}
 }
-func (b *memStoreBackend) Put(kind, key string, data []byte, replace bool) error {
-	b.m[kind+"/"+key] = data
-	return nil
-}
-func (b *memStoreBackend) Stat(kind, key string) (runstore.Info, bool, error) {
-	v, ok := b.m[kind+"/"+key]
-	return runstore.Info{Key: key, Size: int64(len(v))}, ok, nil
-}
-func (b *memStoreBackend) Keys(kind string) ([]runstore.Info, error) { return nil, nil }
-func (b *memStoreBackend) Delete(kind, key string) error             { delete(b.m, kind+"/"+key); return nil }
 
 // TestDashboardObsTraversalRaw sends uncleaned request targets straight
 // over the socket — the only way to exercise encoded dots and slashes,

@@ -29,7 +29,6 @@ import (
 
 	"tinydir/internal/runstore"
 	"tinydir/internal/sweepd"
-	"tinydir/internal/telemetry"
 )
 
 // wireOptions is the JSON form of Options shipped to workers. Obs is
@@ -190,11 +189,6 @@ type WorkerConfig struct {
 	// RunTimeout bounds each unit's wall clock like Suite.RunTimeout;
 	// a blown deadline is reported as the unit's failure.
 	RunTimeout time.Duration
-	// Registry, when set, additionally registers the worker's own
-	// claim/exec/report latency series (worker_*) and its store backend
-	// series (backend=http/lru) on it. The self-telemetry report pushed
-	// to the coordinator does not need a registry.
-	Registry *telemetry.Registry
 }
 
 // RunSweepWorker joins a coordinator's fleet and executes claimed units
@@ -214,22 +208,21 @@ func RunSweepWorker(ctx context.Context, cfg WorkerConfig) error {
 		}
 		cfg.Name = fmt.Sprintf("%s-%d", host, os.Getpid())
 	}
-	sm := runstore.NewMetrics(cfg.Registry) // nil Registry -> identity Instrument
-	var backend runstore.Backend = sm.Instrument(runstore.NewClient(cfg.Coordinator+"/store"), "http")
+	var backend runstore.Backend = runstore.NewClient(cfg.Coordinator + "/store")
 	// The worker always carries self-telemetry: its report rides the
 	// claim/heartbeat requests it makes anyway, giving the coordinator's
 	// fleet-health table per-worker latencies without scraping workers.
-	tel := sweepd.NewWorkerTelemetry(cfg.Registry)
+	tel := sweepd.NewWorkerTelemetry()
 	if cfg.CacheBytes > 0 {
 		lru := runstore.NewLRU(backend, cfg.CacheBytes)
-		tel.StoreStats = func() (uint64, uint64) { h, m, _ := lru.Counters(); return h, m }
-		backend = sm.Instrument(lru, "lru")
+		tel.StoreStats = lru.Counters
+		backend = lru
 	}
 	// The integrity layer sits outermost so the worker seals what it
-	// writes and even locally-cached bytes verify on every read; its
-	// warnings and counters (runstore_integrity_*) flag a corrupt shared
-	// store from whichever worker trips over it first.
-	store := NewRunStoreWithBackend(sm.Instrument(runstore.NewVerified(backend), "verified"))
+	// writes and even locally-cached bytes verify on every read. A
+	// corrupt entry it trips over is logged at warn, and its quarantine
+	// copy lands in the coordinator's store for post-mortem.
+	store := NewRunStoreWithBackend(runstore.NewVerified(backend))
 	// Units run exactly as a local sweep's runs do: through Suite.attempt,
 	// under the panic guard and the deadline, with resume semantics (an
 	// already-stored result is served, not re-simulated: exact dedup is

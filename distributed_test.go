@@ -10,6 +10,8 @@ import (
 	"path/filepath"
 	"testing"
 	"time"
+
+	"tinydir/internal/telemetry"
 )
 
 // TestDistributedSweepByteIdentical is the acceptance bar end to end: a
@@ -201,8 +203,9 @@ func TestWireOptionsRoundTrip(t *testing.T) {
 	}
 }
 
-// TestDashboard: the status feed carries the reporter snapshot and obs
-// listing; the obs file route refuses anything but listed epoch CSVs.
+// TestDashboard: the status feed carries the reporter's tinydir_sweep_*
+// series and the obs listing; the obs file route refuses anything but
+// listed epoch CSVs.
 func TestDashboard(t *testing.T) {
 	obsDir := t.TempDir()
 	if err := os.WriteFile(filepath.Join(obsDir, "run1.epochs.csv"), []byte("cycle,ipc\n1,0.5\n"), 0o644); err != nil {
@@ -213,11 +216,13 @@ func TestDashboard(t *testing.T) {
 	}
 	rep := NewReporter(nil)
 	rep.addPlanned(3)
-	rep.runStarted("barnes", "tiny", nil)
+	rep.runStarted("barnes", "tiny")
 	rep.runDone("barnes", "tiny", true, time.Millisecond)
+	reg := telemetry.NewRegistry()
+	RegisterSweepMetrics(reg, rep)
 
 	mux := http.NewServeMux()
-	d := &Dashboard{Reporter: rep, ObsDir: obsDir}
+	d := &Dashboard{Registry: reg, ObsDir: obsDir}
 	d.Register(mux)
 	srv := httptest.NewServer(mux)
 	defer srv.Close()
@@ -227,15 +232,19 @@ func TestDashboard(t *testing.T) {
 		t.Fatal(err)
 	}
 	var st struct {
-		Sweep SweepStatus
-		Obs   []string
+		Series []telemetry.SeriesSnapshot
+		Obs    []string
 	}
 	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
-	if st.Sweep.Planned != 3 || st.Sweep.Done != 1 {
-		t.Fatalf("status sweep: %+v", st.Sweep)
+	sweep := map[string]float64{}
+	for _, s := range st.Series {
+		sweep[s.Name] = s.Value
+	}
+	if sweep["tinydir_sweep_planned"] != 3 || sweep["tinydir_sweep_done"] != 1 {
+		t.Fatalf("status sweep series: %v", sweep)
 	}
 	if len(st.Obs) != 1 || st.Obs[0] != "run1.epochs.csv" {
 		t.Fatalf("status obs listing: %v", st.Obs)

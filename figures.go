@@ -145,7 +145,6 @@ type DispatchFunc func(o Options) (r Result, simulated bool, err error)
 type suiteShared struct {
 	mu        sync.Mutex
 	cache     map[string]Result
-	runs      int // simulations actually executed (store-served results excluded)
 	planning  bool
 	planned   map[string]bool
 	plan      []plannedRun
@@ -237,12 +236,9 @@ func (s *Suite) run(app Profile, scheme Scheme) Result {
 
 // cacheRun runs p through executeRun and caches the result under its key.
 func (s *Suite) cacheRun(p plannedRun) Result {
-	r, simulated := s.executeRun(p.opts)
+	r := s.executeRun(p.opts)
 	s.sh.mu.Lock()
 	s.sh.cache[p.key] = r
-	if simulated {
-		s.sh.runs++
-	}
 	s.sh.mu.Unlock()
 	return r
 }
@@ -286,11 +282,10 @@ func (s *Suite) prefetch(plan []plannedRun) {
 
 // Runs returns the number of simulations actually executed so far.
 // Results served from a Store under Resume are not counted — they cost no
-// simulation.
+// simulation — and neither are quarantined failures.
 func (s *Suite) Runs() int {
-	s.sh.mu.Lock()
-	defer s.sh.mu.Unlock()
-	return s.sh.runs
+	st := s.Monitor().Snapshot()
+	return st.Done - st.Served - st.Failed
 }
 
 // Failures returns the runs quarantined so far, in the order they failed.

@@ -3,8 +3,6 @@ package obs
 import (
 	"fmt"
 	"io"
-	"math"
-	"sync/atomic"
 )
 
 // DefaultEpochCap bounds the in-memory epoch ring: at the default interval
@@ -66,9 +64,8 @@ func (s *EpochSample) isZero() bool {
 }
 
 // EpochSampler turns cumulative counter snapshots into a bounded ring of
-// per-epoch deltas. Observe runs on the simulation goroutine; LatestIPC is
-// the only method safe to call concurrently (it reads one atomic), feeding
-// the live sweep monitor.
+// per-epoch deltas. Like the rest of a Recorder it belongs to the one
+// simulation goroutine.
 type EpochSampler struct {
 	Interval uint64 // cycles per epoch
 	Dropped  uint64 // epochs evicted from a full ring
@@ -78,8 +75,6 @@ type EpochSampler struct {
 	n     int // samples currently in the ring
 	prev  EpochSample
 	count uint64 // epochs observed, including dropped
-
-	latestIPC atomic.Uint64 // math.Float64bits of the last epoch's IPC
 }
 
 // newEpochSampler makes a sampler whose ring holds cap epochs.
@@ -100,7 +95,6 @@ func (e *EpochSampler) Observe(cum EpochSample) {
 	e.prev = cum
 	d.Index = e.count
 	e.count++
-	e.latestIPC.Store(math.Float64bits(d.IPC()))
 	if e.n < cap(e.ring) {
 		e.ring = e.ring[:e.n+1]
 		e.ring[(e.head+e.n)%cap(e.ring)] = d
@@ -119,12 +113,6 @@ func (e *EpochSampler) Samples() []EpochSample {
 		out = append(out, e.ring[(e.head+i)%cap(e.ring)])
 	}
 	return out
-}
-
-// LatestIPC returns the IPC of the most recently completed epoch. Safe for
-// concurrent use with Observe.
-func (e *EpochSampler) LatestIPC() float64 {
-	return math.Float64frombits(e.latestIPC.Load())
 }
 
 // IPC is the epoch's retirement rate per core-aggregate cycle. The

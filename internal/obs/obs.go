@@ -57,8 +57,7 @@ func (c Config) Enabled() bool {
 // that piece is disabled, so hot paths test exactly the piece they feed.
 // The latency histograms are always present.
 // A Recorder belongs to one simulation: none of its methods are safe for
-// concurrent use, except the ones explicitly documented as such
-// (EpochSampler.LatestIPC, for live monitoring).
+// concurrent use.
 type Recorder struct {
 	Epochs   *EpochSampler
 	Latency  LatencyRecorder

@@ -159,9 +159,6 @@ func TestEpochSamplerDeltas(t *testing.T) {
 	if got := s[1].IPC(); got != 0.2 {
 		t.Errorf("epoch 1 IPC = %v, want 0.2", got)
 	}
-	if got := e.LatestIPC(); got != 0.2 {
-		t.Errorf("latest IPC = %v, want 0.2", got)
-	}
 }
 
 func TestEpochRingDropsOldest(t *testing.T) {

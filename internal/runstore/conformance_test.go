@@ -64,9 +64,6 @@ func conformance(t *testing.T, b Backend) {
 	if _, ok, err := b.Get(KindResults, key); ok || err != nil {
 		t.Fatalf("empty store Get: ok=%v err=%v", ok, err)
 	}
-	if _, ok, err := b.Stat(KindResults, key); ok || err != nil {
-		t.Fatalf("empty store Stat: ok=%v err=%v", ok, err)
-	}
 	if infos, err := b.Keys(KindResults); len(infos) != 0 || err != nil {
 		t.Fatalf("empty store Keys: %v err=%v", infos, err)
 	}
@@ -111,23 +108,6 @@ func conformance(t *testing.T, b Backend) {
 	}
 	if got, ok, _ := b.Get(KindResults, key); !ok || !bytes.Equal(got, other) {
 		t.Fatalf("replace did not take: %q ok=%v", got, ok)
-	}
-
-	// Stat sees the stored size (seal included under the integrity
-	// layer) and a sane mtime.
-	info, ok, err := b.Stat(KindResults, key)
-	if err != nil || !ok {
-		t.Fatalf("Stat after Put: ok=%v err=%v", ok, err)
-	}
-	size := int64(len(other))
-	if _, sealed := b.(*Verified); sealed {
-		size += int64(sealLen)
-	}
-	if info.Size != size {
-		t.Fatalf("Stat size = %d, want %d", info.Size, size)
-	}
-	if info.ModTime.IsZero() || time.Since(info.ModTime) > time.Hour {
-		t.Fatalf("Stat mtime implausible: %v", info.ModTime)
 	}
 
 	// Keys lists per kind, sorted.
@@ -263,7 +243,7 @@ func TestLRUTier(t *testing.T) {
 	if _, ok, _ := l.Get(KindResults, "k1"); !ok {
 		t.Fatal("k1 missing")
 	}
-	if h, m, _ := l.Counters(); h != 1 || m != 0 {
+	if h, m := l.Counters(); h != 1 || m != 0 {
 		t.Fatalf("after cached Get: hits=%d misses=%d", h, m)
 	}
 
@@ -275,13 +255,13 @@ func TestLRUTier(t *testing.T) {
 	if _, ok, _ := l.Get(KindResults, "k2"); !ok {
 		t.Fatal("k2 missing through tier")
 	}
-	if h, m, _ := l.Counters(); h != 1 || m != 1 {
+	if h, m := l.Counters(); h != 1 || m != 1 {
 		t.Fatalf("after read-through: hits=%d misses=%d", h, m)
 	}
 	if _, ok, _ := l.Get(KindResults, "k2"); !ok {
 		t.Fatal("k2 missing")
 	}
-	if h, _, _ := l.Counters(); h != 2 {
+	if h, _ := l.Counters(); h != 2 {
 		t.Fatal("read-through did not cache")
 	}
 
@@ -292,14 +272,14 @@ func TestLRUTier(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if s := l.Size(); s > 64 {
+	if s := l.size; s > 64 {
 		t.Fatalf("cache over budget: %d bytes", s)
 	}
-	_, m0, _ := l.Counters()
+	_, m0 := l.Counters()
 	if _, ok, _ := l.Get(KindResults, "k1"); !ok {
 		t.Fatal("k1 lost from inner store")
 	}
-	if _, m, _ := l.Counters(); m != m0+1 {
+	if _, m := l.Counters(); m != m0+1 {
 		t.Fatal("evicted k1 still served from cache")
 	}
 
@@ -308,7 +288,7 @@ func TestLRUTier(t *testing.T) {
 	if err := l.Put(KindResults, "big0", big, false); err != nil {
 		t.Fatal(err)
 	}
-	if s := l.Size(); s > 64 {
+	if s := l.size; s > 64 {
 		t.Fatalf("oversized value cached: %d bytes", s)
 	}
 

@@ -1,11 +1,10 @@
 package runstore
 
-// The HTTP blob protocol: a Backend served over four verbs, so a fleet
+// The HTTP blob protocol: a Backend served over three verbs, so a fleet
 // of workers shares one coordinator-side store with exact dedup.
 //
 //	GET    /{kind}/{key}   200 body | 404
 //	PUT    /{kind}/{key}   204 | 409 (ErrDiffers) | 400 | 500
-//	HEAD   /{kind}/{key}   200 (Content-Length, Last-Modified) | 404
 //	GET    /{kind}         200 JSON []Info (key-sorted listing)
 //	DELETE /{kind}/{key}   204 (idempotent)
 //
@@ -186,42 +185,6 @@ func (c *Client) Put(kind, key string, data []byte, replace bool) error {
 	})
 }
 
-// Stat implements Backend.
-func (c *Client) Stat(kind, key string) (Info, bool, error) {
-	if err := checkNames(kind, key); err != nil {
-		return Info{}, false, err
-	}
-	var info Info
-	var found bool
-	err := retry(func() error {
-		info, found = Info{}, false
-		resp, err := c.hc.Head(c.url(kind, key))
-		if err != nil {
-			return transient(err)
-		}
-		defer drainClose(resp.Body)
-		switch resp.StatusCode {
-		case http.StatusOK:
-			info = Info{Key: key, Size: resp.ContentLength}
-			if t, err := http.ParseTime(resp.Header.Get("Last-Modified")); err == nil {
-				info.ModTime = t
-			}
-			found = true
-			return nil
-		case http.StatusNotFound:
-			return nil
-		}
-		if resp.StatusCode >= 500 {
-			return transient(fmt.Errorf("HEAD %s/%s: %s", kind, key, resp.Status))
-		}
-		return fmt.Errorf("runstore: HEAD %s/%s: %s", kind, key, resp.Status)
-	})
-	if err != nil {
-		return Info{}, false, fmt.Errorf("runstore: %w", err)
-	}
-	return info, found, nil
-}
-
 // Keys implements Backend.
 func (c *Client) Keys(kind string) ([]Info, error) {
 	if !ValidName(kind) {
@@ -306,8 +269,8 @@ func (s *server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	switch r.Method {
-	case http.MethodGet, http.MethodHead:
-		s.get(w, r, kind, key)
+	case http.MethodGet:
+		s.get(w, kind, key)
 	case http.MethodPut:
 		s.put(w, r, kind, key)
 	case http.MethodDelete:
@@ -344,25 +307,7 @@ func (s *server) list(w http.ResponseWriter, kind string) {
 	json.NewEncoder(w).Encode(infos)
 }
 
-func (s *server) get(w http.ResponseWriter, r *http.Request, kind, key string) {
-	// HEAD uses Stat (no body fetch); GET fetches once.
-	if r.Method == http.MethodHead {
-		info, ok, err := s.b.Stat(kind, key)
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-			return
-		}
-		if !ok {
-			http.Error(w, "not found", http.StatusNotFound)
-			return
-		}
-		w.Header().Set("Content-Length", strconv.FormatInt(info.Size, 10))
-		if !info.ModTime.IsZero() {
-			w.Header().Set("Last-Modified", info.ModTime.UTC().Format(http.TimeFormat))
-		}
-		w.WriteHeader(http.StatusOK)
-		return
-	}
+func (s *server) get(w http.ResponseWriter, kind, key string) {
 	data, ok, err := s.b.Get(kind, key)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)

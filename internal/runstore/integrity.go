@@ -159,9 +159,6 @@ func (v *Verified) Put(kind, key string, data []byte, replace bool) error {
 	return v.inner.Put(kind, key, seal(data), replace)
 }
 
-// Stat implements Backend. Sizes are stored bytes, seal included.
-func (v *Verified) Stat(kind, key string) (Info, bool, error) { return v.inner.Stat(kind, key) }
-
 // Keys implements Backend. Sizes are stored bytes, seal included.
 func (v *Verified) Keys(kind string) ([]Info, error) { return v.inner.Keys(kind) }
 

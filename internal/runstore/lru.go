@@ -25,7 +25,6 @@ type LRU struct {
 	items map[string]*list.Element // composite (kind, key) -> element
 
 	hits, misses uint64 // Get answered from / past the cache
-	evictions    uint64 // entries dropped from the cold end for budget
 }
 
 type lruEntry struct {
@@ -42,20 +41,12 @@ func NewLRU(inner Backend, maxBytes int64) *LRU {
 
 func cacheKey(kind, key string) string { return kind + "/" + key }
 
-// Counters returns the cache counters. The telemetry layer
-// exports these func-backed (read at scrape time), so the Get/Put hot
-// paths are identical with telemetry on or off.
-func (l *LRU) Counters() (hits, misses, evictions uint64) {
+// Counters returns the cache's hit and miss counts, which a fleet
+// worker reports to the coordinator in its WorkerReport.
+func (l *LRU) Counters() (hits, misses uint64) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return l.hits, l.misses, l.evictions
-}
-
-// Size returns the current cached byte count.
-func (l *LRU) Size() int64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.size
+	return l.hits, l.misses
 }
 
 // Get implements Backend.
@@ -115,7 +106,6 @@ func (l *LRU) insert(ck string, data []byte) {
 		l.ll.Remove(el)
 		delete(l.items, e.ck)
 		l.size -= int64(len(e.data))
-		l.evictions++
 	}
 }
 
@@ -128,10 +118,6 @@ func (l *LRU) drop(ck string) {
 		l.size -= int64(len(el.Value.(*lruEntry).data))
 	}
 }
-
-// Stat implements Backend. Always consults the inner backend: the cache
-// has no authoritative modification times.
-func (l *LRU) Stat(kind, key string) (Info, bool, error) { return l.inner.Stat(kind, key) }
 
 // Keys implements Backend.
 func (l *LRU) Keys(kind string) ([]Info, error) { return l.inner.Keys(kind) }

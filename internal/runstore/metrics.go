@@ -1,10 +1,10 @@
 package runstore
 
 // Store-layer telemetry. Every backend can be wrapped with per-op
-// latency, byte-count and error series labeled by backend kind, and the
-// LRU tier's hit/miss/eviction counters are exported to the registry —
-// read at scrape time from the counters the LRU already keeps, so the
-// hot path is untouched.
+// latency, byte-count and error series labeled by backend kind, and a
+// Verified layer's integrity and scrub counters are exported to the
+// registry — read at scrape time from the counters it already keeps, so
+// the verify path is untouched.
 //
 // The off state is the strongest possible: Instrument on a nil *Metrics
 // returns the backend unchanged (the same interface value), so with
@@ -24,10 +24,6 @@ const (
 	metricOpDuration = "runstore_op_duration_us"
 	metricOpBytes    = "runstore_op_bytes"
 	metricOpErrors   = "runstore_op_errors_total"
-	metricCacheHits  = "runstore_cache_hits_total"
-	metricCacheMiss  = "runstore_cache_misses_total"
-	metricCacheEvict = "runstore_cache_evictions_total"
-	metricCacheBytes = "runstore_cache_bytes"
 
 	metricIntegrityVerified    = "runstore_integrity_verified_total"
 	metricIntegrityQuarantines = "runstore_integrity_quarantines_total"
@@ -70,10 +66,10 @@ func (oi opInstr) observe(start time.Time, n int, err error) {
 }
 
 // Instrument wraps b with per-op telemetry labeled backend=kind
-// (conventionally "dir", "lru", "http" or "verified"). When the backend
-// itself — not a deeper layer, which gets its own Instrument call — is
-// an LRU tier or a Verified integrity wrapper, its counters are also
-// exported, func-backed. A nil receiver returns b unchanged.
+// ("dir" or "verified"). When the backend itself — not a deeper layer,
+// which gets its own Instrument call — is a Verified integrity wrapper,
+// its counters are also exported, func-backed. A nil receiver returns b
+// unchanged.
 func (m *Metrics) Instrument(b Backend, kind string) Backend {
 	if m == nil {
 		return b
@@ -85,16 +81,12 @@ func (m *Metrics) Instrument(b Backend, kind string) Backend {
 			errs:  m.reg.Counter(metricOpErrors, "store operations that returned an error", "backend", kind, "op", name),
 		}
 	}
-	switch t := b.(type) {
-	case *LRU:
-		m.exportLRU(t, kind)
-	case *Verified:
-		m.exportVerified(t, kind)
+	if v, ok := b.(*Verified); ok {
+		m.exportVerified(v, kind)
 	}
 	return &instrumented{
 		b:   b,
-		get: op("get"), put: op("put"), stat: op("stat"),
-		keys: op("keys"), del: op("delete"),
+		get: op("get"), put: op("put"), keys: op("keys"), del: op("delete"),
 	}
 }
 
@@ -111,23 +103,10 @@ func (m *Metrics) exportVerified(v *Verified, kind string) {
 		func() uint64 { return v.Counters().ScrubQuarantined }, "backend", kind)
 }
 
-// exportLRU publishes the LRU's own counters; reads happen at scrape
-// time, so Get/Put stay byte-for-byte the uninstrumented code path.
-func (m *Metrics) exportLRU(l *LRU, kind string) {
-	m.reg.CounterFunc(metricCacheHits, "cache-tier gets answered from memory",
-		func() uint64 { h, _, _ := l.Counters(); return h }, "backend", kind)
-	m.reg.CounterFunc(metricCacheMiss, "cache-tier gets that consulted the inner backend",
-		func() uint64 { _, mi, _ := l.Counters(); return mi }, "backend", kind)
-	m.reg.CounterFunc(metricCacheEvict, "cache-tier entries evicted to hold the byte budget",
-		func() uint64 { _, _, e := l.Counters(); return e }, "backend", kind)
-	m.reg.GaugeFunc(metricCacheBytes, "cache-tier resident bytes",
-		func() float64 { return float64(l.Size()) }, "backend", kind)
-}
-
 // instrumented decorates a Backend with the per-op series.
 type instrumented struct {
-	b                         Backend
-	get, put, stat, keys, del opInstr
+	b                   Backend
+	get, put, keys, del opInstr
 }
 
 // Unwrap exposes the inner backend (tests, composition checks).
@@ -147,14 +126,6 @@ func (i *instrumented) Put(kind, key string, data []byte, replace bool) error {
 	err := i.b.Put(kind, key, data, replace)
 	i.put.observe(start, len(data), err)
 	return err
-}
-
-// Stat implements Backend.
-func (i *instrumented) Stat(kind, key string) (Info, bool, error) {
-	start := time.Now()
-	info, ok, err := i.b.Stat(kind, key)
-	i.stat.observe(start, 0, err)
-	return info, ok, err
 }
 
 // Keys implements Backend.

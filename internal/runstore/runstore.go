@@ -19,7 +19,7 @@
 //
 // Three implementations exist: Dir (a local directory), LRU (an
 // in-memory tier wrapping any backend), and Client (an
-// HTTP blob client speaking the small GET/PUT/HEAD protocol served by
+// HTTP blob client speaking the small GET/PUT/DELETE protocol served by
 // NewServer). The conformance suite in conformance_test.go runs every
 // one of them against the same contract.
 package runstore
@@ -48,7 +48,7 @@ const KindCheckpoints = "checkpoints"
 // with errors.Is.
 var ErrDiffers = errors.New("runstore: existing entry differs")
 
-// Info describes one stored entry (listing, GC, HEAD).
+// Info describes one stored entry (listing, GC).
 type Info struct {
 	Key     string
 	Size    int64
@@ -67,9 +67,6 @@ type Backend interface {
 	// bytes are an idempotent success; different existing bytes are
 	// refused with an error matching ErrDiffers unless replace is set.
 	Put(kind, key string, data []byte, replace bool) error
-	// Stat reports an entry's size and modification time without
-	// fetching it. A missing entry is (Info{}, false, nil).
-	Stat(kind, key string) (Info, bool, error)
 	// Keys lists the stored entries of one kind, sorted by key. A kind
 	// never written is an empty list, not an error.
 	Keys(kind string) ([]Info, error)
@@ -159,21 +156,6 @@ func (d *Dir) Put(kind, key string, data []byte, replace bool) error {
 		return fmt.Errorf("runstore: %w", err)
 	}
 	return writeFileAtomic(path, data)
-}
-
-// Stat implements Backend.
-func (d *Dir) Stat(kind, key string) (Info, bool, error) {
-	if err := checkNames(kind, key); err != nil {
-		return Info{}, false, err
-	}
-	fi, err := os.Stat(d.path(kind, key))
-	if errors.Is(err, os.ErrNotExist) {
-		return Info{}, false, nil
-	}
-	if err != nil {
-		return Info{}, false, fmt.Errorf("runstore: %w", err)
-	}
-	return Info{Key: key, Size: fi.Size(), ModTime: fi.ModTime()}, true, nil
 }
 
 // Keys implements Backend.

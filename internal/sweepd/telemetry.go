@@ -195,8 +195,8 @@ type WorkerReport struct {
 
 // WorkerTelemetry instruments one Worker: claim round-trip, unit
 // execution wall, and done-report round-trip histograms (microsecond
-// resolution), optionally registered on a registry as worker_* series.
-// Nil means worker telemetry off: no recording, no report pushed.
+// resolution) that feed only the pushed WorkerReport. Nil means worker
+// telemetry off: no recording, no report pushed.
 type WorkerTelemetry struct {
 	claim, exec, report *telemetry.Hist
 	units               *telemetry.Counter
@@ -205,22 +205,11 @@ type WorkerTelemetry struct {
 	StoreStats func() (hits, misses uint64)
 }
 
-// NewWorkerTelemetry builds the instrument set. With a registry the
-// series are registered (worker_claim_duration_us, worker_exec_duration_us,
-// worker_report_duration_us, worker_units_total); with nil they are
-// standalone, feeding only the pushed WorkerReport.
-func NewWorkerTelemetry(reg *telemetry.Registry) *WorkerTelemetry {
-	if reg == nil {
-		return &WorkerTelemetry{
-			claim: &telemetry.Hist{}, exec: &telemetry.Hist{}, report: &telemetry.Hist{},
-			units: &telemetry.Counter{},
-		}
-	}
+// NewWorkerTelemetry builds the instrument set.
+func NewWorkerTelemetry() *WorkerTelemetry {
 	return &WorkerTelemetry{
-		claim:  reg.Hist("worker_claim_duration_us", "claim round-trip latency"),
-		exec:   reg.Hist("worker_exec_duration_us", "unit execution wall clock"),
-		report: reg.Hist("worker_report_duration_us", "done-report round-trip latency"),
-		units:  reg.Counter("worker_units_total", "units executed by this worker"),
+		claim: &telemetry.Hist{}, exec: &telemetry.Hist{}, report: &telemetry.Hist{},
+		units: &telemetry.Counter{},
 	}
 }
 

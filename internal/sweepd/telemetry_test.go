@@ -208,7 +208,7 @@ func TestWorkerReportPropagation(t *testing.T) {
 		done <- r
 	}()
 
-	tel := NewWorkerTelemetry(nil)
+	tel := NewWorkerTelemetry()
 	tel.StoreStats = func() (uint64, uint64) { return 7, 3 }
 	w := &Worker{
 		Base: srv.URL, Name: "w-tel", Poll: 10 * time.Millisecond,

@@ -202,7 +202,7 @@ func (r *Registry) lookup(name, help string, kind Kind, labels []string) *series
 // Counter returns (registering on first use) the counter named name
 // with the given alternating label pairs, e.g.
 //
-//	reg.Counter("runstore_cache_hits_total", "…", "backend", "lru")
+//	reg.Counter("runstore_op_errors_total", "…", "backend", "dir", "op", "get")
 func (r *Registry) Counter(name, help string, labels ...string) *Counter {
 	if r == nil {
 		return nil
@@ -212,7 +212,7 @@ func (r *Registry) Counter(name, help string, labels ...string) *Counter {
 
 // CounterFunc registers a counter whose value is read from fn at
 // exposition time — the zero-overhead export path for components that
-// already keep their own counters (the runstore LRU).
+// already keep their own counters (the runstore integrity layer).
 func (r *Registry) CounterFunc(name, help string, fn func() uint64, labels ...string) {
 	if r == nil {
 		return
@@ -246,9 +246,6 @@ type SeriesSnapshot struct {
 	Value  float64
 	Hist   *HistSnapshot
 }
-
-// Label returns one label's value ("" when absent).
-func (s SeriesSnapshot) Label(key string) string { return s.Labels[key] }
 
 // Snapshot returns every series' current state, family-name then
 // label-signature sorted (the exposition order). Nil registry: nil.

@@ -153,7 +153,7 @@ func TestCounterFuncReadsLive(t *testing.T) {
 	if s := r.Snapshot(); s[0].Value != 25 {
 		t.Fatalf("func-backed counter stale: %v", s[0].Value)
 	}
-	if s := r.Snapshot(); s[0].Label("backend") != "lru" {
+	if s := r.Snapshot(); s[0].Labels["backend"] != "lru" {
 		t.Fatalf("labels: %+v", s[0].Labels)
 	}
 }

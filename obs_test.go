@@ -16,6 +16,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"tinydir/internal/telemetry"
 )
 
 // obsScale is small enough that an instrumented run takes milliseconds
@@ -227,9 +229,9 @@ func TestObsMetricsUnperturbed(t *testing.T) {
 }
 
 // TestObsRaceSmoke drives a parallel instrumented sweep while a monitor
-// goroutine polls the reporter and every active run's live IPC — the
-// exact concurrent access pattern of `experiments -j N -http ...`. Run
-// with -race in CI.
+// goroutine polls the telemetry registry the reporter feeds — the exact
+// concurrent access pattern of `experiments -j N -http ...`. Run with
+// -race in CI.
 func TestObsRaceSmoke(t *testing.T) {
 	s := NewSuite(Scale{Name: "obs-race", Cores: 8, Refs: 400})
 	s.Workers = 4
@@ -240,6 +242,8 @@ func TestObsRaceSmoke(t *testing.T) {
 	}
 	s.ObsDir = t.TempDir()
 	mon := s.Monitor()
+	reg := telemetry.NewRegistry()
+	RegisterSweepMetrics(reg, mon)
 
 	stop := make(chan struct{})
 	var polls atomic.Int64
@@ -249,10 +253,7 @@ func TestObsRaceSmoke(t *testing.T) {
 			case <-stop:
 				return
 			default:
-				st := mon.Snapshot()
-				for _, a := range st.Active {
-					_ = a.IPC
-				}
+				reg.Snapshot()
 				polls.Add(1)
 				time.Sleep(time.Millisecond)
 			}
@@ -268,8 +269,8 @@ func TestObsRaceSmoke(t *testing.T) {
 	if st.Done == 0 || st.Done != st.Planned {
 		t.Fatalf("monitor saw %d/%d runs done", st.Done, st.Planned)
 	}
-	if len(st.Active) != 0 {
-		t.Fatalf("%d runs still active after the sweep", len(st.Active))
+	if st.Running != 0 {
+		t.Fatalf("%d runs still running after the sweep", st.Running)
 	}
 	if polls.Load() == 0 {
 		t.Fatal("monitor goroutine never polled")

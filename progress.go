@@ -13,12 +13,9 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"sort"
 	"strings"
 	"sync"
 	"time"
-
-	"tinydir/internal/obs"
 )
 
 // Reporter serializes progress output and tracks sweep state. All methods
@@ -32,13 +29,13 @@ type Reporter struct {
 	done    int
 	served  int // done runs answered from the store without simulating
 	failed  int // done runs that panicked and were quarantined
-	active  map[string]*obs.EpochSampler
+	running int // runs started and not yet retired
 }
 
 // NewReporter creates a reporter writing to w (nil suppresses output but
 // still tracks counters for the monitor).
 func NewReporter(w io.Writer) *Reporter {
-	return &Reporter{w: w, start: time.Now(), active: map[string]*obs.EpochSampler{}}
+	return &Reporter{w: w, start: time.Now()}
 }
 
 func (r *Reporter) printf(format string, args ...interface{}) {
@@ -57,14 +54,11 @@ func (r *Reporter) addPlanned(n int) {
 	r.mu.Unlock()
 }
 
-// runStarted announces a run and registers its sampler (may be nil) for
-// live IPC reporting.
-func (r *Reporter) runStarted(app, scheme string, e *obs.EpochSampler) {
+// runStarted announces a run and counts it as running.
+func (r *Reporter) runStarted(app, scheme string) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if e != nil {
-		r.active[app+" "+scheme] = e
-	}
+	r.running++
 	if r.w != nil {
 		fmt.Fprintf(r.w, "  running %-14s %s\n", app, scheme)
 	}
@@ -74,7 +68,7 @@ func (r *Reporter) runStarted(app, scheme string, e *obs.EpochSampler) {
 func (r *Reporter) runDone(app, scheme string, simulated bool, d time.Duration) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	delete(r.active, app+" "+scheme)
+	r.running--
 	r.done++
 	if !simulated {
 		r.served++
@@ -95,7 +89,7 @@ func (r *Reporter) runDone(app, scheme string, simulated bool, d time.Duration) 
 func (r *Reporter) runFailed(app, scheme, msg, artifact string) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	delete(r.active, app+" "+scheme)
+	r.running--
 	r.done++
 	r.failed++
 	if r.w == nil {
@@ -105,6 +99,14 @@ func (r *Reporter) runFailed(app, scheme, msg, artifact string) {
 	if artifact != "" {
 		fmt.Fprintf(r.w, "          quarantined: %s\n", artifact)
 	}
+}
+
+// runAbandoned retires a run the sweep gave up on without an outcome
+// (its dispatch was torn down by Cancel): it is neither done nor failed.
+func (r *Reporter) runAbandoned() {
+	r.mu.Lock()
+	r.running--
+	r.mu.Unlock()
 }
 
 // etaLocked estimates time to finish the planned runs from sweep
@@ -144,24 +146,16 @@ func (lw lockedWriter) Write(p []byte) (int, error) {
 	return lw.r.w.Write(p)
 }
 
-// ActiveRun is one in-flight simulation in a SweepStatus.
-type ActiveRun struct {
-	Name string
-	// IPC is the last completed epoch's retirement rate; 0 until the
-	// run's first epoch closes (or when epoch sampling is off).
-	IPC float64
-}
-
 // SweepStatus is the monitor's view of a sweep, served by
-// `experiments -http` in /dash/status and as the tinydir_sweep_* gauges.
+// `experiments -http` as the tinydir_sweep_* gauges.
 type SweepStatus struct {
 	Planned int
 	Done    int
 	Served  int // answered from the run store without simulating
 	Failed  int // panicked and quarantined
+	Running int // started and not yet retired
 	Elapsed time.Duration
 	ETA     time.Duration // 0 when unknown
-	Active  []ActiveRun
 }
 
 // Snapshot returns the current sweep state. Safe to call from any
@@ -174,15 +168,12 @@ func (r *Reporter) Snapshot() SweepStatus {
 		Done:    r.done,
 		Served:  r.served,
 		Failed:  r.failed,
+		Running: r.running,
 		Elapsed: time.Since(r.start).Round(time.Millisecond),
 	}
 	if eta, ok := r.etaLocked(); ok {
 		st.ETA = eta.Round(time.Millisecond)
 	}
-	for name, e := range r.active {
-		st.Active = append(st.Active, ActiveRun{Name: name, IPC: e.LatestIPC()})
-	}
-	sort.Slice(st.Active, func(i, j int) bool { return st.Active[i].Name < st.Active[j].Name })
 	return st
 }
 
@@ -198,14 +189,6 @@ func (s *Suite) newRecorder(rep *Reporter) *ObsRecorder {
 		cfg.StallOut = rep.Writer()
 	}
 	return NewObsRecorder(cfg)
-}
-
-// sampler returns the epoch sampler of a recorder that may be nil.
-func sampler(rec *ObsRecorder) *obs.EpochSampler {
-	if rec == nil {
-		return nil
-	}
-	return rec.Epochs
 }
 
 // runName names one run for the monitor and its artifacts: the scheme's
@@ -279,13 +262,13 @@ func (s *Suite) writeObsArtifacts(o Options, rec *ObsRecorder, rep *Reporter) {
 // its post-mortem goes to an artifact under ObsDir, the failure is
 // recorded for Failures(), and the sweep continues with a zero Result in
 // that slot.
-func (s *Suite) executeRun(o Options) (Result, bool) {
+func (s *Suite) executeRun(o Options) Result {
 	zero := Result{App: o.App.Name, Scheme: o.Scheme.String()}
 	if s.Cancelled() {
 		// Graceful shutdown: skip the simulation entirely. The figure
 		// assembled from this zero result is discarded by the caller
 		// (Cancelled() gates output).
-		return zero, false
+		return zero
 	}
 	rep := s.Monitor()
 	var rec *ObsRecorder
@@ -295,7 +278,7 @@ func (s *Suite) executeRun(o Options) (Result, bool) {
 		o.Obs = rec
 	}
 	name := runName(o.Scheme)
-	rep.runStarted(o.App.Name, name, sampler(rec))
+	rep.runStarted(o.App.Name, name)
 	start := time.Now()
 	r, simulated, err := s.attempt(o)
 	if err != nil {
@@ -303,7 +286,8 @@ func (s *Suite) executeRun(o Options) (Result, bool) {
 			// The dispatch path was torn down under us (coordinator
 			// closed); the output is discarded anyway, so this is not a
 			// run failure worth recording.
-			return zero, false
+			rep.runAbandoned()
+			return zero
 		}
 		f := RunFailure{App: o.App.Name, Scheme: name, Err: err.Error()}
 		f.Artifact = s.quarantine(o, err)
@@ -311,13 +295,13 @@ func (s *Suite) executeRun(o Options) (Result, bool) {
 		s.sh.failures = append(s.sh.failures, f)
 		s.sh.mu.Unlock()
 		rep.runFailed(o.App.Name, name, f.Err, f.Artifact)
-		return zero, false
+		return zero
 	}
 	if simulated {
 		s.writeObsArtifacts(o, rec, rep)
 	}
 	rep.runDone(o.App.Name, name, simulated, time.Since(start))
-	return r, simulated
+	return r
 }
 
 // attempt runs o once, after filling a zero o.Timeout with RunTimeout:

@@ -2,10 +2,13 @@ package tinydir
 
 import (
 	"bytes"
+	"errors"
 	"strings"
 	"sync"
 	"testing"
 	"time"
+
+	"tinydir/internal/telemetry"
 )
 
 // atomicLineWriter records every Write it receives, so tests can assert
@@ -38,7 +41,7 @@ func TestReporterLineAtomicity(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 50; i++ {
 				name := strings.Repeat("x", g+1)
-				rep.runStarted(name, "sparse-2x", nil)
+				rep.runStarted(name, "sparse-2x")
 				rep.runDone(name, "sparse-2x", true, time.Millisecond)
 			}
 		}()
@@ -139,7 +142,7 @@ func TestReporterETAAllServed(t *testing.T) {
 func TestReporterNilWriter(t *testing.T) {
 	rep := NewReporter(nil)
 	rep.addPlanned(1)
-	rep.runStarted("barnes", "inllc", nil)
+	rep.runStarted("barnes", "inllc")
 	rep.runDone("barnes", "inllc", true, time.Millisecond)
 	if n, err := rep.Writer().Write([]byte("watchdog dump\n")); err != nil || n != 14 {
 		t.Fatalf("locked writer on nil sink: n=%d err=%v", n, err)
@@ -147,6 +150,33 @@ func TestReporterNilWriter(t *testing.T) {
 	st := rep.Snapshot()
 	if st.Done != 1 || st.Planned != 1 {
 		t.Fatalf("snapshot = %+v, want one planned, one done", st)
+	}
+}
+
+// TestCancelledDispatchRetiresRun: a dispatch torn down by Cancel (the
+// coordinator closing under an interrupted -serve sweep) retires its run
+// without counting it done or failed, so tinydir_sweep_active falls back
+// to 0 instead of reporting a phantom run forever.
+func TestCancelledDispatchRetiresRun(t *testing.T) {
+	s := NewSuite(ScaleTest)
+	s.Dispatch = func(Options) (Result, bool, error) {
+		s.Cancel()
+		return Result{}, false, errors.New("sweepd: coordinator closed")
+	}
+	reg := telemetry.NewRegistry()
+	RegisterSweepMetrics(reg, s.Monitor())
+	s.executeRun(Options{App: App("barnes"), Scheme: SparseDirectory(2), Scale: ScaleTest})
+	got := map[string]float64{}
+	for _, series := range reg.Snapshot() {
+		got[series.Name] = series.Value
+	}
+	for _, name := range []string{"tinydir_sweep_active", "tinydir_sweep_done", "tinydir_sweep_failed"} {
+		if got[name] != 0 {
+			t.Errorf("%s = %v after a cancelled dispatch, want 0", name, got[name])
+		}
+	}
+	if len(s.Failures()) != 0 {
+		t.Errorf("cancelled dispatch recorded as a failure: %+v", s.Failures())
 	}
 }
 
